@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CHECK_SLACK, GridFunction, SupportBox, TensorGrid, convolve, restrict, sample_on_grid
-from .kernels import Dilation, ProductKernel
+from .grids import CHECK_SLACK, GridCompatibilityError, GridFunction, SupportBox, TensorGrid, sample_on_grid
+from .kernels import ProductKernel
 from .mixtures import FiniteMixture, MeanBox, MixingApproximant, MixtureDictionary
 
 __all__ = [
@@ -196,27 +196,6 @@ def _component_values(kernel: ProductKernel, k: int, means: np.ndarray,
     return np.exp(kernel.dim * math.log(k) + logs)
 
 
-class _SquaredDilation:
-    """Pointwise square of a dilated product kernel; still separable."""
-
-    def __init__(self, dilation: Dilation):
-        self._d = dilation
-        self.dim = dilation.dim
-        self.k = dilation.k
-
-    def radius(self, tol: float) -> float:
-        return self._d.radius(tol)
-
-    def pdf(self, x):
-        return self._d.pdf(x) ** 2
-
-    def axis_pdf(self, offsets):
-        return self._d.axis_pdf(offsets) ** 2
-
-    def mass_outside(self, radius: float) -> float:
-        return self._d.mass_outside(radius)
-
-
 def _moment_ratio_fields(mixing, domain_grid: TensorGrid):
     """Numerator and denominator fields of the integral-ratio constants."""
     if isinstance(mixing, FiniteMixture):
@@ -226,11 +205,11 @@ def _moment_ratio_fields(mixing, domain_grid: TensorGrid):
         denom = (mixing.weights[:, None] * comp).sum(axis=0).reshape(domain_grid.shape)
         return numer, denom
     if isinstance(mixing, MixingApproximant):
-        f_gf = sample_on_grid(mixing.target.pdf, domain_grid)
-        dil = Dilation(mixing.kernel, mixing.k)
-        numer = restrict(convolve(f_gf, _SquaredDilation(dil)), domain_grid.box).values
-        denom = restrict(convolve(f_gf, dil), domain_grid.box).values
-        return numer, denom
+        if not mixing.realized.grid.same_lattice(domain_grid):
+            raise GridCompatibilityError(
+                "domain grid differs from the grid the mixing approximant is realized on"
+            )
+        return mixing.second_moment.values, mixing.realized.values
     raise TypeError("mixing must be a MixingApproximant or a FiniteMixture")
 
 

@@ -2,8 +2,9 @@
 
 Every integral in the package is realized as a tensor-product quadrature sum
 over a :class:`TensorGrid`.  Convolution is computed either by a direct
-quadrature sum (the slow oracle path) or by FFT over the shared lattice; the
-two paths must agree to 1e-9 and are tested against each other.
+quadrature sum, one Toeplitz pass per axis for separable kernels, or by FFT
+over the shared lattice; the two paths must agree to 1e-9 and are tested
+against each other.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 __all__ = [
     "SupportBox",
@@ -350,6 +350,17 @@ def _clip_tiny_negatives(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _toeplitz(kernel_axis: np.ndarray, n_out: int, n_in: int) -> np.ndarray:
+    """(n_out, n_in) view with entry [i, j] = kernel_axis[i - j + n_in - 1].
+
+    `kernel_axis` holds one axis of the kernel on the n_out + n_in - 1 lattice
+    offsets of :func:`_kernel_axis_offsets`; the view gathers it by index
+    without copying.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(kernel_axis[::-1], n_in)
+    return windows[::-1]
+
+
 def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
              method: str = "auto", truncation_tol: float = 1e-9) -> GridFunction:
     """Convolve a grid density with an integrable kernel.
@@ -357,10 +368,19 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
     The kernel must expose ``dim``, ``radius(tol)`` and ``pdf(points)``;
     separable kernels additionally expose ``axis_pdf(offsets)`` which enables
     the per-axis direct path.  The output grid defaults to the input grid
-    widened by the kernel truncation radius, on the same lattice.
+    widened by the kernel truncation radius, on the same lattice; a caller
+    that needs only part of it (usually the input grid itself) passes that
+    grid as `out_grid` and nothing else is computed.
 
     method: "auto" | "fft" | "direct".  The direct path is the quadrature-sum
-    oracle; the fft path computes the identical lattice sum via fftconvolve.
+    oracle.  For a separable kernel it evaluates ``axis_pdf`` once per axis on
+    the n_out + n_in - 1 lattice offsets, gathers the (n_out, n_in) Toeplitz
+    matrix from them by index and contracts one axis at a time; otherwise
+    (dim 1 only) it evaluates ``pdf`` on every (output, input) pair.  The fft
+    path computes the identical lattice sum via fftconvolve, with the kernel
+    evaluated on the full p-dimensional offset mesh.  "auto" takes the direct
+    path for separable kernels in dim > 1, and in dim 1 when the number of
+    (output, input) pairs is at most 2^23; it takes fft otherwise.
     """
     grid = f.grid
     p = grid.dim
@@ -389,18 +409,24 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
 
     weighted = f.values * grid.weight_tensor()
     axis_offsets = _kernel_axis_offsets(out_grid, grid)
+    n_in, n_out = grid.points_per_axis, out_grid.points_per_axis
+    separable = hasattr(kernel, "axis_pdf")
 
     if method == "auto":
-        n_ops = out_grid.points_per_axis * grid.points_per_axis
-        method = "direct" if (p == 1 and n_ops <= 1 << 23) else "fft"
+        # Each direct pass holds an (n_out, n_in) matrix.  In dim 1 the fft
+        # kernel is a vector too, and cheaper once a widened output makes that
+        # matrix large; in dim > 1 it is a full mesh, which the direct path
+        # never builds.
+        if p == 1:
+            method = "direct" if n_out * n_in <= 1 << 23 else "fft"
+        else:
+            method = "direct" if separable else "fft"
 
     if method == "direct":
-        if hasattr(kernel, "axis_pdf"):
+        if separable:
             vals = weighted
             for axis in range(p):
-                mat = kernel.axis_pdf(
-                    out_grid.nodes[axis][:, None] - grid.nodes[axis][None, :]
-                )
+                mat = _toeplitz(kernel.axis_pdf(axis_offsets[axis]), n_out, n_in)
                 vals = np.moveaxis(np.tensordot(mat, vals, axes=([1], [axis])), 0, axis)
         elif p == 1:
             diff = out_grid.nodes[0][:, None] - grid.nodes[0][None, :]
@@ -408,11 +434,12 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
         else:
             raise ValueError("direct path needs a separable kernel for dim > 1")
     elif method == "fft":
+        from scipy.signal import fftconvolve
+
         mesh = np.stack(np.meshgrid(*axis_offsets, indexing="ij"), axis=-1)
         karr = np.asarray(kernel.pdf(mesh), dtype=float)
         full = fftconvolve(weighted, karr, mode="full")
-        n_in = grid.points_per_axis
-        sl = tuple(slice(n_in - 1, n_in - 1 + out_grid.points_per_axis) for _ in range(p))
+        sl = tuple(slice(n_in - 1, n_in - 1 + n_out) for _ in range(p))
         vals = full[sl]
     else:
         raise ValueError(f"unknown convolution method {method!r}")
@@ -430,6 +457,8 @@ def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     midpoint value is the one that keeps trapezoid lattice sums exact.  The
     result lives on the Minkowski-sum box with trapezoid weights.
     """
+    from scipy.signal import fftconvolve
+
     for ha, hb in zip(f.grid.spacing, g.grid.spacing):
         if abs(ha - hb) > 1e-9 * max(ha, hb):
             raise GridCompatibilityError("grid spacings differ")

@@ -23,7 +23,7 @@ from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
 from .densities import default_points_per_axis, make_target
 from .divergences import AbsoluteContinuityError, kl_divergence, lq_norm
-from .grids import GridFunction, make_grid, restrict, convolve, sample_on_grid
+from .grids import GridFunction, make_grid, convolve, sample_on_grid
 from .kernels import certify_approximate_identity, check_moment_condition, dilate, make_product_kernel
 from .mixtures import (
     MeanBox,
@@ -172,9 +172,8 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
     result = StudyResult("conv-rate")
     sup_int_points = []
     for k in cfg.k_list:
-        out = restrict(convolve(f_gf, dilate(kernel, k),
-                                truncation_tol=cfg.grid_truncation_tolerance),
-                       f.support)
+        out = convolve(f_gf, dilate(kernel, k), out_grid=grid,
+                       truncation_tol=cfg.grid_truncation_tolerance)
         diff = out.values - f_gf.values
         metrics = {
             "sup": float(np.max(np.abs(diff))),
@@ -405,7 +404,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     # constants dominating every training cell, checked on the held-out cell.
     kl_by_k = {}
     for k in cfg.fit_k_grid:
-        fbar = build_mixing_approximant(f, kernel, k, grid).realized
+        fbar = convolve(f_gf, dilate(kernel, k), out_grid=grid)
         kl_by_k[k] = kl_divergence(f_gf, fbar)
     beta = f.beta_lower
     eps_hat = beta * min(kl_by_k.values())

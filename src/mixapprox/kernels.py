@@ -20,6 +20,7 @@ __all__ = [
     "UnivariateKernel",
     "ProductKernel",
     "Dilation",
+    "SquaredDilation",
     "IdentityCertification",
     "MARGINAL_NAMES",
     "make_product_kernel",
@@ -293,6 +294,31 @@ class Dilation:
 
     def sample(self, n, rng):
         return self.base.sample(n, rng) / self.k
+
+
+class SquaredDilation:
+    """Pointwise square of a dilated product kernel; still separable.
+
+    Not a density.  Convolving a mixing law with it gives the second moment of
+    the component density under that law.
+    """
+
+    def __init__(self, dilation: Dilation):
+        self._d = dilation
+        self.dim = dilation.dim
+        self.k = dilation.k
+
+    def radius(self, tol: float) -> float:
+        return self._d.radius(tol)
+
+    def pdf(self, x):
+        return self._d.pdf(x) ** 2
+
+    def axis_pdf(self, offsets):
+        return self._d.axis_pdf(offsets) ** 2
+
+    def mass_outside(self, radius: float) -> float:
+        return self._d.mass_outside(radius)
 
 
 def make_product_kernel(marginal_name: str, dim: int) -> ProductKernel:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .grids import GridFunction, SupportBox, TensorGrid, convolve, restrict, sample_on_grid
-from .kernels import Dilation, ProductKernel, dilate
+from .kernels import Dilation, ProductKernel, SquaredDilation, dilate
 
 __all__ = [
     "MeanBox",
@@ -541,11 +542,30 @@ class MixingApproximant:
     k: int
     realized: GridFunction
 
+    @cached_property
+    def second_moment(self) -> GridFunction:
+        """Target convolved with the squared dilated kernel, on the realized grid.
+
+        The second moment of the component density under the mixing law, the
+        numerator shared by both integral-ratio constants; built on first use.
+        """
+        grid = self.realized.grid
+        f_gf = sample_on_grid(self.target.pdf, grid)
+        return convolve(f_gf, SquaredDilation(dilate(self.kernel, self.k)), out_grid=grid)
+
 
 def build_mixing_approximant(target, kernel: ProductKernel, k: int,
                              grid: TensorGrid) -> MixingApproximant:
-    """Convolve a target with the dilated kernel and restrict to the grid box."""
+    """Convolve a target with the dilated kernel onto the grid."""
     f_gf = sample_on_grid(target.pdf, grid)
-    out = convolve(f_gf, dilate(kernel, int(k)))
-    realized = restrict(out, grid.box)
+    dil = dilate(kernel, int(k))
+    if grid.dim > 1:
+        # Kept on the widened FFT sum.  The exact per-axis sum differs from it
+        # only in the last bits, but greedy_fit's golden-section L2 step settles
+        # its weights only to rounding noise, so those bits move the KL of the
+        # 2-D greedy iterates by ~1e-6 relative.  A closed-form L2 step would
+        # let this take the per-axis sum too.
+        realized = restrict(convolve(f_gf, dil, method="fft"), grid.box)
+    else:
+        realized = convolve(f_gf, dil, out_grid=grid)
     return MixingApproximant(target, kernel, int(k), realized)

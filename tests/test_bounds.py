@@ -22,7 +22,8 @@ from mixapprox.bounds import (
     target_kl_constant,
 )
 from mixapprox.densities import make_target
-from mixapprox.grids import cube, make_grid, sample_on_grid
+from mixapprox import mixtures
+from mixapprox.grids import GridCompatibilityError, cube, make_grid, sample_on_grid
 from mixapprox.kernels import make_product_kernel
 from mixapprox.mixtures import FiniteMixture, MeanBox, build_dictionary, build_mixing_approximant
 
@@ -145,6 +146,22 @@ class TestIntegralRatioConstants:
         mc_ct = grid.integrate(numer / denom ** 2 * sample_on_grid(f.pdf, grid).values)
         assert ch == pytest.approx(mc_ch, rel=0.01)
         assert ct == pytest.approx(mc_ct, rel=0.01)
+
+    def test_smoothed_fields_built_once_on_the_realized_grid(self, monkeypatch):
+        # Both constants share the mixing approximant's realized field and
+        # its squared-kernel numerator; only the numerator needs a convolution.
+        f = make_target("truncated-normal", 1)
+        grid = make_grid(f.support, 513, "simpson")
+        mixing = build_mixing_approximant(f, GAUSS, 4, grid)
+        calls = []
+        real_convolve = mixtures.convolve
+        monkeypatch.setattr(mixtures, "convolve",
+                            lambda *a, **kw: calls.append(1) or real_convolve(*a, **kw))
+        hull_kl_constant(mixing, grid)
+        target_kl_constant(mixing, sample_on_grid(f.pdf, grid), grid)
+        assert len(calls) == 1
+        with pytest.raises(GridCompatibilityError):
+            hull_kl_constant(mixing, make_grid(f.support, 257, "simpson"))
 
     def test_symmetric_mixing_gives_symmetric_ratio(self):
         mix = FiniteMixture(np.array([0.5, 0.5]), np.array([[0.3], [0.7]]), 8, GAUSS)

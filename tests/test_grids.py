@@ -18,7 +18,7 @@ from mixapprox.grids import (
     young_inequality_check,
     zero_extend,
 )
-from mixapprox.kernels import dilate, make_product_kernel
+from mixapprox.kernels import SquaredDilation, dilate, make_product_kernel
 from mixapprox.densities import make_target, truncated_normal_density
 
 
@@ -109,6 +109,11 @@ class TestZeroExtend:
             zero_extend(f, cube(0.25, 0.75, 1), 129)
 
 
+def _tilted(gf):
+    """A grid function times the asymmetric factor prod_i (1 + x_i)."""
+    return GridFunction(gf.grid, gf.values * np.prod(1.0 + gf.grid.mesh(), axis=-1))
+
+
 class TestConvolve:
     def test_gaussian_variance_addition(self):
         f = truncated_normal_density(-8.0, 8.0)
@@ -150,15 +155,39 @@ class TestConvolve:
         b = convolve(fg, d, method="fft")
         assert np.max(np.abs(a.values - b.values)) < 1e-9
 
-    def test_fft_matches_direct_2d(self):
-        f = make_target("clipped-cosine", 2)
-        grid = make_grid(f.support, 65, "trapezoid")
+    @pytest.mark.parametrize("dim,points", [(2, 65), (3, 33)])
+    def test_fft_matches_direct_nd(self, dim, points):
+        f = make_target("clipped-cosine", dim)
+        grid = make_grid(f.support, points, "trapezoid")
         fg = sample_on_grid(f.pdf, grid)
-        d = dilate(make_product_kernel("gaussian", 2), 4)
+        d = dilate(make_product_kernel("gaussian", dim), 4)
         a = convolve(fg, d, method="direct")
         b = convolve(fg, d, method="fft")
         assert np.max(np.abs(a.values - b.values)) < 1e-9
         assert a.mass == pytest.approx(1.0, abs=1e-6)
+        # Every zoo target is mirror-symmetric, which would hide a flipped
+        # lattice offset; a tilted field is not.
+        tilted = _tilted(fg)
+        a = convolve(tilted, d, method="direct")
+        b = convolve(tilted, d, method="fft")
+        assert np.max(np.abs(a.values - b.values)) < 1e-9
+        assert a.mass == pytest.approx(tilted.mass, abs=1e-6)
+
+    @pytest.mark.parametrize("dim,points", [(1, 513), (2, 65), (3, 33)])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_out_grid_matches_restricted_default(self, dim, points, squared):
+        # Convolving straight onto the input grid gives the restriction of the
+        # widened default output, for densities and for the squared kernel.
+        f = make_target("clipped-cosine", dim)
+        grid = make_grid(f.support, points, "simpson")
+        fg = _tilted(sample_on_grid(f.pdf, grid))
+        d = dilate(make_product_kernel("gaussian", dim), 4)
+        kernel = SquaredDilation(d) if squared else d
+        a = convolve(fg, kernel, out_grid=grid)
+        b = restrict(convolve(fg, kernel), grid.box)
+        assert a.grid is grid
+        assert np.max(np.abs(a.values - b.values)) < 1e-12 * np.max(np.abs(b.values))
+        assert a.truncation_loss == b.truncation_loss
 
     def test_identity_scale_matches_kernel(self):
         # Convolving a near-point mass recovers the kernel shape; here just

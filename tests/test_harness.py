@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,21 @@ class TestConvRateStudy:
         assert inner[32] < inner[4]
         assert full[32] > 0.4
         assert inner[32] < 0.01
+
+    def test_3d_default_grid_fits_in_memory(self):
+        # The 3-D default grid (65^3) convolves per axis onto the study grid;
+        # a widened p-dimensional kernel mesh there would take gigabytes.
+        cfg = ExperimentConfig(study="conv-rate", density_name="tent", density_dim=3,
+                               k_list=(2, 4)).validate()
+        tracemalloc.start()
+        try:
+            res = run_conv_rate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2 ** 20
+        sups = [v for _, v, _ in res.rate_reports[0].points]
+        assert len(sups) == 2 and sups[1] < sups[0]
 
     def test_single_k_gives_null_slope(self):
         cfg = ExperimentConfig(study="conv-rate", density_name="tent",

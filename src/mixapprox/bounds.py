@@ -94,17 +94,29 @@ def _axis_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _logratio_axis_sup(marginal, k: int, box: MeanBox, domain: SupportBox,
-                       axis: int, n: int) -> float:
+def _axis_probe(marginal, k: int, box: MeanBox, domain: SupportBox,
+                axis: int, n: int):
+    """Probe table log g(k (x - m)) over n domain nodes by n mean nodes of one
+    axis, returned with the mean nodes."""
     xs = _axis_grid(domain.lower[axis], domain.upper[axis], n)
     ms = _axis_grid(box.m_lower, box.m_upper, n)
-    lg = marginal.log_pdf(k * (xs[:, None] - ms[None, :]))
-    hi = lg.max(axis=1)
-    lo = lg.min(axis=1)
-    rng = hi - lo
-    if np.any(np.isinf(rng)) or np.any(np.isnan(rng)):
+    return marginal.log_pdf(k * (xs[:, None] - ms[None, :])), ms
+
+
+def _refined_sup(probe, points_per_axis: int, what: str) -> float:
+    """Probe at points_per_axis, then once refined to 2 points_per_axis - 1;
+    a disagreement above 1% is warned.  An infinite coarse value is final."""
+    coarse = probe(points_per_axis)
+    if math.isinf(coarse):
         return math.inf
-    return float(rng.max())
+    fine = probe(2 * points_per_axis - 1)
+    if abs(fine - coarse) > 0.01 * max(abs(fine), 1e-12):
+        warnings.warn(
+            f"{what} changed by more than 1% under refinement "
+            f"({coarse:.6g} -> {fine:.6g})",
+            RuntimeWarning,
+        )
+    return fine
 
 
 def compute_A_logratio(kernel: ProductKernel, k: int, box: MeanBox,
@@ -121,23 +133,14 @@ def compute_A_logratio(kernel: ProductKernel, k: int, box: MeanBox,
     def total(n):
         s = 0.0
         for axis in range(kernel.dim):
-            part = _logratio_axis_sup(kernel.marginal, k, box, domain, axis, n)
-            if math.isinf(part):
+            lg, _ = _axis_probe(kernel.marginal, k, box, domain, axis, n)
+            spread = lg.max(axis=1) - lg.min(axis=1)
+            if not np.all(np.isfinite(spread)):
                 return math.inf
-            s += part
+            s += float(spread.max())
         return s
 
-    coarse = total(points_per_axis)
-    if math.isinf(coarse):
-        return math.inf
-    fine = total(2 * points_per_axis - 1)
-    if abs(fine - coarse) > 0.01 * max(abs(fine), 1e-12):
-        warnings.warn(
-            f"log-ratio sup changed by more than 1% under refinement "
-            f"({coarse:.6g} -> {fine:.6g})",
-            RuntimeWarning,
-        )
-    return fine
+    return _refined_sup(total, points_per_axis, "log-ratio sup")
 
 
 def compute_gamma(a_logratio: float) -> float:
@@ -166,9 +169,7 @@ def estimate_B_lipschitz(kernel: ProductKernel, k: int, box: MeanBox,
     def sweep(n):
         best = 0.0
         for axis in range(kernel.dim):
-            xs = _axis_grid(domain.lower[axis], domain.upper[axis], n)
-            ms = _axis_grid(box.m_lower, box.m_upper, n)
-            lg = kernel.marginal.log_pdf(k * (xs[:, None] - ms[None, :]))
+            lg, ms = _axis_probe(kernel.marginal, k, box, domain, axis, n)
             if np.any(np.isinf(lg)):
                 raise ValueError("log ratio is infinite on the probe grid")
             dm = np.abs(ms[:, None] - ms[None, :])
@@ -178,31 +179,16 @@ def estimate_B_lipschitz(kernel: ProductKernel, k: int, box: MeanBox,
                 best = max(best, float(quot.max()))
         return best
 
-    coarse = sweep(points_per_axis)
-    fine = sweep(2 * points_per_axis - 1)
-    if abs(fine - coarse) > 0.01 * max(abs(fine), 1e-12):
-        warnings.warn(
-            f"log-kernel Lipschitz sup changed by more than 1% under refinement "
-            f"({coarse:.6g} -> {fine:.6g})",
-            RuntimeWarning,
-        )
-    return fine
-
-
-def _component_values(kernel: ProductKernel, k: int, means: np.ndarray,
-                      points: np.ndarray) -> np.ndarray:
-    z = k * (points[None, :, :] - means[:, None, :])
-    logs = kernel.marginal.log_pdf(z).sum(axis=-1)
-    return np.exp(kernel.dim * math.log(k) + logs)
+    return _refined_sup(sweep, points_per_axis, "log-kernel Lipschitz sup")
 
 
 def _moment_ratio_fields(mixing, domain_grid: TensorGrid):
     """Numerator and denominator fields of the integral-ratio constants."""
     if isinstance(mixing, FiniteMixture):
         pts = domain_grid.mesh().reshape(-1, domain_grid.dim)
-        comp = _component_values(mixing.kernel, mixing.k, mixing.means, pts)
-        numer = (mixing.weights[:, None] * comp ** 2).sum(axis=0).reshape(domain_grid.shape)
-        denom = (mixing.weights[:, None] * comp).sum(axis=0).reshape(domain_grid.shape)
+        comp = np.exp(mixing.component_log_pdf(pts))
+        numer = (comp ** 2 @ mixing.weights).reshape(domain_grid.shape)
+        denom = (comp @ mixing.weights).reshape(domain_grid.shape)
         return numer, denom
     if isinstance(mixing, MixingApproximant):
         if not mixing.realized.grid.same_lattice(domain_grid):
@@ -298,13 +284,6 @@ def mle_risk_concentration(epsilon: float, beta_lower: float, beta_upper: float,
     )
 
 
-def _empirical_matrix(dictionary: MixtureDictionary, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    return dictionary.evaluate_at(xs)
-
-
 def covering_number(dictionary: MixtureDictionary, delta: float, xs) -> int:
     """Greedy cover size of the dictionary under the empirical rms distance.
 
@@ -314,7 +293,7 @@ def covering_number(dictionary: MixtureDictionary, delta: float, xs) -> int:
     """
     if delta <= 0:
         raise ValueError("covering radius must be positive")
-    vals = _empirical_matrix(dictionary, xs)
+    vals = dictionary.evaluate_at(xs)
     M, N = vals.shape
     uncovered = np.ones(M, dtype=bool)
     count = 0

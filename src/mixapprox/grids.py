@@ -277,23 +277,6 @@ def zero_extend(density, widened: SupportBox, points_per_axis: int,
     return gf
 
 
-def _lattice_offsets(coarse: TensorGrid, fine: TensorGrid) -> tuple:
-    """Integer per-axis index offsets of `fine` within `coarse`, or raise."""
-    offs = []
-    for a, b in zip(coarse.nodes, fine.nodes):
-        ha, hb = a[1] - a[0], b[1] - b[0]
-        if abs(ha - hb) > 1e-9 * max(ha, hb):
-            raise GridCompatibilityError("grids have different spacings")
-        off = (b[0] - a[0]) / ha
-        if abs(off - round(off)) > 1e-6:
-            raise GridCompatibilityError("grid origins are not lattice-aligned")
-        off = int(round(off))
-        if off < 0 or off + len(b) > len(a):
-            raise GridCompatibilityError("restriction target exceeds source grid")
-        offs.append(off)
-    return tuple(offs)
-
-
 def restrict(gf: GridFunction, box: SupportBox, rule: str | None = None) -> GridFunction:
     """Restrict a grid function to a sub-box whose corners lie on the lattice."""
     src = gf.grid
@@ -361,6 +344,14 @@ def _toeplitz(kernel_axis: np.ndarray, n_out: int, n_in: int) -> np.ndarray:
     return windows[::-1]
 
 
+def check_resolution(grid: TensorGrid, k) -> None:
+    """Resolution guard of a dilated kernel: at least 4 nodes per 1/k length."""
+    if max(grid.spacing) > 0.25 / float(k):
+        raise ValueError(
+            "grid too coarse for the kernel bandwidth: need >= 4 nodes per 1/k"
+        )
+
+
 def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
              method: str = "auto", truncation_tol: float = 1e-9) -> GridFunction:
     """Convolve a grid density with an integrable kernel.
@@ -390,11 +381,7 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
 
     scale = getattr(kernel, "k", None)
     if scale is not None:
-        # Resolution guard: at least 4 nodes per 1/k length scale.
-        if max(grid.spacing) > 0.25 / float(scale):
-            raise ValueError(
-                "grid too coarse for the kernel bandwidth: need >= 4 nodes per 1/k"
-            )
+        check_resolution(grid, scale)
 
     if out_grid is None:
         out_grid = _default_out_grid(f, radius)

@@ -23,12 +23,13 @@ from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
 from .densities import default_points_per_axis, make_target
 from .divergences import AbsoluteContinuityError, kl_divergence, lq_norm
-from .grids import GridFunction, make_grid, convolve, sample_on_grid
+from .grids import GridFunction, check_resolution, make_grid, convolve, sample_on_grid
 from .kernels import certify_approximate_identity, check_moment_condition, dilate, make_product_kernel
 from .mixtures import (
     MeanBox,
     build_dictionary,
     build_mixing_approximant,
+    check_dictionary_size,
     greedy_fit,
     mle_fit,
 )
@@ -136,6 +137,25 @@ def _mean_box(cfg: ExperimentConfig, support) -> MeanBox:
     return MeanBox(min(support.lower), max(support.upper), cfg.density_dim)
 
 
+def _config_guard(check, *args) -> None:
+    """Run a library input guard up front; its ValueError is a ConfigError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _rate_report(study: str, axis: str, points) -> RateReport:
+    """Rate report over (axis value, mean, stderr) points, with the log-log
+    slope fitted when there are at least 2 points and every mean is positive."""
+    rep = RateReport(study, axis, points)
+    if len(points) >= 2 and all(v > 0 for _, v, _ in points):
+        fit = fit_loglog_slope([(x, v) for x, v, _ in points])
+        rep.fitted_slope, rep.fitted_intercept = fit.slope, fit.intercept
+        rep.slope_ci_halfwidth = fit.ci_halfwidth
+    return rep
+
+
 def _slope_rows(study: str, rep: RateReport) -> list:
     rows = []
     if rep.fitted_slope is not None:
@@ -165,6 +185,7 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
             f"bound needs a finite l1 moment of order {f.lipschitz_exponent}"
         )
     grid = _study_grid(cfg, f.support)
+    _config_guard(check_resolution, grid, max(cfg.k_list))
     f_gf = sample_on_grid(f.pdf, grid)
     interior = f.support.shrink_fraction(cfg.interior_margin)
     inner = interior.contains_points(grid.mesh())
@@ -185,11 +206,7 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
             result.rows.append(Row("conv-rate", "k", k, "", cfg.seed, name, value))
         sup_int_points.append((k, metrics["sup_interior"], 0.0))
 
-    rep = RateReport("conv-rate", "k", sup_int_points)
-    if len(sup_int_points) >= 2 and all(v > 0 for _, v, _ in sup_int_points):
-        fit = fit_loglog_slope([(k, v) for k, v, _ in sup_int_points])
-        rep.fitted_slope, rep.fitted_intercept = fit.slope, fit.intercept
-        rep.slope_ci_halfwidth = fit.ci_halfwidth
+    rep = _rate_report("conv-rate", "k", sup_int_points)
     result.rate_reports.append(rep)
     result.rows.extend(_slope_rows("conv-rate", rep))
     return result
@@ -215,6 +232,8 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
     kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
     k = int(cfg.k_list[0])
     grid = _study_grid(cfg, f.support)
+    _config_guard(check_resolution, grid, k)
+    _config_guard(check_dictionary_size, cfg.means_per_axis, grid)
     f_gf = sample_on_grid(f.pdf, grid)
 
     mixing = build_mixing_approximant(f, kernel, k, grid)
@@ -285,11 +304,7 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
                 "target-kl", kl_target, kl_smooth + c_target * gamma / n, n=n, k=k,
             ))
 
-    rep = RateReport("mix-rate", "n", gap_points)
-    if len(gap_points) >= 2:
-        fit = fit_loglog_slope([(n, g) for n, g, _ in gap_points])
-        rep.fitted_slope, rep.fitted_intercept = fit.slope, fit.intercept
-        rep.slope_ci_halfwidth = fit.ci_halfwidth
+    rep = _rate_report("mix-rate", "n", gap_points)
     result.rate_reports.append(rep)
     result.rows.extend(_slope_rows("mix-rate", rep))
     for br in result.bound_reports:
@@ -321,6 +336,8 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
         raise ConfigError("mle-risk needs a lower-bounded target density")
     kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
     grid = _study_grid(cfg, f.support)
+    for k in cfg.fit_k_grid:
+        _config_guard(check_resolution, grid, k)
     f_gf = sample_on_grid(f.pdf, grid)
     mesh = grid.mesh()
     box = _mean_box(cfg, f.support)
@@ -385,12 +402,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     for tag, sched in (("schedule-sqrt", _sqrt_schedule),
                        ("schedule-sqrt-log", _sqrt_log_schedule)):
         pts = [(N, means[(sched(N), N)], errs[(sched(N), N)]) for N in sorted(cfg.N_list)]
-        rep = RateReport("mle-risk", "N", pts)
-        if len(pts) >= 2 and all(p[1] > 0 for p in pts):
-            fit = fit_loglog_slope([(N, m) for N, m, _ in pts])
-            rep.fitted_slope, rep.fitted_intercept = fit.slope, fit.intercept
-            rep.slope_ci_halfwidth = fit.ci_halfwidth
-        result.rate_reports.append(rep)
+        result.rate_reports.append(_rate_report("mle-risk", "N", pts))
         for N, m, s in pts:
             result.rows.append(Row("mle-risk", "N", N, "", cfg.seed, f"kl_mean@{tag}", m))
 
@@ -469,6 +481,8 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     k = int(cfg.k_list[0])
     grid = _study_grid(cfg, f.support)
     box = _mean_box(cfg, f.support)
+    means_per_axis = min(cfg.means_per_axis, 129)
+    _config_guard(check_dictionary_size, means_per_axis, grid)
     result = StudyResult("bounds")
 
     consts = bnd.BoundConstants(beta_lower=f.beta_lower, beta_upper=f.beta_upper,
@@ -476,6 +490,7 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     consts.A_logratio = bnd.compute_A_logratio(kernel, k, box, f.support)
     if math.isfinite(consts.A_logratio):
         consts.gamma = bnd.compute_gamma(consts.A_logratio)
+        _config_guard(check_resolution, grid, k)
         mixing = build_mixing_approximant(f, kernel, k, grid)
         consts.C_hull = bnd.hull_kl_constant(mixing, grid)
         consts.C_target = bnd.target_kl_constant(
@@ -496,7 +511,7 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     xs = f.sample(min(max(cfg.N_list), 512), rng)
-    dictionary = build_dictionary(kernel, k, box, min(cfg.means_per_axis, 129), grid)
+    dictionary = build_dictionary(kernel, k, box, means_per_axis, grid)
     dudley = bnd.dudley_entropy_integral(dictionary, xs, f.beta_upper)
     result.rows.append(Row("bounds", "run", "", "", cfg.seed, "dudley_integral", dudley))
 

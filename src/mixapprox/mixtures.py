@@ -71,6 +71,33 @@ class MeanBox:
         return SupportBox((self.m_lower,) * self.dim, (self.m_upper,) * self.dim)
 
 
+def _component_log_pdf(kernel: ProductKernel, k: int, means: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    """Log of the dilated component k^p g(k (x - m)) at every point and mean.
+
+    x is (N, p) or, for p = 1, (N,); means is (n, p).  Returns (N, n).  The
+    marginal's log density is added one (N, n) pass per axis, in axis order.
+    A Gaussian in p > 1 instead expands the squared distance, so the whole
+    matrix comes from one GEMM; p-dimensional EM spends its time here.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    p = x.shape[1]
+    marg = kernel.marginal
+    if marg.name == "gaussian" and p > 1:
+        sq = (
+            np.sum(x * x, axis=1)[:, None]
+            - 2.0 * (x @ means.T)
+            + np.sum(means * means, axis=1)[None, :]
+        )
+        return p * (math.log(k) - 0.5 * math.log(2.0 * math.pi)) - 0.5 * k ** 2 * sq
+    out = marg.log_pdf(k * (x[:, 0, None] - means[None, :, 0]))
+    for axis in range(1, p):
+        out += marg.log_pdf(k * (x[:, axis, None] - means[None, :, axis]))
+    return p * math.log(k) + out
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMixture:
     """Bounded finite mixture of one dilated product kernel.
@@ -110,27 +137,12 @@ class FiniteMixture:
         return int(self.means.shape[1])
 
     def component_log_pdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density of each component at each point, shaped (N, n)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        p = self.dim
-        marg = self.kernel.marginal
-        if marg.name == "gaussian":
-            # Expand the squared distance so the (N, n) matrix comes from one
-            # GEMM instead of an (N, n, p) broadcast; EM spends its time here.
-            sq = (
-                np.sum(x * x, axis=1)[:, None]
-                - 2.0 * (x @ self.means.T)
-                + np.sum(self.means * self.means, axis=1)[None, :]
-            )
-            return (
-                p * (math.log(self.k) - 0.5 * math.log(2.0 * math.pi))
-                - 0.5 * self.k ** 2 * sq
-            )
-        # (N, n, p) offsets scaled by k.
-        z = self.k * (x[:, None, :] - self.means[None, :, :])
-        return p * math.log(self.k) + np.sum(marg.log_pdf(z), axis=-1)
+        """Log density of each component at each point, shaped (N, n).
+
+        Evaluated by :func:`_component_log_pdf`, the one evaluator of the
+        component density.
+        """
+        return _component_log_pdf(self.kernel, self.k, self.means, x)
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         comp = self.component_log_pdf(x)
@@ -368,25 +380,30 @@ class MixtureDictionary:
         return self.values[idx]
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        """Element values at arbitrary points, shaped (M, N)."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        p = self.kernel.dim
-        z = self.k * (points[None, :, :] - self.means[:, None, :])
-        logs = self.kernel.marginal.log_pdf(z).sum(axis=-1)
-        return np.exp(p * math.log(self.k) + logs)
+        """Element values at arbitrary points, shaped (M, N).
+
+        Points are (N, p) or, for p = 1, (N,); evaluated by
+        :func:`_component_log_pdf`, the one evaluator of the component density.
+        """
+        return np.exp(_component_log_pdf(self.kernel, self.k, self.means, points)).T
+
+
+def check_dictionary_size(means_per_axis: int, grid: TensorGrid) -> None:
+    """Size guard of :func:`build_dictionary`: at most 10^4 means and 2e7
+    table entries."""
+    size = means_per_axis ** grid.dim
+    if size > 10_000:
+        raise ValueError("dictionary exceeds 10^4 mean points")
+    if size * np.prod(grid.shape) > 2e7:
+        raise ValueError("dictionary value table would exceed the memory guard")
 
 
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,
                      means_per_axis: int, grid: TensorGrid) -> MixtureDictionary:
     """Dictionary over a means lattice; capped at 10^4 elements."""
+    check_dictionary_size(means_per_axis, grid)
     axes = [np.linspace(box.m_lower, box.m_upper, means_per_axis)] * kernel.dim
     means = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, kernel.dim)
-    if means.shape[0] > 10_000:
-        raise ValueError("dictionary exceeds 10^4 mean points")
-    if means.shape[0] * np.prod(grid.shape) > 2e7:
-        raise ValueError("dictionary value table would exceed the memory guard")
     mesh = grid.mesh().reshape(-1, kernel.dim)
     dil = Dilation(kernel, int(k))
     vals = np.empty((means.shape[0], mesh.shape[0]))

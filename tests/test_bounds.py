@@ -46,6 +46,14 @@ class TestLogRatioSup:
         a = compute_A_logratio(GAUSS, 4, UNIT_BOX, UNIT_DOMAIN)
         assert a == pytest.approx(8.0, abs=1e-9)
 
+    def test_coarse_probe_is_refined_with_a_warning(self):
+        # On two probe points the nearest mean to x = 0.4 is 0 (log ratio
+        # 0.2 k^2 / 2); the refined grid finds m = 0.5 (0.35 k^2 / 2).
+        with pytest.warns(RuntimeWarning,
+                          match=r"^log-ratio sup changed by more than 1% under refinement"):
+            a = compute_A_logratio(GAUSS, 4, UNIT_BOX, cube(0.4, 0.6, 1), points_per_axis=2)
+        assert a == pytest.approx(0.35 * 16 / 2, abs=1e-12)
+
     def test_separates_over_axes(self):
         k2 = make_product_kernel("gaussian", 2)
         a = compute_A_logratio(k2, 1, MeanBox(0.0, 1.0, 2), cube(0.0, 1.0, 2))
@@ -86,6 +94,12 @@ class TestLipschitzLogConstant:
 
     def test_degenerate_box(self):
         assert estimate_B_lipschitz(GAUSS, 1, MeanBox(0.3, 0.3, 1), UNIT_DOMAIN) == 0.0
+
+    def test_coarse_probe_is_refined_with_a_warning(self):
+        with pytest.warns(RuntimeWarning, match=r"^log-kernel Lipschitz sup changed by "
+                                                r"more than 1% under refinement \(24 -> 28\)"):
+            b = estimate_B_lipschitz(GAUSS, 4, UNIT_BOX, cube(-1.0, 2.0, 1), points_per_axis=2)
+        assert b == pytest.approx(28.0, abs=1e-12)
 
     def test_laplace_scales_linearly_in_k(self):
         lap = make_product_kernel("laplace", 1)

@@ -278,6 +278,31 @@ class TestCli:
         assert cli_main(["conv-rate", "--config", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study, text, message", [
+        ("mix-rate", "density.name = truncated-normal\ndensity.dim = 2\n"
+                     "k.list = 16\ndictionary.means_per_axis = 33\n",
+         "memory guard"),
+        ("conv-rate", "density.name = tent\ndensity.dim = 3\n"
+                      "grid.points_per_axis = 33\nk.list = 4,16\n",
+         "too coarse"),
+        # A small sweep, so that a missing guard fails fast after the fits.
+        ("mle-risk", "density.name = truncated-normal\n"
+                     "grid.points_per_axis = 33\nfit.k_grid = 4,8,16\n"
+                     "n.list = 2\nN.list = 100\nreplications = 1\n"
+                     "heldout.n = 2\nheldout.N = 100\n",
+         "too coarse"),
+    ], ids=["dictionary-table", "conv-rate-resolution", "mle-risk-resolution"])
+    def test_guard_is_a_config_error(self, tmp_path, capsys, study, text, message):
+        # Configs that pass validate() but trip a library input guard exit 2
+        # before any expensive stage, not with a traceback.
+        cfg = self._write(tmp_path, f"study = {study}\n{text}")
+        out = tmp_path / "res.csv"
+        assert cli_main([study, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") and message in line
+                   for line in err.splitlines())
+        assert not out.exists()
+
     def test_strict_domination_failure_exit_code(self, tmp_path, capsys):
         # Small-n greedy iterates violate the run-certificate domination, so
         # strict mode exits 3 (see the acceptance notes for the analysis).

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mixapprox.bounds import hull_kl_constant
 from mixapprox.densities import make_target
 from mixapprox.divergences import lq_norm
 from mixapprox.grids import GridFunction, cube, make_grid, sample_on_grid
-from mixapprox.kernels import make_product_kernel
+from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
 from mixapprox.mixtures import (
     FiniteMixture,
     MeanBox,
+    MixtureDictionary,
     build_dictionary,
     build_mixing_approximant,
     em_fit,
@@ -68,6 +70,66 @@ class TestFiniteMixture:
         grid = make_grid(cube(0.0, 1.0, 2), 33, "trapezoid")
         vals = m.pdf(grid.mesh())
         assert vals.shape == grid.shape
+
+
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", MARGINAL_NAMES)
+class TestComponentEvaluator:
+    """Every caller of the one component evaluator against a per-mean loop of
+    Dilation.log_pdf: exact on the per-axis route, within 1e-10 on the
+    Gaussian p > 1 route, which expands the squared distance into a GEMM."""
+
+    @staticmethod
+    def _case(name, p, k):
+        rng = np.random.default_rng([p, k])
+        kernel = make_product_kernel(name, p)
+        means = rng.uniform(-1.0, 1.0, size=(6, p))
+        x = rng.uniform(-1.5, 1.5, size=(200, p))
+        dil = Dilation(kernel, k)
+        ref = np.stack([dil.log_pdf(x - m) for m in means], axis=1)
+        return kernel, means, x, ref
+
+    @staticmethod
+    def _check(got, ref, gemm_route, relative=False):
+        # Logs compare absolutely; values, whose logs they are, relatively.
+        if not gemm_route:
+            assert np.array_equal(got, ref)
+        elif relative:
+            assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+        else:
+            assert_allclose(got, ref, rtol=0.0, atol=1e-10)
+
+    def test_finite_mixture_component_log_pdf(self, name, p, k):
+        kernel, means, x, ref = self._case(name, p, k)
+        mix = FiniteMixture(np.full(6, 1.0 / 6), means, k, kernel)
+        got = mix.component_log_pdf(x)
+        assert got.shape == (200, 6)
+        self._check(got, ref, name == "gaussian" and p > 1)
+
+    def test_dictionary_evaluate_at(self, name, p, k):
+        kernel, means, x, ref = self._case(name, p, k)
+        grid = make_grid(cube(-1.0, 1.0, p), 3, "simpson")
+        dictionary = MixtureDictionary(kernel, k, means, grid, np.empty((6, 3 ** p)))
+        got = dictionary.evaluate_at(x)
+        assert got.shape == (6, 200)
+        # No value here underflows, so a relative bound is one on the logs.
+        self._check(got, np.exp(ref).T, name == "gaussian" and p > 1, relative=True)
+        if p == 1:
+            assert np.array_equal(dictionary.evaluate_at(x[:, 0]), got)
+
+    def test_hull_kl_constant_on_finite_mixture(self, name, p, k):
+        kernel, means, _, _ = self._case(name, p, k)
+        weights = np.arange(1.0, 7.0) / 21.0
+        grid = make_grid(cube(-1.0, 1.0, p), 9, "simpson")
+        pts = grid.mesh().reshape(-1, p)
+        dil = Dilation(kernel, k)
+        comp = np.exp(np.stack([dil.log_pdf(pts - m) for m in means], axis=1))
+        numer, denom = comp ** 2 @ weights, comp @ weights
+        ratio = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
+        ref = grid.integrate(ratio.reshape(grid.shape))
+        got = hull_kl_constant(FiniteMixture(weights, means, k, kernel), grid)
+        self._check(got, ref, name == "gaussian" and p > 1, relative=True)
 
 
 class TestSampling:

@@ -284,6 +284,27 @@ def mle_risk_concentration(epsilon: float, beta_lower: float, beta_upper: float,
     )
 
 
+def _rms_distances(vals: np.ndarray) -> np.ndarray:
+    """(M, M) empirical rms distances between the rows of an (M, N) table."""
+    dist = np.empty((vals.shape[0], vals.shape[0]))
+    for j, row in enumerate(vals):
+        dist[j] = np.sqrt(np.mean((vals - row) ** 2, axis=1))
+    return dist
+
+
+def _greedy_cover(dist: np.ndarray, delta: float) -> int:
+    """Greedy cover size at radius delta from a distance matrix; centers are
+    taken in ascending index order and cover every element closer than delta."""
+    uncovered = np.ones(dist.shape[0], dtype=bool)
+    count = 0
+    while np.any(uncovered):
+        center = int(np.argmax(uncovered))
+        uncovered &= dist[center] >= delta
+        uncovered[center] = False
+        count += 1
+    return count
+
+
 def covering_number(dictionary: MixtureDictionary, delta: float, xs) -> int:
     """Greedy cover size of the dictionary under the empirical rms distance.
 
@@ -293,19 +314,7 @@ def covering_number(dictionary: MixtureDictionary, delta: float, xs) -> int:
     """
     if delta <= 0:
         raise ValueError("covering radius must be positive")
-    vals = dictionary.evaluate_at(xs)
-    M, N = vals.shape
-    uncovered = np.ones(M, dtype=bool)
-    count = 0
-    while np.any(uncovered):
-        center = int(np.argmax(uncovered))
-        d = np.sqrt(np.mean((vals[uncovered] - vals[center]) ** 2, axis=1))
-        keep = d >= delta
-        idx = np.where(uncovered)[0]
-        uncovered[idx] = keep
-        uncovered[center] = False
-        count += 1
-    return count
+    return _greedy_cover(_rms_distances(dictionary.evaluate_at(xs)), delta)
 
 
 def dudley_entropy_integral(dictionary: MixtureDictionary, xs, beta_upper: float,
@@ -314,14 +323,15 @@ def dudley_entropy_integral(dictionary: MixtureDictionary, xs, beta_upper: float
 
     Evaluated as a trapezoid sum on a logarithmic radius grid from beta_upper
     down to beta_upper/256, plus a constant-integrand head term for the
-    remaining (0, beta_upper/256] piece.
+    remaining (0, beta_upper/256] piece.  The distance matrix is computed
+    once and covered at every radius.
     """
     if beta_upper <= 0:
         raise ValueError("beta_upper must be positive")
     deltas = beta_upper * np.logspace(-math.log10(256.0), 0.0, levels)
+    dist = _rms_distances(dictionary.evaluate_at(xs))
     integrand = np.array([
-        math.sqrt(math.log(max(covering_number(dictionary, d, xs), 1)))
-        for d in deltas
+        math.sqrt(math.log(max(_greedy_cover(dist, d), 1))) for d in deltas
     ])
     integral = float(np.trapezoid(integrand, deltas))
     integral += deltas[0] * integrand[0]

@@ -74,7 +74,7 @@ class ExperimentConfig:
             "conv-rate": ("k_list",),
             "check-identity": ("k_list", "deltas"),
             "mix-rate": ("k_list", "n_list"),
-            "mle-risk": ("n_list", "N_list"),
+            "mle-risk": ("n_list", "N_list", "fit_k_grid"),
             "bounds": ("k_list", "n_list", "N_list"),
         }[self.study]
         for name in needs:
@@ -82,6 +82,10 @@ class ExperimentConfig:
                 raise ConfigError(f"study {self.study!r} needs a nonempty {name}")
         if any(k < 1 for k in self.k_list) or any(n < 1 for n in self.n_list):
             raise ConfigError("k.list and n.list entries must be positive integers")
+        if any(k < 1 for k in self.fit_k_grid):
+            raise ConfigError("fit.k_grid entries must be positive integers")
+        if self.means_per_axis < 1:
+            raise ConfigError("dictionary.means_per_axis must be >= 1")
         return self
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from scipy import fft as sp_fft
 
 __all__ = [
     "SupportBox",
@@ -344,6 +345,21 @@ def _toeplitz(kernel_axis: np.ndarray, n_out: int, n_in: int) -> np.ndarray:
     return windows[::-1]
 
 
+def _fft_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays of equal rank by FFT.
+
+    Makes the same rfftn/irfftn calls on the same next_fast_len padded shape
+    as scipy.signal.fftconvolve(a, b, mode="full"), so the result is
+    bit-identical to it, without importing scipy.signal.
+    """
+    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
+    fshape = [sp_fft.next_fast_len(s, True) for s in shape]
+    axes = list(range(a.ndim))
+    spec = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(b, fshape, axes=axes)
+    full = sp_fft.irfftn(spec, fshape, axes=axes)
+    return full[tuple(slice(s) for s in shape)]
+
+
 def check_resolution(grid: TensorGrid, k) -> None:
     """Resolution guard of a dilated kernel: at least 4 nodes per 1/k length."""
     if max(grid.spacing) > 0.25 / float(k):
@@ -368,7 +384,7 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
     the n_out + n_in - 1 lattice offsets, gathers the (n_out, n_in) Toeplitz
     matrix from them by index and contracts one axis at a time; otherwise
     (dim 1 only) it evaluates ``pdf`` on every (output, input) pair.  The fft
-    path computes the identical lattice sum via fftconvolve, with the kernel
+    path computes the identical lattice sum by FFT, with the kernel
     evaluated on the full p-dimensional offset mesh.  "auto" takes the direct
     path for separable kernels in dim > 1, and in dim 1 when the number of
     (output, input) pairs is at most 2^23; it takes fft otherwise.
@@ -421,11 +437,9 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
         else:
             raise ValueError("direct path needs a separable kernel for dim > 1")
     elif method == "fft":
-        from scipy.signal import fftconvolve
-
         mesh = np.stack(np.meshgrid(*axis_offsets, indexing="ij"), axis=-1)
         karr = np.asarray(kernel.pdf(mesh), dtype=float)
-        full = fftconvolve(weighted, karr, mode="full")
+        full = _fft_full(weighted, karr)
         sl = tuple(slice(n_in - 1, n_in - 1 + n_out) for _ in range(p))
         vals = full[sl]
     else:
@@ -444,8 +458,6 @@ def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     midpoint value is the one that keeps trapezoid lattice sums exact.  The
     result lives on the Minkowski-sum box with trapezoid weights.
     """
-    from scipy.signal import fftconvolve
-
     for ha, hb in zip(f.grid.spacing, g.grid.spacing):
         if abs(ha - hb) > 1e-9 * max(ha, hb):
             raise GridCompatibilityError("grid spacings differ")
@@ -457,7 +469,7 @@ def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         gvals[tuple(edge)] *= 0.5
         edge[axis] = slice(-1, None)
         gvals[tuple(edge)] *= 0.5
-    vals = fftconvolve(weighted, gvals, mode="full")
+    vals = _fft_full(weighted, gvals)
     lo = tuple(a + c for a, c in zip(f.grid.box.lower, g.grid.box.lower))
     hi = tuple(b + d for b, d in zip(f.grid.box.upper, g.grid.box.upper))
     n_out = f.grid.points_per_axis + g.grid.points_per_axis - 1

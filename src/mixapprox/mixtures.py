@@ -33,6 +33,7 @@ __all__ = [
     "log_likelihood",
     "em_fit",
     "mle_fit",
+    "lattice_means",
     "build_dictionary",
     "greedy_fit",
     "build_mixing_approximant",
@@ -370,14 +371,11 @@ class MixtureDictionary:
     k: int
     means: np.ndarray           # (M, p)
     grid: TensorGrid
-    values: np.ndarray          # (M, G) element values at the grid nodes
+    values: np.ndarray | None = None    # (M, G) element values at the grid nodes
 
     @property
     def size(self) -> int:
         return int(self.means.shape[0])
-
-    def element(self, idx: int) -> np.ndarray:
-        return self.values[idx]
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Element values at arbitrary points, shaped (M, N).
@@ -389,8 +387,8 @@ class MixtureDictionary:
 
 
 def check_dictionary_size(means_per_axis: int, grid: TensorGrid) -> None:
-    """Size guard of :func:`build_dictionary`: at most 10^4 means and 2e7
-    table entries."""
+    """Size guard of the value table :func:`build_dictionary` builds for
+    :func:`greedy_fit`: at most 10^4 means and 2e7 table entries."""
     size = means_per_axis ** grid.dim
     if size > 10_000:
         raise ValueError("dictionary exceeds 10^4 mean points")
@@ -398,12 +396,18 @@ def check_dictionary_size(means_per_axis: int, grid: TensorGrid) -> None:
         raise ValueError("dictionary value table would exceed the memory guard")
 
 
+def lattice_means(box: MeanBox, means_per_axis: int, dim: int) -> np.ndarray:
+    """Means on the box lattice with means_per_axis nodes per axis, (M, dim)."""
+    axes = [np.linspace(box.m_lower, box.m_upper, means_per_axis)] * dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,
                      means_per_axis: int, grid: TensorGrid) -> MixtureDictionary:
-    """Dictionary over a means lattice; capped at 10^4 elements."""
+    """Dictionary over a means lattice with its value table on the grid;
+    capped at 10^4 elements."""
     check_dictionary_size(means_per_axis, grid)
-    axes = [np.linspace(box.m_lower, box.m_upper, means_per_axis)] * kernel.dim
-    means = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, kernel.dim)
+    means = lattice_means(box, means_per_axis, kernel.dim)
     mesh = grid.mesh().reshape(-1, kernel.dim)
     dil = Dilation(kernel, int(k))
     vals = np.empty((means.shape[0], mesh.shape[0]))
@@ -436,6 +440,7 @@ class GreedyFit:
     """Iterate sequence of a greedy convex-combination fit."""
 
     mixtures: list              # FiniteMixture per iterate, 1..n_max
+    fields: list                # grid values of each iterate, shaped like the grid
     objectives: np.ndarray      # objective value per iterate
     selected: list              # dictionary index added per iterate
     lambdas: list               # convex step size per iterate
@@ -452,11 +457,15 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     by exact vectorized minimization over the dictionary; for KL the element
     maximizes the linearized gain, which keeps every step nonincreasing.
 
-    Returns one mixture per iterate together with the objective values
+    Returns one mixture per iterate together with its field on the target
+    grid (the running convex combination of dictionary rows, which callers
+    use instead of evaluating the mixture again) and the objective values
     (squared L2 gap, or KL divergence, against the target).
     """
     if dictionary.size == 0:
         raise ValueError("empty dictionary")
+    if dictionary.values is None:
+        raise ValueError("greedy_fit needs the dictionary's value table (build_dictionary)")
     if objective not in ("l2", "kl"):
         raise ValueError("objective must be 'l2' or 'kl'")
     if not target.grid.same_lattice(dictionary.grid):
@@ -470,7 +479,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
 
     weights: dict[int, float] = {}
     v = np.zeros_like(t)
-    mixtures, objs, selected, lambdas = [], [], [], []
+    mixtures, fields, objs, selected, lambdas = [], [], [], [], []
 
     if objective == "kl":
         mask = t > 0
@@ -535,6 +544,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         mix = FiniteMixture(w / w.sum(), dictionary.means[idxs],
                             dictionary.k, dictionary.kernel)
         mixtures.append(mix)
+        fields.append(v.reshape(target.grid.shape))
         selected.append(idx)
         lambdas.append(float(lam))
         if objective == "l2":
@@ -543,7 +553,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         else:
             objs.append(kl_obj(v))
 
-    return GreedyFit(mixtures, np.asarray(objs), selected, lambdas, objective)
+    return GreedyFit(mixtures, fields, np.asarray(objs), selected, lambdas, objective)
 
 
 @dataclass(frozen=True, eq=False)

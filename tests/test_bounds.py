@@ -25,7 +25,13 @@ from mixapprox.densities import make_target
 from mixapprox import mixtures
 from mixapprox.grids import GridCompatibilityError, cube, make_grid, sample_on_grid
 from mixapprox.kernels import make_product_kernel
-from mixapprox.mixtures import FiniteMixture, MeanBox, build_dictionary, build_mixing_approximant
+from mixapprox.mixtures import (
+    FiniteMixture,
+    MeanBox,
+    MixtureDictionary,
+    build_dictionary,
+    build_mixing_approximant,
+)
 
 GAUSS = make_product_kernel("gaussian", 1)
 UNIT_BOX = MeanBox(0.0, 1.0, 1)
@@ -281,6 +287,41 @@ class TestCoveringNumber:
         j2 = dudley_entropy_integral(d, xs, 2.0, levels=33)
         assert j1 > 0
         assert j1 == pytest.approx(j2, rel=0.1)
+
+
+def _per_center_cover(vals: np.ndarray, delta: float) -> int:
+    """The greedy cover as first written: one distance pass per center over
+    the rows still uncovered.  Kept as the oracle of the one-matrix cover."""
+    uncovered = np.ones(vals.shape[0], dtype=bool)
+    count = 0
+    while np.any(uncovered):
+        center = int(np.argmax(uncovered))
+        d = np.sqrt(np.mean((vals[uncovered] - vals[center]) ** 2, axis=1))
+        idx = np.where(uncovered)[0]
+        uncovered[idx] = d >= delta
+        uncovered[center] = False
+        count += 1
+    return count
+
+
+class TestCoveringMatchesPerCenterOracle:
+    @pytest.mark.parametrize("dim, size", [(1, 60), (2, 90)])
+    def test_counts_and_integral(self, dim, size):
+        rng = np.random.default_rng(11 + dim)
+        kernel = make_product_kernel("gaussian", dim)
+        means = rng.uniform(0.0, 1.0, size=(size, dim))
+        # A mean lattice only: the covering numbers need no value table.
+        d = MixtureDictionary(kernel, 8, means, make_grid(cube(0.0, 1.0, dim), 3))
+        xs = rng.uniform(0.0, 1.0, size=(120, dim))
+        vals = d.evaluate_at(xs)
+        beta_upper = float(np.max(vals))
+        radii = beta_upper * np.logspace(-math.log10(256.0), 0.0, 17)
+        counts = [covering_number(d, r, xs) for r in radii]
+        assert counts == [_per_center_cover(vals, r) for r in radii]
+        assert counts[0] > counts[-1]
+        integrand = np.sqrt(np.log(np.maximum(counts, 1)))
+        oracle = float(np.trapezoid(integrand, radii)) + radii[0] * integrand[0]
+        assert dudley_entropy_integral(d, xs, beta_upper) == oracle
 
 
 class TestBoundConstants:

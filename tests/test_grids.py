@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from mixapprox.grids import (
     GridCompatibilityError,
+    _fft_full,
     GridFunction,
     SupportBox,
     convolve,
@@ -172,6 +173,17 @@ class TestConvolve:
         b = convolve(tilted, d, method="fft")
         assert np.max(np.abs(a.values - b.values)) < 1e-9
         assert a.mass == pytest.approx(tilted.mass, abs=1e-6)
+
+    @pytest.mark.parametrize("shape_a,shape_b", [
+        ((513,), (97,)), ((65, 40), (31, 129)), ((17, 9, 12), (21, 5, 33)),
+    ], ids=["1d", "2d", "3d"])
+    def test_fft_full_is_fftconvolve(self, shape_a, shape_b):
+        # The FFT path runs without scipy.signal and gives its bits exactly.
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(7)
+        a, b = rng.random(shape_a), rng.standard_normal(shape_b)
+        assert np.array_equal(_fft_full(a, b), fftconvolve(a, b, mode="full"))
 
     @pytest.mark.parametrize("dim,points", [(1, 513), (2, 65), (3, 33)])
     @pytest.mark.parametrize("squared", [False, True])

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -302,6 +305,54 @@ class TestCli:
         assert any(line.startswith("error: ") and message in line
                    for line in err.splitlines())
         assert not out.exists()
+
+    @pytest.mark.parametrize("study, text, message", [
+        ("mle-risk", "density.name = truncated-normal\nfit.k_grid =\n", "fit_k_grid"),
+        ("mle-risk", "density.name = truncated-normal\nfit.k_grid = 0,4\n", "fit.k_grid"),
+        ("mix-rate", "density.name = truncated-normal\ndictionary.means_per_axis = 0\n",
+         "means_per_axis"),
+    ], ids=["empty-k-grid", "k-grid-below-1", "means-per-axis-below-1"])
+    def test_invalid_input_is_a_config_error(self, tmp_path, capsys, study, text, message):
+        cfg = self._write(tmp_path, f"study = {study}\n{text}")
+        out = tmp_path / "res.csv"
+        assert cli_main([study, "--config", str(cfg), "--out", str(out)]) == 2
+        assert any(line.startswith("error: ") and message in line
+                   for line in capsys.readouterr().err.splitlines())
+        assert not out.exists()
+
+    def test_2d_bounds_on_the_default_dictionary(self, tmp_path):
+        # The covering-number budget caps the default 257 means per axis at
+        # 33 in 2-D, so the study runs instead of tripping a size guard.
+        cfg = self._write(tmp_path, "study = bounds\ndensity.name = truncated-normal\n"
+                                    "density.dim = 2\nk.list = 8\n")
+        out = tmp_path / "bounds.csv"
+        assert cli_main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        assert ",dudley_integral," in out.read_text()
+
+    def test_2d_studies_do_not_import_scipy_signal(self, tmp_path):
+        # The FFT path calls scipy.fft directly; scipy.signal costs ~0.85 s to
+        # import.  A fresh interpreter shows what the 2-D studies load.
+        mix = self._write(tmp_path, "study = mix-rate\ndensity.name = truncated-normal\n"
+                                    "density.dim = 2\ngrid.points_per_axis = 65\n"
+                                    "k.list = 4\nn.list = 1,2\n"
+                                    "dictionary.means_per_axis = 5\n")
+        bounds = tmp_path / "bounds.cfg"
+        bounds.write_text("study = bounds\ndensity.name = truncated-normal\n"
+                          "density.dim = 2\ngrid.points_per_axis = 65\nk.list = 4\n"
+                          "N.list = 100\ndictionary.means_per_axis = 5\n")
+        script = (
+            "import sys\n"
+            "from mixapprox.cli import main\n"
+            f"assert main(['mix-rate', '--config', {str(mix)!r}, '--out', {str(tmp_path / 'm.csv')!r}]) == 0\n"
+            f"assert main(['bounds', '--config', {str(bounds)!r}, '--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_strict_domination_failure_exit_code(self, tmp_path, capsys):
         # Small-n greedy iterates violate the run-certificate domination, so

@@ -353,6 +353,30 @@ class TestGreedyFit:
             gm = make_grid(cube(-1 - radius, 1 + radius, 1), 4097, "simpson")
             assert abs(GridFunction(gm, mix.pdf(gm.mesh())).mass - 1.0) <= 1e-5
 
+    @pytest.mark.parametrize("kernel_name, dim, objective", [
+        ("gaussian", 1, "l2"), ("gaussian", 1, "kl"), ("gaussian", 2, "l2"),
+        ("epanechnikov", 1, "l2"),
+    ])
+    def test_fields_are_the_iterate_densities(self, kernel_name, dim, objective):
+        # The mix-rate study reads its gaps and KL rows from these fields
+        # instead of evaluating every iterate on the grid again.
+        f = make_target("truncated-normal", dim)
+        points, k, means = (1025, 16, 129) if dim == 1 else (65, 4, 9)
+        grid = make_grid(f.support, points, "simpson")
+        fbar = build_mixing_approximant(
+            f, make_product_kernel("gaussian", dim), k, grid).realized
+        kernel = make_product_kernel(kernel_name, dim)
+        dictionary = build_dictionary(kernel, k, MeanBox(-1.0, 1.0, dim), means, grid)
+        fit = greedy_fit(fbar, dictionary, 12, objective=objective)
+        assert len(fit.fields) == len(fit.mixtures) == 12
+        for field, mix in zip(fit.fields, fit.mixtures):
+            ref = mix.pdf(grid.mesh())
+            assert field.shape == grid.shape
+            assert_allclose(field, ref, rtol=1e-12, atol=0.0)
+            assert np.array_equal(field == 0, ref == 0)
+        if kernel_name == "epanechnikov":
+            assert np.any(fit.fields[0] == 0)
+
     def test_empty_dictionary_rejected(self):
         from mixapprox.mixtures import MixtureDictionary
 

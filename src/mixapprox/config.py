@@ -7,8 +7,13 @@ are comma separated.  Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+from .densities import ZOO_NAMES
+from .kernels import MARGINAL_NAMES
+from .mixtures import EM_MARGINALS
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
 
@@ -58,18 +63,45 @@ class ExperimentConfig:
     heldout_N: int = 2000
 
     def validate(self) -> "ExperimentConfig":
-        if self.study not in STUDIES:
-            raise ConfigError(f"unknown study {self.study!r}; expected one of {STUDIES}")
-        if self.density_dim not in (1, 2, 3):
-            raise ConfigError("density.dim must be 1, 2, or 3")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError("out.format must be csv or json")
-        if self.grid_rule not in ("trapezoid", "simpson"):
-            raise ConfigError("grid.rule must be trapezoid or simpson")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.objective not in ("l2", "kl"):
-            raise ConfigError("objective must be l2 or kl")
+        pts, box, mle = self.grid_points_per_axis, self.fit_mean_box, self.study == "mle-risk"
+        for bad, message in (
+            (self.study not in STUDIES,
+             f"unknown study {self.study!r}; expected one of {STUDIES}"),
+            (self.density_dim not in (1, 2, 3), "density.dim must be 1, 2, or 3"),
+            (self.density_name not in ZOO_NAMES,
+             f"unknown density.name {self.density_name!r}; expected one of {ZOO_NAMES}"),
+            (self.kernel_name not in MARGINAL_NAMES,
+             f"unknown kernel.name {self.kernel_name!r}; expected one of {MARGINAL_NAMES}"),
+            (self.out_format not in ("csv", "json"), "out.format must be csv or json"),
+            (self.grid_rule not in ("trapezoid", "simpson"),
+             "grid.rule must be trapezoid or simpson"),
+            (pts != 0 and (pts < 2 or self.grid_rule == "simpson" and pts % 2 == 0),
+             "grid.points_per_axis must be 0 (the default) or >= 2, and odd under simpson"),
+            (self.replications < 1, "replications must be >= 1"),
+            (self.objective not in ("l2", "kl"), "objective must be l2 or kl"),
+            (not 0.0 <= self.interior_margin < 0.5, "interior.margin must lie in [0, 0.5)"),
+            (not all(d > 0 for d in self.deltas), "deltas.list entries must be positive"),
+            (not self.epsilon >= 0, "epsilon must be >= 0"),
+            (any(v < 1 for v in (*self.k_list, *self.n_list, *self.N_list)),
+             "k.list, n.list and N.list entries must be positive integers"),
+            (any(k < 1 for k in self.fit_k_grid), "fit.k_grid entries must be positive integers"),
+            (self.means_per_axis < 1, "dictionary.means_per_axis must be >= 1"),
+            (box and not (len(box) == 2 and all(map(math.isfinite, box)) and box[0] <= box[1]),
+             "fit.mean_box must be two finite numbers lo, hi with lo <= hi"),
+            # mle-risk fits by EM; the sqrt-log schedule divides by log N, and the
+            # likelihood bound takes log(N A B e), with A the width of the mean box.
+            (mle and self.kernel_name not in EM_MARGINALS,
+             f"mle-risk fits by EM, which needs kernel.name in {EM_MARGINALS}"),
+            (mle and any(N < 2 for N in self.N_list), "N.list entries must be >= 2 for mle-risk"),
+            (mle and any(n > N for n in self.n_list for N in self.N_list),
+             "mle-risk needs n <= N in every cell of n.list x N.list"),
+            (mle and not 1 <= self.heldout_n <= self.heldout_N,
+             "mle-risk needs 1 <= heldout.n <= heldout.N"),
+            (mle and len(box) == 2 and box[0] == box[1],
+             "mle-risk needs a fit.mean_box of positive width"),
+        ):
+            if bad:
+                raise ConfigError(message)
         needs = {
             "conv-rate": ("k_list",),
             "check-identity": ("k_list", "deltas"),
@@ -80,12 +112,6 @@ class ExperimentConfig:
         for name in needs:
             if not getattr(self, name):
                 raise ConfigError(f"study {self.study!r} needs a nonempty {name}")
-        if any(k < 1 for k in self.k_list) or any(n < 1 for n in self.n_list):
-            raise ConfigError("k.list and n.list entries must be positive integers")
-        if any(k < 1 for k in self.fit_k_grid):
-            raise ConfigError("fit.k_grid entries must be positive integers")
-        if self.means_per_axis < 1:
-            raise ConfigError("dictionary.means_per_axis must be >= 1")
         return self
 
 

@@ -51,7 +51,16 @@ class _UnivariateBase:
         raise NotImplementedError
 
     def ppf(self, u):
-        raise NotImplementedError
+        """Inverse cdf by 80 bisection steps on [0, 1]; exact forms override it."""
+        u = np.asarray(u, dtype=float)
+        lo = np.zeros_like(u)
+        hi = np.ones_like(u)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = self.cdf(mid) < u
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
 
     def sample(self, n, rng):
         return self.ppf(rng.random(n))
@@ -92,17 +101,6 @@ class _ClippedCosine(_UnivariateBase):
     def cdf(self, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         return x - np.sin(2.0 * math.pi * x) / (2.0 * math.pi)
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
 
 
 class _Tent(_UnivariateBase):
@@ -206,17 +204,6 @@ class _TwoTruncatedNormals(_UnivariateBase):
         pick = rng.random(n) < 0.5
         draws = np.stack([c.ppf(rng.random(n)) for c in self.components])
         return np.where(pick, draws[0], draws[1])
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
 
 
 _ZOO = {

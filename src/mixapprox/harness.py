@@ -344,19 +344,11 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     box = _mean_box(cfg, f.support)
 
     N_max = max(cfg.N_list)
-    cells = []
-    for N in cfg.N_list:
-        for n in cfg.n_list:
-            cells.append((n, N, "grid"))
-    for N in cfg.N_list:
-        cells.append((_sqrt_schedule(N), N, "schedule-sqrt"))
-        cells.append((_sqrt_log_schedule(N), N, "schedule-sqrt-log"))
-    cells.append((cfg.heldout_n, cfg.heldout_N, "heldout"))
-    # Deduplicate on (n, N), keeping every tag for reporting.
-    cell_tags: dict = {}
-    for n, N, tag in cells:
-        cell_tags.setdefault((n, N), []).append(tag)
-    cell_list = sorted(cell_tags)
+    cell_list = sorted(
+        {(n, N) for N in cfg.N_list for n in cfg.n_list}
+        | {(sched(N), N) for N in cfg.N_list for sched in (_sqrt_schedule, _sqrt_log_schedule)}
+        | {(cfg.heldout_n, cfg.heldout_N)}
+    )
 
     result = StudyResult("mle-risk")
     means: dict = {}
@@ -364,40 +356,23 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     chosen_k: dict = {}
     for ci, (n, N) in enumerate(cell_list):
         kls = []
-        failures = 0
         for r in range(cfg.replications):
             stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ci, r))
             rng = np.random.default_rng(stream)
             rep_seed = int(stream.generate_state(1)[0])
-            fitted = None
-            for attempt in range(2):
-                xs = f.sample(N, rng)
-                try_fit = mle_fit(xs, n, cfg.fit_k_grid, kernel, box,
-                                  restarts=cfg.fit_restarts, seed=rep_seed + attempt,
-                                  max_iters=cfg.fit_max_iters, tol=cfg.fit_tol)
-                if math.isfinite(try_fit.log_likelihood):
-                    fitted = try_fit
-                    break
-            if fitted is None:
-                failures += 1
-                result.rows.append(Row("mle-risk", "N", N, r, rep_seed,
-                                       f"failure@n{n}", 1.0))
-                continue
+            fitted = mle_fit(f.sample(N, rng), n, cfg.fit_k_grid, kernel, box,
+                             restarts=cfg.fit_restarts, seed=rep_seed,
+                             max_iters=cfg.fit_max_iters, tol=cfg.fit_tol)
             chosen_k[fitted.k] = chosen_k.get(fitted.k, 0) + 1
             mix_gf = GridFunction(grid, fitted.mixture.pdf(mesh))
             kl = kl_divergence(f_gf, mix_gf)
             kls.append(kl)
             result.rows.append(Row("mle-risk", "N", N, r, rep_seed, f"kl@n{n}", kl))
-        if not kls:
-            raise RuntimeError(f"every replication failed in cell (n={n}, N={N})")
         kls = np.asarray(kls)
         means[(n, N)] = float(kls.mean())
         errs[(n, N)] = float(kls.std(ddof=1) / math.sqrt(len(kls))) if len(kls) > 1 else 0.0
         result.rows.append(Row("mle-risk", "N", N, "", cfg.seed, f"kl_mean@n{n}", means[(n, N)]))
         result.rows.append(Row("mle-risk", "N", N, "", cfg.seed, f"kl_stderr@n{n}", errs[(n, N)]))
-        if failures:
-            result.rows.append(Row("mle-risk", "N", N, "", cfg.seed,
-                                   f"failures@n{n}", float(failures)))
 
     # Series (a): risk versus N along both component schedules.
     for tag, sched in (("schedule-sqrt", _sqrt_schedule),

@@ -39,7 +39,7 @@ __all__ = [
     "build_mixing_approximant",
 ]
 
-_EM_MARGINALS = ("gaussian", "laplace")
+EM_MARGINALS = ("gaussian", "laplace")
 
 
 @dataclass(frozen=True)
@@ -210,11 +210,14 @@ def _init_means(xs: np.ndarray, n: int, box: MeanBox, rng) -> np.ndarray:
     return box.clamp(means)
 
 
-def _weighted_median(x: np.ndarray, w: np.ndarray) -> float:
-    order = np.argsort(x)
-    cw = np.cumsum(w[order])
-    idx = np.searchsorted(cw, 0.5 * cw[-1])
-    return float(x[order][min(idx, len(x) - 1)])
+def _weighted_medians(x: np.ndarray, order: np.ndarray, resp: np.ndarray) -> np.ndarray:
+    """Weighted medians of x under each column of resp (N, n); order sorts x.
+
+    The sorted index is the count of cumulative weights below half the column
+    total, capped at N - 1; a cumsum of nonnegative weights never decreases."""
+    cw = np.cumsum(resp[order], axis=0)
+    idx = np.minimum(np.count_nonzero(cw < 0.5 * cw[-1], axis=0), len(x) - 1)
+    return x[order[idx]]
 
 
 def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
@@ -242,28 +245,29 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
     N = xs.shape[0]
     if N < n_components:
         raise ValueError("need at least as many samples as components")
-    if kernel.marginal.name not in _EM_MARGINALS:
+    if kernel.marginal.name not in EM_MARGINALS:
         raise ValueError(
-            f"EM requires a full-support marginal ({_EM_MARGINALS}), "
+            f"EM requires a full-support marginal ({EM_MARGINALS}), "
             f"got {kernel.marginal.name!r}"
         )
 
     means = _init_means(xs, n_components, box, init_rng)
     weights = np.full(n_components, 1.0 / n_components)
-    mix = FiniteMixture(weights, means, k, kernel)
     reseed_rng = init_rng if init_rng is not None else np.random.default_rng(0)
     reseeded: set = set()
     reseeds = dropped = 0
     gaussian = kernel.marginal.name == "gaussian"
+    # The Laplace M-step takes weighted medians; each axis is sorted once.
+    orders = None if gaussian else [np.argsort(xs[:, d]) for d in range(xs.shape[1])]
 
     trace = []
     prev = -math.inf
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        comp = mix.component_log_pdf(xs)
+        comp = _component_log_pdf(kernel, k, means, xs)
         with np.errstate(divide="ignore"):
-            logw = np.log(np.maximum(mix.weights, 1e-300))
+            logw = np.log(np.maximum(weights, 1e-300))
         joint = comp + logw[None, :]
         # Inline log-sum-exp so the shifted exponentials are reused for the
         # responsibilities; this is the hot loop of every fit.
@@ -276,8 +280,7 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
         counts = resp.sum(axis=0)
         starving = np.where(counts / N < 1e-12)[0]
         if starving.size:
-            keep = np.ones(mix.n, dtype=bool)
-            new_means = mix.means.copy()
+            keep = np.ones(weights.shape[0], dtype=bool)
             for idx in starving:
                 if idx in reseeded:
                     keep[idx] = False
@@ -288,9 +291,9 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
                 else:
                     reseeded.add(int(idx))
                     reseeds += 1
-                    new_means[idx] = box.sample(1, reseed_rng)[0]
-            w = np.where(keep, np.maximum(mix.weights, 1.0 / (10 * N)), 0.0)[keep]
-            mix = FiniteMixture(w / w.sum(), new_means[keep], k, kernel)
+                    means[idx] = box.sample(1, reseed_rng)[0]
+            w = np.where(keep, np.maximum(weights, 1.0 / (10 * N)), 0.0)[keep]
+            weights, means = w / w.sum(), means[keep]
             trace.append(ll)
             prev = -math.inf  # restart monotonicity after the intervention
             continue
@@ -299,11 +302,10 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
         if gaussian:
             new_means = (resp.T @ xs) / counts[:, None]
         else:
-            new_means = np.empty_like(mix.means)
-            for i in range(mix.n):
-                for d in range(xs.shape[1]):
-                    new_means[i, d] = _weighted_median(xs[:, d], resp[:, i])
-        mix = FiniteMixture(new_w / new_w.sum(), box.clamp(new_means), k, kernel)
+            new_means = np.column_stack([
+                _weighted_medians(xs[:, d], order, resp) for d, order in enumerate(orders)
+            ])
+        weights, means = new_w / new_w.sum(), box.clamp(new_means)
 
         trace.append(ll)
         if ll - prev < tol and math.isfinite(prev):
@@ -311,6 +313,7 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
             break
         prev = ll
 
+    mix = FiniteMixture(weights, means, k, kernel)
     final_ll = log_likelihood(mix, xs)
     trace.append(final_ll)
     return EMFit(mix, np.asarray(trace), it, converged, reseeds, dropped)

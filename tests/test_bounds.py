@@ -1,10 +1,12 @@
 """Tests for bound constants, right-hand sides, and covering numbers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from mixapprox import bounds
 from mixapprox.bounds import (
     GAMMA_AT_ZERO,
     BoundConstants,
@@ -23,7 +25,7 @@ from mixapprox.bounds import (
 )
 from mixapprox.densities import make_target
 from mixapprox import mixtures
-from mixapprox.grids import GridCompatibilityError, cube, make_grid, sample_on_grid
+from mixapprox.grids import GridCompatibilityError, SupportBox, cube, make_grid, sample_on_grid
 from mixapprox.kernels import make_product_kernel
 from mixapprox.mixtures import (
     FiniteMixture,
@@ -117,6 +119,44 @@ class TestLipschitzLogConstant:
         uni = make_product_kernel("uniform-symmetric", 1)
         with pytest.raises(ValueError, match="infinite"):
             estimate_B_lipschitz(uni, 1, UNIT_BOX, UNIT_DOMAIN)
+
+
+def _all_pairs_B(kernel, k, box, domain, n):
+    """Oracle: the Lipschitz sweep over every pair of probe means, per row of
+    the probe table, at n probe points per axis."""
+    best = 0.0
+    for axis in range(kernel.dim):
+        lg, ms = bounds._axis_probe(kernel.marginal, k, box, domain, axis, n)
+        dm = np.abs(ms[:, None] - ms[None, :])
+        np.fill_diagonal(dm, np.inf)
+        for row in lg:
+            quot = np.abs(row[:, None] - row[None, :]) / dm
+            best = max(best, float(quot.max()))
+    return best
+
+
+class TestLipschitzMatchesAllPairsOracle:
+    # Neighbouring chords bound every chord, so the sweep over neighbouring
+    # means only must give the all-pairs value bit for bit.
+    @pytest.mark.parametrize("marginal", ["gaussian", "laplace"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 4, 16, 32])
+    @pytest.mark.parametrize("box_lo, box_hi", [(0.0, 1.0), (0.2, 0.7)])
+    def test_equal_to_all_pairs(self, marginal, p, k, box_lo, box_hi):
+        kernel = make_product_kernel(marginal, p)
+        box = MeanBox(box_lo, box_hi, p)
+        domain = SupportBox((0.0, -0.5, 0.2)[:p], (1.0, 1.5, 0.6)[:p])
+        points = 24
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = estimate_B_lipschitz(kernel, k, box, domain, points_per_axis=points)
+        assert got == _all_pairs_B(kernel, k, box, domain, 2 * points - 1)
+
+    def test_equal_at_the_default_resolution(self):
+        lap = make_product_kernel("laplace", 1)
+        box = MeanBox(0.1, 0.6, 1)
+        assert (estimate_B_lipschitz(lap, 8, box, UNIT_DOMAIN)
+                == _all_pairs_B(lap, 8, box, UNIT_DOMAIN, 2 * 128 - 1))
 
 
 class TestIntegralRatioConstants:

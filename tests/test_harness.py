@@ -311,7 +311,33 @@ class TestCli:
         ("mle-risk", "density.name = truncated-normal\nfit.k_grid = 0,4\n", "fit.k_grid"),
         ("mix-rate", "density.name = truncated-normal\ndictionary.means_per_axis = 0\n",
          "means_per_axis"),
-    ], ids=["empty-k-grid", "k-grid-below-1", "means-per-axis-below-1"])
+        ("conv-rate", "density.name = tent2\n", "density.name"),
+        ("conv-rate", "kernel.name = gauss\n", "kernel.name"),
+        ("mle-risk", "density.name = truncated-normal\nkernel.name = epanechnikov\n",
+         "kernel.name"),
+        ("mle-risk", "density.name = truncated-normal\nn.list = 2,300\nN.list = 250,1000\n",
+         "n <= N"),
+        ("mle-risk", "density.name = truncated-normal\nheldout.n = 50\nheldout.N = 40\n",
+         "heldout.n"),
+        ("mle-risk", "density.name = truncated-normal\nn.list = 1\nN.list = 1,250\n",
+         "N.list"),
+        ("conv-rate", "interior.margin = 0.5\n", "interior.margin"),
+        ("conv-rate", "interior.margin = -0.1\n", "interior.margin"),
+        ("mle-risk", "density.name = truncated-normal\nfit.mean_box = 0.25\n", "fit.mean_box"),
+        ("mle-risk", "density.name = truncated-normal\nfit.mean_box = 0.75,0.25\n",
+         "fit.mean_box"),
+        ("mle-risk", "density.name = truncated-normal\nfit.mean_box = 0.5,0.5\n",
+         "fit.mean_box"),
+        ("check-identity", "deltas.list = 0.5,0\n", "deltas.list"),
+        ("conv-rate", "grid.points_per_axis = 1\n", "grid.points_per_axis"),
+        ("conv-rate", "grid.points_per_axis = 1024\n", "grid.points_per_axis"),
+        ("bounds", "density.name = truncated-normal\nepsilon = -0.01\n", "epsilon"),
+    ], ids=["empty-k-grid", "k-grid-below-1", "means-per-axis-below-1",
+            "unknown-density", "unknown-kernel", "mle-risk-compact-kernel",
+            "mle-risk-n-above-N", "mle-risk-heldout-n-above-N", "mle-risk-N-of-1",
+            "interior-margin-half", "interior-margin-negative", "mean-box-one-number",
+            "mean-box-reversed", "mle-risk-mean-box-zero-width", "delta-zero", "one-grid-point", "even-points-simpson",
+            "negative-epsilon"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, study, text, message):
         cfg = self._write(tmp_path, f"study = {study}\n{text}")
         out = tmp_path / "res.csv"

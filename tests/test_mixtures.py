@@ -5,8 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from mixapprox import mixtures
 from mixapprox.bounds import hull_kl_constant
 from mixapprox.densities import make_target
 from mixapprox.divergences import lq_norm
@@ -245,6 +249,86 @@ class TestEmFit:
             assert any("starved" in str(w.message) for w in caught)
             assert fit.mixture.n < 2
         assert fit.reseeds >= 1
+
+
+def _weighted_median(x, w):
+    """Oracle: the weighted median of x under one weight column, by a sort
+    and a searchsorted on its own cumulative weights."""
+    order = np.argsort(x)
+    cw = np.cumsum(w[order])
+    idx = np.searchsorted(cw, 0.5 * cw[-1])
+    return float(x[order][min(idx, len(x) - 1)])
+
+
+def _laplace_em_oracle(xs, n, k, kernel, box, init_rng, max_iters=500, tol=1e-8):
+    """Oracle: projected Laplace EM with a FiniteMixture per iteration and one
+    weighted median per component and axis (no starving components)."""
+    means = mixtures._init_means(xs, n, box, init_rng)
+    mix = FiniteMixture(np.full(n, 1.0 / n), means, k, kernel)
+    trace, prev = [], -math.inf
+    for _ in range(max_iters):
+        comp = mix.component_log_pdf(xs)
+        joint = comp + np.log(np.maximum(mix.weights, 1e-300))[None, :]
+        mx = joint.max(axis=1)
+        shifted = np.exp(joint - mx[:, None])
+        denom = shifted.sum(axis=1)
+        ll = float(np.sum(mx + np.log(denom)))
+        resp = shifted / denom[:, None]
+        counts = resp.sum(axis=0)
+        assert np.all(counts / len(xs) >= 1e-12)
+        new_means = np.array([[_weighted_median(xs[:, d], resp[:, i])
+                               for d in range(xs.shape[1])] for i in range(mix.n)])
+        new_w = counts / len(xs)
+        mix = FiniteMixture(new_w / new_w.sum(), box.clamp(new_means), k, kernel)
+        trace.append(ll)
+        if ll - prev < tol and math.isfinite(prev):
+            break
+        prev = ll
+    trace.append(log_likelihood(mix, xs))
+    return np.asarray(trace), mix
+
+
+class TestLaplaceEmMatchesLoopOracle:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("random_init", [False, True], ids=["quantile", "random"])
+    def test_trace_means_weights_equal(self, p, random_init):
+        lap = make_product_kernel("laplace", p)
+        box = MeanBox(0.0, 1.0, p)
+        xs = make_target("two-truncated-normals", p).sample(600, np.random.default_rng(5))
+
+        def rng():
+            return np.random.default_rng(17) if random_init else None
+
+        fit = em_fit(xs, 3, 8, lap, box, init_rng=rng(), max_iters=200)
+        trace, mix = _laplace_em_oracle(xs, 3, 8, lap, box, rng(), max_iters=200)
+        assert fit.reseeds == 0 and fit.iterations > 10
+        assert np.array_equal(fit.trace, trace)
+        assert np.array_equal(fit.mixture.means, mix.means)
+        assert np.array_equal(fit.mixture.weights, mix.weights)
+
+
+@st.composite
+def _median_inputs(draw):
+    N = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # Ties: values drawn from a small set.
+        x = draw(arrays(float, N, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    else:
+        x = draw(arrays(float, N, elements=st.floats(-1e3, 1e3)))
+    resp = draw(arrays(float, (N, n), elements=st.floats(0.0, 1.0)))
+    zero = draw(arrays(bool, n))
+    resp[:, zero] = 0.0
+    return x, resp
+
+
+@settings(max_examples=300, deadline=None)
+@given(_median_inputs())
+def test_weighted_medians_equal_the_loop_oracle(inputs):
+    x, resp = inputs
+    got = mixtures._weighted_medians(x, np.argsort(x), resp)
+    want = [_weighted_median(x, resp[:, i]) for i in range(resp.shape[1])]
+    assert np.array_equal(got, want)
 
 
 class TestMleFit:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
-from .config import STUDIES, ConfigError, load_config
+from .config import STUDIES, ConfigError, _parse_unvalidated
 from .harness import emit_report, run_study
 
 
@@ -36,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _parse_unvalidated(Path(args.config).read_text())
         overrides = {"study": args.study}
         if args.seed is not None:
             overrides["seed"] = args.seed

@@ -40,7 +40,6 @@ class ExperimentConfig:
     kernel_name: str = "gaussian"
     grid_points_per_axis: int = 0          # 0: per-dim default
     grid_rule: str = "simpson"
-    grid_truncation_tolerance: float = 1e-9
     k_list: tuple = (2, 4, 8, 16, 32)
     n_list: tuple = (1, 2, 4, 8, 16, 32)
     N_list: tuple = (250, 1000, 4000)
@@ -122,7 +121,6 @@ _KEYS = {
     "kernel.name": ("kernel_name", str),
     "grid.points_per_axis": ("grid_points_per_axis", int),
     "grid.rule": ("grid_rule", str),
-    "grid.truncation_tolerance": ("grid_truncation_tolerance", float),
     "k.list": ("k_list", _int_list),
     "n.list": ("n_list", _int_list),
     "N.list": ("N_list", _int_list),
@@ -146,7 +144,8 @@ _KEYS = {
 }
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def _parse_unvalidated(text: str) -> ExperimentConfig:
+    """The config before validation, which the CLI runs after its overrides."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -164,7 +163,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[attr] = conv(val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    return _parse_unvalidated(text).validate()
 
 
 def load_config(path) -> ExperimentConfig:

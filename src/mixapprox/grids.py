@@ -1,10 +1,9 @@
 """Tensor-product grids, quadrature, and discrete convolution on aligned lattices.
 
 Every integral in the package is realized as a tensor-product quadrature sum
-over a :class:`TensorGrid`.  Convolution is computed either by a direct
-quadrature sum, one Toeplitz pass per axis for separable kernels, or by FFT
-over the shared lattice; the two paths must agree to 1e-9 and are tested
-against each other.
+over a :class:`TensorGrid`.  Convolution is computed either by the direct
+quadrature sum (one Toeplitz pass per axis) or by FFT over the shared lattice;
+the two paths must agree to 1e-9 and are tested against each other.
 """
 
 from __future__ import annotations
@@ -37,6 +36,9 @@ _RULES = ("trapezoid", "simpson")
 
 # Relative slack used by every "lhs <= rhs" quadrature comparison.
 CHECK_SLACK = 1e-6
+
+# Kernel mass :func:`convolve` may drop outside its truncation radius.
+TRUNCATION_TOL = 1e-9
 
 
 class GridCompatibilityError(ValueError):
@@ -369,35 +371,27 @@ def check_resolution(grid: TensorGrid, k) -> None:
 
 
 def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
-             method: str = "auto", truncation_tol: float = 1e-9) -> GridFunction:
-    """Convolve a grid density with an integrable kernel.
+             method: str = "auto") -> GridFunction:
+    """Convolve a grid density with a Dilation or SquaredDilation kernel.
 
-    The kernel must expose ``dim``, ``radius(tol)`` and ``pdf(points)``;
-    separable kernels additionally expose ``axis_pdf(offsets)`` which enables
-    the per-axis direct path.  The output grid defaults to the input grid
-    widened by the kernel truncation radius, on the same lattice; a caller
-    that needs only part of it (usually the input grid itself) passes that
-    grid as `out_grid` and nothing else is computed.
+    The kernel is truncated where its outside mass is TRUNCATION_TOL.  The
+    output grid defaults to the input grid widened by that radius, on the same
+    lattice; a caller that needs only part of it (usually the input grid
+    itself) passes that grid as `out_grid` and nothing else is computed.
 
     method: "auto" | "fft" | "direct".  The direct path is the quadrature-sum
-    oracle.  For a separable kernel it evaluates ``axis_pdf`` once per axis on
-    the n_out + n_in - 1 lattice offsets, gathers the (n_out, n_in) Toeplitz
-    matrix from them by index and contracts one axis at a time; otherwise
-    (dim 1 only) it evaluates ``pdf`` on every (output, input) pair.  The fft
-    path computes the identical lattice sum by FFT, with the kernel
-    evaluated on the full p-dimensional offset mesh.  "auto" takes the direct
-    path for separable kernels in dim > 1, and in dim 1 when the number of
-    (output, input) pairs is at most 2^23; it takes fft otherwise.
+    oracle: one ``axis_pdf`` call per axis on the n_out + n_in - 1 lattice
+    offsets, gathered by index into the (n_out, n_in) Toeplitz matrix and
+    contracted one axis at a time.  The fft path computes the same lattice
+    sum by FFT, on the kernel's ``lattice_pdf`` over the offset lattice.
+    "auto" takes fft only in dim 1 beyond 2^23 (output, input) pairs.
     """
     grid = f.grid
     p = grid.dim
-    if getattr(kernel, "dim", p) != p:
+    if kernel.dim != p:
         raise ValueError("kernel dimension does not match the grid")
-    radius = float(kernel.radius(truncation_tol))
-
-    scale = getattr(kernel, "k", None)
-    if scale is not None:
-        check_resolution(grid, scale)
+    radius = float(kernel.radius(TRUNCATION_TOL))
+    check_resolution(grid, kernel.k)
 
     if out_grid is None:
         out_grid = _default_out_grid(f, radius)
@@ -413,40 +407,28 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
     weighted = f.values * grid.weight_tensor()
     axis_offsets = _kernel_axis_offsets(out_grid, grid)
     n_in, n_out = grid.points_per_axis, out_grid.points_per_axis
-    separable = hasattr(kernel, "axis_pdf")
 
     if method == "auto":
         # Each direct pass holds an (n_out, n_in) matrix.  In dim 1 the fft
         # kernel is a vector too, and cheaper once a widened output makes that
-        # matrix large; in dim > 1 it is a full mesh, which the direct path
+        # matrix large; in dim > 1 it is a full lattice, which the direct path
         # never builds.
-        if p == 1:
-            method = "direct" if n_out * n_in <= 1 << 23 else "fft"
-        else:
-            method = "direct" if separable else "fft"
+        method = "direct" if p > 1 or n_out * n_in <= 1 << 23 else "fft"
 
     if method == "direct":
-        if separable:
-            vals = weighted
-            for axis in range(p):
-                mat = _toeplitz(kernel.axis_pdf(axis_offsets[axis]), n_out, n_in)
-                vals = np.moveaxis(np.tensordot(mat, vals, axes=([1], [axis])), 0, axis)
-        elif p == 1:
-            diff = out_grid.nodes[0][:, None] - grid.nodes[0][None, :]
-            vals = kernel.pdf(diff[..., None]) @ weighted
-        else:
-            raise ValueError("direct path needs a separable kernel for dim > 1")
+        vals = weighted
+        for axis in range(p):
+            mat = _toeplitz(kernel.axis_pdf(axis_offsets[axis]), n_out, n_in)
+            vals = np.moveaxis(np.tensordot(mat, vals, axes=([1], [axis])), 0, axis)
     elif method == "fft":
-        mesh = np.stack(np.meshgrid(*axis_offsets, indexing="ij"), axis=-1)
-        karr = np.asarray(kernel.pdf(mesh), dtype=float)
-        full = _fft_full(weighted, karr)
+        full = _fft_full(weighted, kernel.lattice_pdf(np.ix_(*axis_offsets)))
         sl = tuple(slice(n_in - 1, n_in - 1 + n_out) for _ in range(p))
         vals = full[sl]
     else:
         raise ValueError(f"unknown convolution method {method!r}")
 
     vals = _clip_tiny_negatives(vals)
-    loss = f.truncation_loss + getattr(kernel, "mass_outside", lambda r: truncation_tol)(radius)
+    loss = f.truncation_loss + kernel.mass_outside(radius)
     return GridFunction(out_grid, vals, truncation_loss=loss)
 
 

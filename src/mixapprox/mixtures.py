@@ -408,14 +408,15 @@ def lattice_means(box: MeanBox, means_per_axis: int, dim: int) -> np.ndarray:
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,
                      means_per_axis: int, grid: TensorGrid) -> MixtureDictionary:
     """Dictionary over a means lattice with its value table on the grid;
-    capped at 10^4 elements."""
+    capped at 10^4 elements.  The (M, G) table is one lattice_pdf call on the
+    per-axis offsets x_a - mu_a, which broadcast into (m,)*p + (n,)*p."""
     check_dictionary_size(means_per_axis, grid)
-    means = lattice_means(box, means_per_axis, kernel.dim)
-    mesh = grid.mesh().reshape(-1, kernel.dim)
-    dil = Dilation(kernel, int(k))
-    vals = np.empty((means.shape[0], mesh.shape[0]))
-    for i, m in enumerate(means):
-        vals[i] = dil.pdf(mesh - m)
+    p = kernel.dim
+    means = lattice_means(box, means_per_axis, p)
+    mu = np.linspace(box.m_lower, box.m_upper, means_per_axis)
+    lattice = np.ix_(*[mu] * p, *grid.nodes)
+    offsets = [lattice[p + a] - lattice[a] for a in range(p)]
+    vals = Dilation(kernel, int(k)).lattice_pdf(offsets).reshape(means.shape[0], -1)
     return MixtureDictionary(kernel, int(k), means, grid, vals)
 
 

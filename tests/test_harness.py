@@ -346,6 +346,39 @@ class TestCli:
                    for line in capsys.readouterr().err.splitlines())
         assert not out.exists()
 
+    def test_truncation_tolerance_key_is_unknown(self, tmp_path, capsys):
+        # Every study convolves onto its own grid, where a tail tolerance
+        # would set only an unread loss figure, so there is no such key.
+        cfg = self._write(tmp_path, "study = conv-rate\ngrid.truncation_tolerance = 1e-3\n")
+        out = tmp_path / "res.csv"
+        assert cli_main(["conv-rate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert any(line.startswith("error: ") and "unknown key" in line
+                   for line in capsys.readouterr().err.splitlines())
+        assert not out.exists()
+
+    def test_study_override_is_applied_before_validation(self, tmp_path):
+        # The file's study would reject this kernel; the command line's accepts it.
+        cfg = self._write(tmp_path, "study = mle-risk\ndensity.name = truncated-normal\n"
+                                    "kernel.name = epanechnikov\nk.list = 4,8\n")
+        out = tmp_path / "res.csv"
+        assert cli_main(["conv-rate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert ",sup_interior," in out.read_text()
+
+    def test_inapplicable_likelihood_bound_is_a_note(self, tmp_path, capsys):
+        # A narrow mean box makes N A B e <= 1 at the selected scale, which
+        # only shows after the fits: the likelihood-form bound is skipped
+        # with a note, and the split-form bound is still checked.
+        cfg = self._write(tmp_path, "study = mle-risk\ndensity.name = truncated-normal\n"
+                                    "fit.mean_box = 0.5,0.5000001\nN.list = 50,100\n"
+                                    "replications = 2\nfit.k_grid = 4\n")
+        out = tmp_path / "res.csv"
+        assert cli_main(["mle-risk", "--config", str(cfg), "--out", str(out)]) == 0
+        assert any(line.startswith("note: ") and "not applicable" in line
+                   for line in capsys.readouterr().err.splitlines())
+        text = out.read_text()
+        assert "dominated[mle-risk-split]" in text
+        assert "dominated[mle-risk-likelihood]" not in text
+
     def test_2d_bounds_on_the_default_dictionary(self, tmp_path):
         # The covering-number budget caps the default 257 means per axis at
         # 33 in 2-D, so the study runs instead of tripping a size guard.

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 
 from mixapprox.kernels import (
     MARGINAL_NAMES,
+    SquaredDilation,
     certify_approximate_identity,
     check_moment_condition,
     dilate,
@@ -187,6 +188,32 @@ class TestDilation:
     def test_limit_point(self):
         d = dilate(make_product_kernel("gaussian", 1), 3)
         assert d.limit_point == math.inf
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ALL)
+class TestLatticePdf:
+    """lattice_pdf against pdf on the stacked offset mesh it replaces, bit for
+    bit.  Each axis has its own length and step, so a transposed axis shows;
+    the steps are multiples of 1/32, so compact supports end on a node."""
+
+    @staticmethod
+    def _case(name, p, k):
+        axes = [(a + 1) / 32.0 * np.arange(-(12 + 2 * a), 13 + 2 * a) for a in range(p)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        d = dilate(make_product_kernel(name, p), k)
+        return d, np.ix_(*axes), d.pdf(mesh)
+
+    def test_dilation(self, name, p, k):
+        d, lattice, ref = self._case(name, p, k)
+        got = d.lattice_pdf(lattice)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    def test_squared_dilation(self, name, p, k):
+        d, lattice, ref = self._case(name, p, k)
+        assert np.array_equal(SquaredDilation(d).lattice_pdf(lattice), ref ** 2)
 
 
 class TestL1Tail:

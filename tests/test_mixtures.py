@@ -1,6 +1,7 @@
 """Tests for finite mixtures: evaluation, sampling, EM, MLE, and greedy fits."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -481,6 +482,22 @@ class TestGreedyFit:
             build_dictionary(GAUSS, 8, MeanBox(0.0, 1.0, 1), 10_001, grid)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", MARGINAL_NAMES)
+def test_dictionary_table_equals_the_per_mean_loop(name, p, k):
+    # The per-axis table against Dilation.pdf on the grid mesh shifted by
+    # each mean, the loop it replaces, bit for bit.
+    kernel = make_product_kernel(name, p)
+    grid = make_grid(cube(-1.0, 1.0, p), {1: 33, 2: 17, 3: 9}[p], "simpson")
+    dictionary = build_dictionary(kernel, k, MeanBox(-0.8, 0.7, p), 7 - p, grid)
+    mesh = grid.mesh().reshape(-1, p)
+    dil = Dilation(kernel, k)
+    ref = np.stack([dil.pdf(mesh - m) for m in dictionary.means])
+    assert dictionary.values.shape == ref.shape
+    assert np.array_equal(dictionary.values, ref)
+
+
 class TestMixingApproximant:
     def test_realized_matches_direct_convolution(self):
         f = make_target("clipped-cosine", 1)
@@ -493,3 +510,17 @@ class TestMixingApproximant:
         mid = grid.points_per_axis // 2
         bias = 4.0 * math.pi ** 2 / (2.0 * 32 ** 2)
         assert mixing.realized.values[mid] == pytest.approx(2.0 - bias, abs=2e-3)
+
+    def test_3d_approximant_memory(self):
+        # The widened FFT kernel of the 3-D pin comes from per-axis factors;
+        # a stacked 179^3 x 3 offset mesh would peak at 547 MiB here.
+        f = make_target("truncated-normal", 3)
+        grid = make_grid(f.support, 65, "simpson")
+        tracemalloc.start()
+        try:
+            mixing = build_mixing_approximant(f, make_product_kernel("gaussian", 3), 8, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 480 * 2 ** 20
+        assert mixing.realized.grid.same_lattice(grid)

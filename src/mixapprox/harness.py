@@ -426,21 +426,24 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
         c_star_sq = max(c_star_sq, (means[c] - eps_hat / beta - stat) * n / gamma ** 2)
     C_star = math.sqrt(max(c_star_sq, 0.0))
 
-    for name, value in (("C1", C1), ("C2", C2), ("C_star", C_star),
+    n_h, N_h = heldout
+    try:  # B comes from the selected k, so validation cannot catch N A B e <= 1
+        rhs = bnd.mle_risk_bound(eps_hat, beta, gamma, C_star, n_h, N_h, A_box, B, p)
+    except ValueError as exc:
+        rhs = None
+        result.notes.append(f"likelihood-form risk bound not applicable: {exc}")
+    # C_star is the constant of the likelihood form; without it, no row.
+    c_star_row = (("C_star", C_star),) if rhs is not None else ()
+    for name, value in (("C1", C1), ("C2", C2), *c_star_row,
                         ("gamma", gamma), ("B_lipschitz", B), ("k_star", float(k_star))):
         result.rows.append(Row("mle-risk", "run", "", "", cfg.seed, name, value))
 
-    n_h, N_h = heldout
     result.bound_reports.append(bnd.BoundReport.check(
         "mle-risk-split", means[heldout],
         bnd.mle_risk_bound_split(eps_hat, beta, C1, C2, n_h, N_h),
         n=n_h, N=N_h,
     ))
-    try:  # B comes from the selected k, so validation cannot catch N A B e <= 1
-        rhs = bnd.mle_risk_bound(eps_hat, beta, gamma, C_star, n_h, N_h, A_box, B, p)
-    except ValueError as exc:
-        result.notes.append(f"likelihood-form risk bound not applicable: {exc}")
-    else:
+    if rhs is not None:
         result.bound_reports.append(bnd.BoundReport.check(
             "mle-risk-likelihood", means[heldout], rhs, n=n_h, N=N_h))
     for br in result.bound_reports:

@@ -79,7 +79,8 @@ def _component_log_pdf(kernel: ProductKernel, k: int, means: np.ndarray,
     x is (N, p) or, for p = 1, (N,); means is (n, p).  Returns (N, n).  The
     marginal's log density is added one (N, n) pass per axis, in axis order.
     A Gaussian in p > 1 instead expands the squared distance, so the whole
-    matrix comes from one GEMM; p-dimensional EM spends its time here.
+    matrix comes from one GEMM.  Gaussian EM does not come here: `em_fit`
+    builds its own centred (n, N) step; Laplace EM does.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -234,6 +235,15 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
         None places initial means at sample quantiles (deterministic);
         a generator draws them uniformly in the box.
 
+    Gaussian step, for every p: with c the mean-box midpoint, the log-joint
+    log w_j + log k^p g(k (x_i - m_j)) is R[j, i] - (k^2/2)|x_i - c|^2 plus a
+    constant, where R = (m - c) @ (k^2 (x - c))^T + (log w - (k^2/2)|m - c|^2)
+    comes from one GEMM.  The per-sample term cancels in the responsibilities,
+    so max, exp and sum run over the components (axis 0 of the (n, N) R), and
+    it is added back to the log-likelihood only.  Counts and weighted sums
+    come from one product exp(R - max) @ [1/denom, (x - c)/denom].  The
+    Laplace step evaluates `_component_log_pdf` and takes weighted medians.
+
     The trace of log-likelihood values is nondecreasing within 1e-9 between
     ordinary iterations.  A starving component (weight below 1e-12) is
     re-seeded once, then dropped with a warning; either event may reset the
@@ -257,27 +267,54 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
     reseeded: set = set()
     reseeds = dropped = 0
     gaussian = kernel.marginal.name == "gaussian"
-    # The Laplace M-step takes weighted medians; each axis is sorted once.
-    orders = None if gaussian else [np.argsort(xs[:, d]) for d in range(xs.shape[1])]
+    p = xs.shape[1]
+    if gaussian:
+        # Centring keeps the expanded square accurate, and the fit
+        # translation-invariant, on a mean box far from the origin.
+        c = 0.5 * (box.m_lower + box.m_upper)
+        xc = xs - c
+        # k^2 (x - c)^T over a row of ones that picks up R's constant term.
+        sample_rows = np.ones((p + 1, N))
+        sample_rows[:p] = (k * k) * xc.T
+        ll_dropped = (N * p * (math.log(k) - 0.5 * math.log(2.0 * math.pi))
+                      - 0.5 * k * k * float(np.sum(xc * xc)))
+        rhs = np.empty((N, 1 + p))
+    else:
+        # The Laplace M-step takes weighted medians; each axis is sorted once.
+        orders = [np.argsort(xs[:, d]) for d in range(p)]
 
     trace = []
     prev = -math.inf
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        comp = _component_log_pdf(kernel, k, means, xs)
         with np.errstate(divide="ignore"):
             logw = np.log(np.maximum(weights, 1e-300))
-        joint = comp + logw[None, :]
-        # Inline log-sum-exp so the shifted exponentials are reused for the
-        # responsibilities; this is the hot loop of every fit.
-        mx = joint.max(axis=1)
-        shifted = np.exp(joint - mx[:, None])
-        denom = shifted.sum(axis=1)
-        ll = float(np.sum(mx + np.log(denom)))
-        resp = shifted / denom[:, None]
+        if gaussian:
+            mc = means - c
+            const = logw - 0.5 * k * k * np.sum(mc * mc, axis=1)
+            joint = np.column_stack([mc, const]) @ sample_rows
+            mx = joint.max(axis=0)
+            joint -= mx
+            np.exp(joint, out=joint)
+            denom = joint.sum(axis=0)
+            ll = float(np.sum(mx + np.log(denom))) + ll_dropped
+            rhs[:, 0] = 1.0 / denom
+            np.multiply(xc, rhs[:, :1], out=rhs[:, 1:])
+            moments = joint @ rhs
+            counts = moments[:, 0]
+        else:
+            comp = _component_log_pdf(kernel, k, means, xs)
+            joint = comp + logw[None, :]
+            # Inline log-sum-exp so the shifted exponentials are reused for the
+            # responsibilities.
+            mx = joint.max(axis=1)
+            shifted = np.exp(joint - mx[:, None])
+            denom = shifted.sum(axis=1)
+            ll = float(np.sum(mx + np.log(denom)))
+            resp = shifted / denom[:, None]
+            counts = resp.sum(axis=0)
 
-        counts = resp.sum(axis=0)
         starving = np.where(counts / N < 1e-12)[0]
         if starving.size:
             keep = np.ones(weights.shape[0], dtype=bool)
@@ -300,7 +337,7 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
 
         new_w = counts / N
         if gaussian:
-            new_means = (resp.T @ xs) / counts[:, None]
+            new_means = c + moments[:, 1:] / counts[:, None]
         else:
             new_means = np.column_stack([
                 _weighted_medians(xs[:, d], order, resp) for d, order in enumerate(orders)

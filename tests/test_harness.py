@@ -378,6 +378,9 @@ class TestCli:
         text = out.read_text()
         assert "dominated[mle-risk-split]" in text
         assert "dominated[mle-risk-likelihood]" not in text
+        # C_star is fitted for the likelihood form only, so it is left out too.
+        assert ",C_star," not in text
+        assert ",C1," in text
 
     def test_2d_bounds_on_the_default_dictionary(self, tmp_path):
         # The covering-number budget caps the default 257 means per axis at

@@ -308,6 +308,106 @@ class TestLaplaceEmMatchesLoopOracle:
         assert np.array_equal(fit.mixture.weights, mix.weights)
 
 
+def _gaussian_em_oracle(xs, n, k, kernel, box, init_rng, max_iters=500, tol=1e-8):
+    """Oracle: projected Gaussian EM from the (N, n) component log densities,
+    a row-wise log-sum-exp, an (N, n) responsibility matrix and a weighted
+    mean per component, with the same starvation, reseed and drop rules."""
+    N = xs.shape[0]
+    means = mixtures._init_means(xs, n, box, init_rng)
+    weights = np.full(n, 1.0 / n)
+    reseed_rng = init_rng if init_rng is not None else np.random.default_rng(0)
+    reseeded, reseeds, dropped = set(), 0, 0
+    trace, prev, converged, it = [], -math.inf, False, 0
+    for it in range(1, max_iters + 1):
+        comp = mixtures._component_log_pdf(kernel, k, means, xs)
+        joint = comp + np.log(np.maximum(weights, 1e-300))[None, :]
+        mx = joint.max(axis=1)
+        shifted = np.exp(joint - mx[:, None])
+        denom = shifted.sum(axis=1)
+        ll = float(np.sum(mx + np.log(denom)))
+        resp = shifted / denom[:, None]
+        counts = resp.sum(axis=0)
+        starving = np.where(counts / N < 1e-12)[0]
+        if starving.size:
+            keep = np.ones(weights.shape[0], dtype=bool)
+            for idx in starving:
+                if idx in reseeded:
+                    keep[idx] = False
+                    dropped += 1
+                else:
+                    reseeded.add(int(idx))
+                    reseeds += 1
+                    means[idx] = box.sample(1, reseed_rng)[0]
+            w = np.where(keep, np.maximum(weights, 1.0 / (10 * N)), 0.0)[keep]
+            weights, means = w / w.sum(), means[keep]
+            trace.append(ll)
+            prev = -math.inf
+            continue
+        new_w = counts / N
+        weights, means = new_w / new_w.sum(), box.clamp((resp.T @ xs) / counts[:, None])
+        trace.append(ll)
+        if ll - prev < tol and math.isfinite(prev):
+            converged = True
+            break
+        prev = ll
+    mix = FiniteMixture(weights, means, k, kernel)
+    trace.append(log_likelihood(mix, xs))
+    return np.asarray(trace), mix, it, converged, reseeds, dropped
+
+
+class TestGaussianEmMatchesLoopOracle:
+    """The centred (n, N) GEMM step of `em_fit` against the (N, n) step kept
+    in `_gaussian_em_oracle`: the same iterations and events, and trace,
+    weights and means within 1e-10 relative (the sums run in another order)."""
+
+    @staticmethod
+    def _check(fit, xs, n, k, kernel, box, init_rng, max_iters):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace, mix, iterations, converged, reseeds, dropped = _gaussian_em_oracle(
+                xs, n, k, kernel, box, init_rng, max_iters=max_iters)
+        assert (fit.iterations, fit.converged, fit.reseeds, fit.dropped) == (
+            iterations, converged, reseeds, dropped)
+        assert_allclose(fit.trace, trace, rtol=1e-10, atol=0.0)
+        assert_allclose(fit.mixture.weights, mix.weights, rtol=1e-10, atol=0.0)
+        assert_allclose(fit.mixture.means, mix.means, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 4, 16, 64])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("random_init", [False, True], ids=["quantile", "random"])
+    def test_trace_means_weights_match(self, p, k, random_init):
+        gauss = make_product_kernel("gaussian", p)
+        box = MeanBox(0.0, 1.0, p)
+        xs = make_target("two-truncated-normals", p).sample(600, np.random.default_rng(5))
+
+        def rng():
+            return np.random.default_rng(17) if random_init else None
+
+        fit = em_fit(xs, 4, k, gauss, box, init_rng=rng(), max_iters=200)
+        assert fit.iterations > 3
+        self._check(fit, xs, 4, k, gauss, box, rng(), 200)
+
+    def test_starved_component_reseeded(self):
+        rng = np.random.default_rng(0)
+        xs = 0.5 + 0.001 * rng.standard_normal((400, 1))
+        box = MeanBox(-1e6, 1e6, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fit = em_fit(xs, 2, 64, GAUSS, box, init_rng=np.random.default_rng(12))
+        assert fit.reseeds >= 1
+        self._check(fit, xs, 2, 64, GAUSS, box, np.random.default_rng(12), 500)
+
+    def test_box_far_from_the_origin(self):
+        # Centring at the box midpoint keeps the expanded square accurate
+        # here; uncentred, k^2 x m is ~1e8 and its rounding moves the fit.
+        box = MeanBox(1000.0, 1001.0, 1)
+        xs = 1000.0 + make_target("two-truncated-normals", 1).sample(
+            600, np.random.default_rng(5))
+        fit = em_fit(xs, 4, 16, GAUSS, box, max_iters=200)
+        assert fit.iterations > 3
+        self._check(fit, xs, 4, 16, GAUSS, box, None, 200)
+
+
 @st.composite
 def _median_inputs(draw):
     N = draw(st.integers(1, 40))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CHECK_SLACK, GridCompatibilityError, GridFunction, SupportBox, TensorGrid, sample_on_grid
+from .grids import CHECK_SLACK, GridCompatibilityError, GridFunction, SupportBox, TensorGrid
 from .kernels import ProductKernel
 from .mixtures import FiniteMixture, MeanBox, MixingApproximant, MixtureDictionary
 
@@ -185,7 +185,8 @@ def _moment_ratio_fields(mixing, domain_grid: TensorGrid):
     """Numerator and denominator fields of the integral-ratio constants."""
     if isinstance(mixing, FiniteMixture):
         pts = domain_grid.mesh().reshape(-1, domain_grid.dim)
-        comp = np.exp(mixing.component_log_pdf(pts))
+        # A C-ordered (N, n) copy: the products below keep their BLAS bits.
+        comp = np.exp(np.ascontiguousarray(mixing.component_log_pdf(pts)))
         numer = (comp ** 2 @ mixing.weights).reshape(domain_grid.shape)
         denom = (comp @ mixing.weights).reshape(domain_grid.shape)
         return numer, denom
@@ -213,14 +214,12 @@ def hull_kl_constant(mixing, domain_grid: TensorGrid) -> float:
     return float(domain_grid.integrate(ratio))
 
 
-def target_kl_constant(mixing, target, domain_grid: TensorGrid) -> float:
-    """Same ratio with a squared denominator, weighted by the target density."""
+def target_kl_constant(mixing, target: GridFunction, domain_grid: TensorGrid) -> float:
+    """Same ratio with a squared denominator, weighted by the sampled target."""
     numer, denom = _moment_ratio_fields(mixing, domain_grid)
     _guard_denominator(numer, denom)
-    fv = (target.values if isinstance(target, GridFunction)
-          else sample_on_grid(target.pdf, domain_grid).values)
     ratio = np.where(denom > 0, numer / np.maximum(denom, 1e-300) ** 2, 0.0)
-    return float(domain_grid.integrate(ratio * fv))
+    return float(domain_grid.integrate(ratio * target.values))
 
 
 def kl_bound_two_stage(epsilon: float, beta: float, C: float, n: int) -> float:

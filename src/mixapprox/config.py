@@ -85,6 +85,8 @@ class ExperimentConfig:
              "k.list, n.list and N.list entries must be positive integers"),
             (any(k < 1 for k in self.fit_k_grid), "fit.k_grid entries must be positive integers"),
             (self.means_per_axis < 1, "dictionary.means_per_axis must be >= 1"),
+            (self.fit_restarts < 1, "fit.restarts must be >= 1"),
+            (self.fit_max_iters < 1, "fit.max_iters must be >= 1"),
             (box and not (len(box) == 2 and all(map(math.isfinite, box)) and box[0] <= box[1]),
              "fit.mean_box must be two finite numbers lo, hi with lo <= hi"),
             # mle-risk fits by EM; the sqrt-log schedule divides by log N, and the

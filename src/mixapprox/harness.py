@@ -234,10 +234,8 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
     grid = _study_grid(cfg, f.support)
     _config_guard(check_resolution, grid, k)
     _config_guard(check_dictionary_size, cfg.means_per_axis, grid)
-    f_gf = sample_on_grid(f.pdf, grid)
-
     mixing = build_mixing_approximant(f, kernel, k, grid)
-    fbar = mixing.realized
+    f_gf, fbar = mixing.target, mixing.realized
     inside = f.support.contains_points(grid.mesh())
     beta = min(f.beta_lower, float(fbar.values[inside].min()))
     kl_smooth = kl_divergence(f_gf, fbar)
@@ -482,8 +480,7 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
         _config_guard(check_resolution, grid, k)
         mixing = build_mixing_approximant(f, kernel, k, grid)
         consts.C_hull = bnd.hull_kl_constant(mixing, grid)
-        consts.C_target = bnd.target_kl_constant(
-            mixing, sample_on_grid(f.pdf, grid), grid)
+        consts.C_target = bnd.target_kl_constant(mixing, mixing.target, grid)
         try:
             consts.B_lipschitz = bnd.estimate_B_lipschitz(kernel, k, box, f.support)
         except ValueError as exc:

@@ -17,6 +17,8 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtr, ndtri
 
+from .grids import _axis_weights
+
 __all__ = [
     "UnivariateKernel",
     "ProductKernel",
@@ -394,9 +396,7 @@ def _axis_mass(marginal: UnivariateKernel, k: int, n_points: int = 4097) -> floa
         m = n_points // 2 + pad
         xs = h * np.arange(-m, m + 1)
         vals = k * marginal.pdf(k * xs)
-        w = np.full(xs.size, h)
-        w[0] = w[-1] = h / 2.0
-        return float(np.sum(w * vals))
+        return float(np.sum(_axis_weights(xs.size, h, "trapezoid") * vals))
     xs = np.linspace(-r, r, n_points)
     vals = k * marginal.pdf(k * xs)
     h = xs[1] - xs[0]
@@ -490,11 +490,7 @@ def check_moment_condition(kernel: ProductKernel, a: float) -> float:
     # dim 3: tensor Simpson on the positive octant, exploiting symmetry.
     n = 129
     xs = np.linspace(0.0, r, n)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= (xs[1] - xs[0]) / 3.0
-    px = m.pdf(xs) * w
+    px = m.pdf(xs) * _axis_weights(n, xs[1] - xs[0], "simpson")
     s = xs[:, None, None] + xs[None, :, None] + xs[None, None, :]
     vals = s ** a * (px[:, None, None] * px[None, :, None] * px[None, None, :])
     return float(8.0 * vals.sum())

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .grids import GridFunction, SupportBox, TensorGrid, convolve, restrict, sample_on_grid
+from .grids import GridFunction, TensorGrid, convolve, restrict, sample_on_grid
 from .kernels import Dilation, ProductKernel, SquaredDilation, dilate
 
 __all__ = [
@@ -68,19 +67,34 @@ class MeanBox:
     def sample(self, n: int, rng) -> np.ndarray:
         return rng.uniform(self.m_lower, self.m_upper, size=(n, self.dim))
 
-    def as_support_box(self) -> SupportBox:
-        return SupportBox((self.m_lower,) * self.dim, (self.m_upper,) * self.dim)
+
+def _gaussian_sample_rows(xc: np.ndarray, k: int) -> np.ndarray:
+    """[k^2 (x - c)^T; 1], (p + 1, N), from the centred samples x - c: the
+    sample side of :func:`_gaussian_log_joint`, built once per sample set."""
+    rows = np.ones((xc.shape[1] + 1, xc.shape[0]))
+    rows[:-1] = (k * k) * xc.T
+    return rows
+
+
+def _gaussian_log_joint(means: np.ndarray, logw: np.ndarray, c, k: int,
+                        rows: np.ndarray) -> np.ndarray:
+    """[m - c, log w - (k^2/2)|m - c|^2] @ rows, shaped (n, N).  This is the
+    Gaussian log w_j + log k^p g(k (x_i - m_j)) without its per-sample term
+    p (log k - log(2 pi)/2) - (k^2/2)|x_i - c|^2; centring keeps the expanded
+    square accurate, and translation-invariant, far from the origin."""
+    mc = means - c
+    const = logw - 0.5 * k * k * np.sum(mc * mc, axis=1)
+    return np.column_stack([mc, const]) @ rows
 
 
 def _component_log_pdf(kernel: ProductKernel, k: int, means: np.ndarray,
                        x: np.ndarray) -> np.ndarray:
-    """Log of the dilated component k^p g(k (x - m)) at every point and mean.
+    """Log of the dilated component k^p g(k (x - m)) at every mean and point.
 
-    x is (N, p) or, for p = 1, (N,); means is (n, p).  Returns (N, n).  The
-    marginal's log density is added one (N, n) pass per axis, in axis order.
-    A Gaussian in p > 1 instead expands the squared distance, so the whole
-    matrix comes from one GEMM.  Gaussian EM does not come here: `em_fit`
-    builds its own centred (n, N) step; Laplace EM does.
+    x is (N, p) or, for p = 1, (N,); means is (n, p).  Returns (n, N),
+    components by samples.  The marginal's log density is added one (n, N)
+    pass per axis, in axis order.  A Gaussian in p > 1 instead takes the GEMM
+    of :func:`_gaussian_log_joint`, centred at the midpoint of the means' range.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -88,16 +102,30 @@ def _component_log_pdf(kernel: ProductKernel, k: int, means: np.ndarray,
     p = x.shape[1]
     marg = kernel.marginal
     if marg.name == "gaussian" and p > 1:
-        sq = (
-            np.sum(x * x, axis=1)[:, None]
-            - 2.0 * (x @ means.T)
-            + np.sum(means * means, axis=1)[None, :]
-        )
-        return p * (math.log(k) - 0.5 * math.log(2.0 * math.pi)) - 0.5 * k ** 2 * sq
-    out = marg.log_pdf(k * (x[:, 0, None] - means[None, :, 0]))
+        c = 0.5 * (means.min(axis=0) + means.max(axis=0))
+        xc = x - c
+        out = _gaussian_log_joint(means, np.zeros(means.shape[0]), c, k,
+                                  _gaussian_sample_rows(xc, k))
+        out += (p * (math.log(k) - 0.5 * math.log(2.0 * math.pi))
+                - 0.5 * k * k * np.sum(xc * xc, axis=1))
+        return out
+    out = marg.log_pdf(k * (x[None, :, 0] - means[:, 0, None]))
     for axis in range(1, p):
-        out += marg.log_pdf(k * (x[:, axis, None] - means[None, :, axis]))
+        out += marg.log_pdf(k * (x[None, :, axis] - means[:, axis, None]))
     return p * math.log(k) + out
+
+
+def _logsumexp0(a: np.ndarray):
+    """Log-sum-exp over axis 0 of an (n, N) array and the column sums of
+    exp(a - max), which a is left holding.  A column with no finite entry
+    gives -inf."""
+    mx = a.max(axis=0)
+    mx[~np.isfinite(mx)] = 0.0
+    a -= mx
+    np.exp(a, out=a)
+    denom = a.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        return mx + np.log(denom), denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,24 +169,20 @@ class FiniteMixture:
     def component_log_pdf(self, x: np.ndarray) -> np.ndarray:
         """Log density of each component at each point, shaped (N, n).
 
-        Evaluated by :func:`_component_log_pdf`, the one evaluator of the
+        The transpose of :func:`_component_log_pdf`, the one evaluator of the
         component density.
         """
-        return _component_log_pdf(self.kernel, self.k, self.means, x)
+        return _component_log_pdf(self.kernel, self.k, self.means, x).T
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        comp = self.component_log_pdf(x)
-        with np.errstate(divide="ignore"):
-            logw = np.log(np.maximum(self.weights, 1e-300))
-        return logsumexp(comp + logw[None, :], axis=1)
+        joint = _component_log_pdf(self.kernel, self.k, self.means, x)
+        joint += np.log(np.maximum(self.weights, 1e-300))[:, None]
+        return _logsumexp0(joint)[0]
 
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        scalar_grid = x.ndim >= 2 and x.shape[-1] == self.dim
-        if scalar_grid:
-            lead = x.shape[:-1]
-            out = np.exp(self.log_pdf(x.reshape(-1, self.dim)))
-            return out.reshape(lead)
+        if x.ndim >= 2 and x.shape[-1] == self.dim:
+            return np.exp(self.log_pdf(x.reshape(-1, self.dim))).reshape(x.shape[:-1])
         return np.exp(self.log_pdf(x))
 
     def sample(self, n: int, rng) -> np.ndarray:
@@ -182,10 +206,7 @@ def mixture_sample(mix: FiniteMixture, seed, n: int) -> np.ndarray:
 
 def log_likelihood(mix: FiniteMixture, xs) -> float:
     """Sum of log mixture densities; -inf when a sample escapes the support."""
-    lp = mix.log_pdf(np.asarray(xs, dtype=float))
-    if np.any(np.isneginf(lp)):
-        return -math.inf
-    return float(np.sum(lp))
+    return float(np.sum(mix.log_pdf(xs)))
 
 
 @dataclass
@@ -235,14 +256,13 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
         None places initial means at sample quantiles (deterministic);
         a generator draws them uniformly in the box.
 
-    Gaussian step, for every p: with c the mean-box midpoint, the log-joint
-    log w_j + log k^p g(k (x_i - m_j)) is R[j, i] - (k^2/2)|x_i - c|^2 plus a
-    constant, where R = (m - c) @ (k^2 (x - c))^T + (log w - (k^2/2)|m - c|^2)
-    comes from one GEMM.  The per-sample term cancels in the responsibilities,
-    so max, exp and sum run over the components (axis 0 of the (n, N) R), and
-    it is added back to the log-likelihood only.  Counts and weighted sums
-    come from one product exp(R - max) @ [1/denom, (x - c)/denom].  The
-    Laplace step evaluates `_component_log_pdf` and takes weighted medians.
+    Both steps take one in-place log-sum-exp over the components (axis 0) of
+    the (n, N) log-joint R.  The Gaussian step, for every p, gets R from the
+    GEMM of `_gaussian_log_joint`, centred at the mean-box midpoint c; the
+    per-sample term it leaves out cancels in the responsibilities and is added
+    to the log-likelihood only.  Counts and weighted sums come from one
+    product exp(R - max) @ [1/denom, (x - c)/denom].  The Laplace step
+    evaluates `_component_log_pdf` and takes weighted medians.
 
     The trace of log-likelihood values is nondecreasing within 1e-9 between
     ordinary iterations.  A starving component (weight below 1e-12) is
@@ -269,13 +289,9 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
     gaussian = kernel.marginal.name == "gaussian"
     p = xs.shape[1]
     if gaussian:
-        # Centring keeps the expanded square accurate, and the fit
-        # translation-invariant, on a mean box far from the origin.
         c = 0.5 * (box.m_lower + box.m_upper)
         xc = xs - c
-        # k^2 (x - c)^T over a row of ones that picks up R's constant term.
-        sample_rows = np.ones((p + 1, N))
-        sample_rows[:p] = (k * k) * xc.T
+        sample_rows = _gaussian_sample_rows(xc, k)
         ll_dropped = (N * p * (math.log(k) - 0.5 * math.log(2.0 * math.pi))
                       - 0.5 * k * k * float(np.sum(xc * xc)))
         rhs = np.empty((N, 1 + p))
@@ -288,32 +304,23 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        with np.errstate(divide="ignore"):
-            logw = np.log(np.maximum(weights, 1e-300))
+        logw = np.log(np.maximum(weights, 1e-300))
         if gaussian:
-            mc = means - c
-            const = logw - 0.5 * k * k * np.sum(mc * mc, axis=1)
-            joint = np.column_stack([mc, const]) @ sample_rows
-            mx = joint.max(axis=0)
-            joint -= mx
-            np.exp(joint, out=joint)
-            denom = joint.sum(axis=0)
-            ll = float(np.sum(mx + np.log(denom))) + ll_dropped
+            joint = _gaussian_log_joint(means, logw, c, k, sample_rows)
+        else:
+            joint = _component_log_pdf(kernel, k, means, xs)
+            joint += logw[:, None]
+        lse, denom = _logsumexp0(joint)
+        ll = float(np.sum(lse))
+        if gaussian:
+            ll += ll_dropped
             rhs[:, 0] = 1.0 / denom
             np.multiply(xc, rhs[:, :1], out=rhs[:, 1:])
             moments = joint @ rhs
             counts = moments[:, 0]
         else:
-            comp = _component_log_pdf(kernel, k, means, xs)
-            joint = comp + logw[None, :]
-            # Inline log-sum-exp so the shifted exponentials are reused for the
-            # responsibilities.
-            mx = joint.max(axis=1)
-            shifted = np.exp(joint - mx[:, None])
-            denom = shifted.sum(axis=1)
-            ll = float(np.sum(mx + np.log(denom)))
-            resp = shifted / denom[:, None]
-            counts = resp.sum(axis=0)
+            resp = joint / denom
+            counts = resp.sum(axis=1)
 
         starving = np.where(counts / N < 1e-12)[0]
         if starving.size:
@@ -340,7 +347,7 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
             new_means = c + moments[:, 1:] / counts[:, None]
         else:
             new_means = np.column_stack([
-                _weighted_medians(xs[:, d], order, resp) for d, order in enumerate(orders)
+                _weighted_medians(xs[:, d], order, resp.T) for d, order in enumerate(orders)
             ])
         weights, means = new_w / new_w.sum(), box.clamp(new_means)
 
@@ -423,7 +430,7 @@ class MixtureDictionary:
         Points are (N, p) or, for p = 1, (N,); evaluated by
         :func:`_component_log_pdf`, the one evaluator of the component density.
         """
-        return np.exp(_component_log_pdf(self.kernel, self.k, self.means, points)).T
+        return np.exp(_component_log_pdf(self.kernel, self.k, self.means, points))
 
 
 def check_dictionary_size(means_per_axis: int, grid: TensorGrid) -> None:
@@ -601,11 +608,11 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
 class MixingApproximant:
     """A target smoothed by one dilated kernel, realized on a grid.
 
-    The mixing law over component means is the target density itself; the
-    realized grid function is the convolution of the two.
+    The mixing law over component means is the target density, sampled on the
+    grid; the realized grid function is the convolution of the two.
     """
 
-    target: object              # TargetDensity
+    target: GridFunction        # the target density sampled on the grid
     kernel: ProductKernel
     k: int
     realized: GridFunction
@@ -617,14 +624,13 @@ class MixingApproximant:
         The second moment of the component density under the mixing law, the
         numerator shared by both integral-ratio constants; built on first use.
         """
-        grid = self.realized.grid
-        f_gf = sample_on_grid(self.target.pdf, grid)
-        return convolve(f_gf, SquaredDilation(dilate(self.kernel, self.k)), out_grid=grid)
+        return convolve(self.target, SquaredDilation(dilate(self.kernel, self.k)),
+                        out_grid=self.realized.grid)
 
 
 def build_mixing_approximant(target, kernel: ProductKernel, k: int,
                              grid: TensorGrid) -> MixingApproximant:
-    """Convolve a target with the dilated kernel onto the grid."""
+    """Sample a target on the grid and convolve it with the dilated kernel onto it."""
     f_gf = sample_on_grid(target.pdf, grid)
     dil = dilate(kernel, int(k))
     if grid.dim > 1:
@@ -636,4 +642,4 @@ def build_mixing_approximant(target, kernel: ProductKernel, k: int,
         realized = restrict(convolve(f_gf, dil, method="fft"), grid.box)
     else:
         realized = convolve(f_gf, dil, out_grid=grid)
-    return MixingApproximant(target, kernel, int(k), realized)
+    return MixingApproximant(f_gf, kernel, int(k), realized)

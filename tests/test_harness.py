@@ -332,12 +332,14 @@ class TestCli:
         ("conv-rate", "grid.points_per_axis = 1\n", "grid.points_per_axis"),
         ("conv-rate", "grid.points_per_axis = 1024\n", "grid.points_per_axis"),
         ("bounds", "density.name = truncated-normal\nepsilon = -0.01\n", "epsilon"),
+        ("mle-risk", "density.name = truncated-normal\nfit.restarts = 0\n", "fit.restarts"),
+        ("mle-risk", "density.name = truncated-normal\nfit.max_iters = 0\n", "fit.max_iters"),
     ], ids=["empty-k-grid", "k-grid-below-1", "means-per-axis-below-1",
             "unknown-density", "unknown-kernel", "mle-risk-compact-kernel",
             "mle-risk-n-above-N", "mle-risk-heldout-n-above-N", "mle-risk-N-of-1",
             "interior-margin-half", "interior-margin-negative", "mean-box-one-number",
             "mean-box-reversed", "mle-risk-mean-box-zero-width", "delta-zero", "one-grid-point", "even-points-simpson",
-            "negative-epsilon"])
+            "negative-epsilon", "no-restarts", "no-em-iterations"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, study, text, message):
         cfg = self._write(tmp_path, f"study = {study}\n{text}")
         out = tmp_path / "res.csv"
@@ -486,3 +488,18 @@ class TestBoundsStudy:
         rhs_rows = [r for r in res.rows if r.metric.startswith("concentration_rhs")]
         assert len(rhs_rows) == 2
         assert all(r.value > 0 for r in rhs_rows)
+
+
+def test_benchmark_traced_names_resolve():
+    # The benchmark's traced runs wrap these by name; a rename or a move in
+    # the package must fail here, not silently in `--trace 1`.
+    import importlib
+    import runpy
+
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"))
+    for name in (*spans["TRACED"], *spans["UNTRACED"]):
+        module_name, _, path = name.partition(".")
+        owner = importlib.import_module(f"mixapprox.{module_name}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name

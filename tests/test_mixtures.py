@@ -83,7 +83,7 @@ class TestFiniteMixture:
 class TestComponentEvaluator:
     """Every caller of the one component evaluator against a per-mean loop of
     Dilation.log_pdf: exact on the per-axis route, within 1e-10 on the
-    Gaussian p > 1 route, which expands the squared distance into a GEMM."""
+    Gaussian p > 1 route, which takes the centred GEMM."""
 
     @staticmethod
     def _case(name, p, k):
@@ -135,6 +135,50 @@ class TestComponentEvaluator:
         ref = grid.integrate(ratio.reshape(grid.shape))
         got = hull_kl_constant(FiniteMixture(weights, means, k, kernel), grid)
         self._check(got, ref, name == "gaussian" and p > 1, relative=True)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", MARGINAL_NAMES)
+def test_log_pdf_equals_the_per_mean_oracle(name, p):
+    # Oracle: a per-mean Dilation.log_pdf stack and a plain log-sum-exp.  The
+    # points reach well past every compact component, where the mixture
+    # log density is -inf.
+    rng = np.random.default_rng([p, 7])
+    kernel = make_product_kernel(name, p)
+    means = rng.uniform(-1.0, 1.0, size=(5, p))
+    weights = rng.dirichlet(np.ones(5))
+    x = rng.uniform(-3.0, 3.0, size=(300, p))
+    dil = Dilation(kernel, 4)
+    joint = np.stack([dil.log_pdf(x - m) for m in means]) + np.log(weights)[:, None]
+    with np.errstate(divide="ignore"):
+        ref = np.log(np.exp(joint).sum(axis=0))
+    got = FiniteMixture(weights, means, 4, kernel).log_pdf(x)
+    outside = np.isneginf(ref)
+    assert np.array_equal(np.isneginf(got), outside)
+    assert outside.any() == (name not in mixtures.EM_MARGINALS)
+    assert_allclose(got[~outside], ref[~outside], rtol=0.0, atol=1e-10)
+
+
+class TestTranslationInvariance:
+    """Moving the points and the means together leaves the likelihood of a
+    location family unchanged, also far from the origin."""
+
+    def test_translated_mixture(self):
+        kernel = make_product_kernel("gaussian", 2)
+        rng = np.random.default_rng(11)
+        means = rng.uniform(0.0, 1.0, size=(6, 2))
+        weights = rng.dirichlet(np.ones(6))
+        x = rng.uniform(-0.2, 1.2, size=(500, 2))
+        near = log_likelihood(FiniteMixture(weights, means, 16, kernel), x)
+        far = log_likelihood(FiniteMixture(weights, means + 1000.0, 16, kernel), x + 1000.0)
+        assert far == pytest.approx(near, rel=1e-10, abs=0.0)
+
+    def test_em_fit_on_a_translated_box(self):
+        kernel = make_product_kernel("gaussian", 2)
+        xs = make_target("two-truncated-normals", 2).sample(600, np.random.default_rng(5))
+        near = em_fit(xs, 4, 16, kernel, MeanBox(0.0, 1.0, 2))
+        far = em_fit(xs + 1000.0, 4, 16, kernel, MeanBox(1000.0, 1001.0, 2))
+        assert far.log_likelihood == pytest.approx(near.log_likelihood, rel=1e-10, abs=0.0)
 
 
 class TestSampling:
@@ -319,7 +363,7 @@ def _gaussian_em_oracle(xs, n, k, kernel, box, init_rng, max_iters=500, tol=1e-8
     reseeded, reseeds, dropped = set(), 0, 0
     trace, prev, converged, it = [], -math.inf, False, 0
     for it in range(1, max_iters + 1):
-        comp = mixtures._component_log_pdf(kernel, k, means, xs)
+        comp = mixtures._component_log_pdf(kernel, k, means, xs).T
         joint = comp + np.log(np.maximum(weights, 1e-300))[None, :]
         mx = joint.max(axis=1)
         shifted = np.exp(joint - mx[:, None])

@@ -63,7 +63,6 @@ from .mixtures import (
     em_fit,
     greedy_fit,
     log_likelihood,
-    mixture_eval,
     mixture_sample,
     mle_fit,
 )

@@ -92,12 +92,6 @@ class SupportBox:
         hi = np.asarray(self.upper) + tol
         return np.all((x >= lo) & (x <= hi), axis=-1)
 
-    def widen(self, margin: float) -> "SupportBox":
-        return SupportBox(
-            tuple(a - margin for a in self.lower),
-            tuple(b + margin for b in self.upper),
-        )
-
     def shrink_fraction(self, fraction: float) -> "SupportBox":
         """Interior sub-box obtained by trimming `fraction` of each edge per side."""
         lo, hi = [], []

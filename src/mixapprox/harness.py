@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
@@ -99,10 +98,6 @@ class StudyResult:
     rate_reports: list = field(default_factory=list)
     bound_reports: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-
-    @property
-    def all_dominated(self) -> bool:
-        return all(r.dominated for r in self.bound_reports)
 
 
 def fit_loglog_slope(points) -> SlopeFit:
@@ -318,6 +313,27 @@ def _sqrt_log_schedule(N: int) -> int:
     return int(math.ceil(math.sqrt(N / math.log(N))))
 
 
+def _nnls_2col(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a x - b| over x >= 0 for a two-column a, by its active sets.
+
+    The unconstrained least-squares fit, if both of its coefficients are
+    nonnegative; otherwise the optimum lies on a face x_j = 0, so it is the
+    better of the two one-column fits clipped at 0, or (0, 0) when both clip.
+    """
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if np.all(x >= 0.0):
+        return x
+    best, best_res = np.zeros(2), float(b @ b)
+    for j in range(2):
+        col = a[:, j]
+        t = max(float(col @ b) / float(col @ col), 0.0)
+        res = float(np.sum((t * col - b) ** 2))
+        if res < best_res:
+            best, best_res = np.zeros(2), res
+            best[j] = t
+    return best
+
+
 def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     """Replicated maximum-likelihood risk sweep.
 
@@ -398,7 +414,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     train = [cell for cell in cell_list if cell != heldout]
     resid = np.array([max(means[c] - eps_hat / beta, 0.0) for c in train])
     design = np.array([[1.0 / c[0], 1.0 / math.sqrt(c[1])] for c in train])
-    coef, _ = nnls(design, resid)
+    coef = _nnls_2col(design, resid)
     C1, C2 = float(coef[0]), float(coef[1])
     # Inflate so the certificate dominates every training cell.
     scale = 1.0

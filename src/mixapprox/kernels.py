@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtr, ndtri
 
@@ -353,6 +352,8 @@ def _l1_inside_mass(marginal: UnivariateKernel, p: int, s: float) -> float:
         return 0.0
     if p == 1:
         return float(1.0 - marginal.tail_mass(s))
+    from scipy import integrate     # imported here: no study needs it at p = 1
+
     upper = min(s, marginal.radius(1e-14))
     val, _ = integrate.quad(
         lambda z: marginal.pdf(z) * _l1_inside_mass(marginal, p - 1, s - z),
@@ -475,6 +476,8 @@ def check_moment_condition(kernel: ProductKernel, a: float) -> float:
         raise ValueError("moment exponent must lie in (0, 1]")
     if not math.isfinite(kernel.marginal.moment(a)):
         return math.inf
+    from scipy import integrate     # imported here, off the start-up path
+
     m = kernel.marginal
     r = m.radius(1e-13)
     if kernel.dim == 1:

@@ -27,7 +27,6 @@ __all__ = [
     "EMFit",
     "MLEFit",
     "GreedyFit",
-    "mixture_eval",
     "mixture_sample",
     "log_likelihood",
     "em_fit",
@@ -62,29 +61,43 @@ class MeanBox:
         return self.m_upper - self.m_lower
 
     def clamp(self, means: np.ndarray) -> np.ndarray:
-        return np.clip(means, self.m_lower, self.m_upper)
+        return np.minimum(np.maximum(means, self.m_lower), self.m_upper)
 
     def sample(self, n: int, rng) -> np.ndarray:
         return rng.uniform(self.m_lower, self.m_upper, size=(n, self.dim))
 
 
-def _gaussian_sample_rows(xc: np.ndarray, k: int) -> np.ndarray:
+def _gaussian_sample_rows(xc: np.ndarray, k: int, shift: bool = False) -> np.ndarray:
     """[k^2 (x - c)^T; 1], (p + 1, N), from the centred samples x - c: the
-    sample side of :func:`_gaussian_log_joint`, built once per sample set."""
-    rows = np.ones((xc.shape[1] + 1, xc.shape[0]))
-    rows[:-1] = (k * k) * xc.T
+    sample side of :func:`_gaussian_log_joint`, built once per sample set.
+    With shift, a last row s, zero until the caller fills it, makes it
+    (p + 2, N)."""
+    p = xc.shape[1]
+    rows = np.zeros((p + 2 if shift else p + 1, xc.shape[0]))
+    rows[:p] = (k * k) * xc.T
+    rows[p] = 1.0
     return rows
 
 
 def _gaussian_log_joint(means: np.ndarray, logw: np.ndarray, c, k: int,
-                        rows: np.ndarray) -> np.ndarray:
-    """[m - c, log w - (k^2/2)|m - c|^2] @ rows, shaped (n, N).  This is the
+                        rows: np.ndarray, params: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """[m - c, log w - (k^2/2)|m - c|^2, -1] @ rows, shaped (n, N).  This is the
     Gaussian log w_j + log k^p g(k (x_i - m_j)) without its per-sample term
     p (log k - log(2 pi)/2) - (k^2/2)|x_i - c|^2; centring keeps the expanded
-    square accurate, and translation-invariant, far from the origin."""
-    mc = means - c
-    const = logw - 0.5 * k * k * np.sum(mc * mc, axis=1)
-    return np.column_stack([mc, const]) @ rows
+    square accurate, and translation-invariant, far from the origin.
+
+    The -1 column enters only when rows carries the shift row s; the result is
+    then that log-joint minus s_i.  params, (n, p + 2), and out, (n, N), are
+    optional buffers for the parameter side and the product."""
+    n, p = means.shape
+    if params is None:
+        params = np.empty((n, rows.shape[0]))
+    mc = params[:, :p]
+    np.subtract(means, c, out=mc)
+    params[:, p] = logw - 0.5 * k * k * np.sum(mc * mc, axis=1)
+    params[:, p + 1:] = -1.0
+    return np.matmul(params[:, :rows.shape[0]], rows, out=out)
 
 
 def _component_log_pdf(kernel: ProductKernel, k: int, means: np.ndarray,
@@ -193,11 +206,6 @@ class FiniteMixture:
         return self.means[comp] + z
 
 
-def mixture_eval(mix: FiniteMixture, x) -> np.ndarray:
-    """Weighted-sum density value(s); log-sum-exp internally."""
-    return mix.pdf(x)
-
-
 def mixture_sample(mix: FiniteMixture, seed, n: int) -> np.ndarray:
     """Draw n points reproducibly from a seed or an existing Generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -256,13 +264,23 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
         None places initial means at sample quantiles (deterministic);
         a generator draws them uniformly in the box.
 
-    Both steps take one in-place log-sum-exp over the components (axis 0) of
-    the (n, N) log-joint R.  The Gaussian step, for every p, gets R from the
+    Both steps weigh the samples by the (n, N) log-joint R, normalised over
+    the components (axis 0).  The Gaussian step, for every p, gets R from the
     GEMM of `_gaussian_log_joint`, centred at the mean-box midpoint c; the
     per-sample term it leaves out cancels in the responsibilities and is added
-    to the log-likelihood only.  Counts and weighted sums come from one
-    product exp(R - max) @ [1/denom, (x - c)/denom].  The Laplace step
-    evaluates `_component_log_pdf` and takes weighted medians.
+    to the log-likelihood only.  Its sample side carries one more row, the
+    shift s: each sample's log-sum-exp of R from the previous iteration.  The
+    GEMM then returns R - s, which is exponentiated in place and summed over
+    the components to denom; the log-likelihood is sum(s + log denom), and
+    s + log denom is the next shift.  One M-step moves R little, so denom
+    stays near 1 and no max pass is needed.  The exact, max-shifted
+    `_logsumexp0` is taken instead when there is no shift (the first
+    iteration, and the one after a reseed or a drop) and whenever some denom
+    is not finite or lies outside [1e-100, 1e100], where exp(R - s) could
+    overflow or lose its largest terms to underflow.  Counts and weighted
+    sums come from one product exp(R - s) @ [1/denom, (x - c)/denom].  The
+    Laplace step evaluates `_component_log_pdf`, takes `_logsumexp0` and then
+    weighted medians.
 
     The trace of log-likelihood values is nondecreasing within 1e-9 between
     ordinary iterations.  A starving component (weight below 1e-12) is
@@ -291,7 +309,12 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
     if gaussian:
         c = 0.5 * (box.m_lower + box.m_upper)
         xc = xs - c
-        sample_rows = _gaussian_sample_rows(xc, k)
+        sample_rows = _gaussian_sample_rows(xc, k, shift=True)
+        shift = sample_rows[-1]     # the last iteration's per-sample lse
+        shifted = False             # whether shift holds it
+        params = np.empty((n_components, p + 2))    # buffers for the GEMM
+        work = np.empty((n_components, N))
+        ones = np.ones(n_components)
         ll_dropped = (N * p * (math.log(k) - 0.5 * math.log(2.0 * math.pi))
                       - 0.5 * k * k * float(np.sum(xc * xc)))
         rhs = np.empty((N, 1 + p))
@@ -306,24 +329,35 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
     for it in range(1, max_iters + 1):
         logw = np.log(np.maximum(weights, 1e-300))
         if gaussian:
-            joint = _gaussian_log_joint(means, logw, c, k, sample_rows)
-        else:
-            joint = _component_log_pdf(kernel, k, means, xs)
-            joint += logw[:, None]
-        lse, denom = _logsumexp0(joint)
-        ll = float(np.sum(lse))
-        if gaussian:
-            ll += ll_dropped
-            rhs[:, 0] = 1.0 / denom
+            nc = weights.shape[0]
+            buf, out = params[:nc], work[:nc]
+            if shifted:
+                joint = _gaussian_log_joint(means, logw, c, k, sample_rows, buf, out)
+                np.exp(joint, out=joint)
+                denom = ones[:nc] @ joint
+                shifted = 1e-100 <= denom.min() and denom.max() <= 1e100
+                if shifted:
+                    shift += np.log(denom)
+            if not shifted:
+                joint = _gaussian_log_joint(means, logw, c, k, sample_rows[:-1], buf, out)
+                lse, denom = _logsumexp0(joint)
+                shift[:] = lse
+                shifted = True
+            ll = float(shift.sum()) + ll_dropped
+            np.divide(1.0, denom, out=rhs[:, 0])
             np.multiply(xc, rhs[:, :1], out=rhs[:, 1:])
             moments = joint @ rhs
             counts = moments[:, 0]
         else:
+            joint = _component_log_pdf(kernel, k, means, xs)
+            joint += logw[:, None]
+            lse, denom = _logsumexp0(joint)
+            ll = float(np.sum(lse))
             resp = joint / denom
             counts = resp.sum(axis=1)
 
-        starving = np.where(counts / N < 1e-12)[0]
-        if starving.size:
+        if counts.min() / N < 1e-12:
+            starving = np.where(counts / N < 1e-12)[0]
             keep = np.ones(weights.shape[0], dtype=bool)
             for idx in starving:
                 if idx in reseeded:
@@ -340,6 +374,7 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
             weights, means = w / w.sum(), means[keep]
             trace.append(ll)
             prev = -math.inf  # restart monotonicity after the intervention
+            shifted = False
             continue
 
         new_w = counts / N

@@ -17,6 +17,7 @@ from mixapprox.harness import (
     CSV_HEADER,
     Row,
     StudyResult,
+    _nnls_2col,
     emit_report,
     fit_loglog_slope,
     run_check_identity,
@@ -472,6 +473,51 @@ class TestMleRiskStudySmall:
         emit_report(run_study(cfg), a, "csv")
         emit_report(run_study(cfg), b, "csv")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNnls2Col:
+    """The closed-form two-column NNLS behind C1 and C2 against scipy's
+    iterative solver."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_scipy(self, seed):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 12))
+        a = rng.uniform(0.05, 1.0, size=(m, 2))
+        if seed % 4 == 1:       # both columns positively correlated with b
+            b = a @ rng.uniform(0.1, 2.0, size=2) + 0.01 * rng.standard_normal(m)
+        elif seed % 4 == 2:     # one constraint active
+            b = a @ np.array([rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)])
+        elif seed % 4 == 3:     # both active: b points away from both columns
+            b = -rng.uniform(0.1, 1.0, size=m)
+        else:
+            b = rng.standard_normal(m)
+        want, _ = nnls(a, b)
+        got = _nnls_2col(a, b)
+        assert np.all(got >= 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_active_sets_are_all_reached(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert np.all(_nnls_2col(a, a @ [2.0, 3.0]) == pytest.approx([2.0, 3.0], abs=1e-14))
+        assert _nnls_2col(a, a @ [2.0, -3.0])[1] == 0.0
+        assert _nnls_2col(a, a @ [-2.0, 3.0])[0] == 0.0
+        assert np.all(_nnls_2col(a, -np.ones(3)) == 0.0)
+
+
+def test_cli_import_leaves_out_optimize_and_integrate():
+    # Only quadrature off the benchmark's paths needs scipy.integrate, and
+    # C1, C2 come from a closed form, so the start-up path loads neither.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = ("import sys, mixapprox.cli\n"
+              "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestBoundsStudy:

@@ -26,7 +26,6 @@ from mixapprox.mixtures import (
     em_fit,
     greedy_fit,
     log_likelihood,
-    mixture_eval,
     mixture_sample,
     mle_fit,
 )
@@ -42,7 +41,7 @@ def _mix(weights, means, k, kernel=GAUSS):
 class TestFiniteMixture:
     def test_single_component_value(self):
         m = _mix([1.0], [[0.0]], 1)
-        assert mixture_eval(m, np.array([[0.0]]))[0] == pytest.approx(PHI0, abs=1e-15)
+        assert m.pdf(np.array([[0.0]]))[0] == pytest.approx(PHI0, abs=1e-15)
 
     def test_symmetry(self):
         m = _mix([0.5, 0.5], [[-0.7], [0.7]], 2)
@@ -352,10 +351,20 @@ class TestLaplaceEmMatchesLoopOracle:
         assert np.array_equal(fit.mixture.weights, mix.weights)
 
 
+def _max_shift_e_step(joint):
+    """Reference E-step: the plain max-shifted log-sum-exp over each row of an
+    (N, n) log-joint, taken afresh every iteration.  Returns the
+    log-likelihood and the (N, n) responsibilities."""
+    mx = joint.max(axis=1)
+    shifted = np.exp(joint - mx[:, None])
+    denom = shifted.sum(axis=1)
+    return float(np.sum(mx + np.log(denom))), shifted / denom[:, None]
+
+
 def _gaussian_em_oracle(xs, n, k, kernel, box, init_rng, max_iters=500, tol=1e-8):
     """Oracle: projected Gaussian EM from the (N, n) component log densities,
-    a row-wise log-sum-exp, an (N, n) responsibility matrix and a weighted
-    mean per component, with the same starvation, reseed and drop rules."""
+    the max-shift E-step of `_max_shift_e_step` and a weighted mean per
+    component, with the same starvation, reseed and drop rules."""
     N = xs.shape[0]
     means = mixtures._init_means(xs, n, box, init_rng)
     weights = np.full(n, 1.0 / n)
@@ -364,12 +373,7 @@ def _gaussian_em_oracle(xs, n, k, kernel, box, init_rng, max_iters=500, tol=1e-8
     trace, prev, converged, it = [], -math.inf, False, 0
     for it in range(1, max_iters + 1):
         comp = mixtures._component_log_pdf(kernel, k, means, xs).T
-        joint = comp + np.log(np.maximum(weights, 1e-300))[None, :]
-        mx = joint.max(axis=1)
-        shifted = np.exp(joint - mx[:, None])
-        denom = shifted.sum(axis=1)
-        ll = float(np.sum(mx + np.log(denom)))
-        resp = shifted / denom[:, None]
+        ll, resp = _max_shift_e_step(comp + np.log(np.maximum(weights, 1e-300))[None, :])
         counts = resp.sum(axis=0)
         starving = np.where(counts / N < 1e-12)[0]
         if starving.size:
@@ -450,6 +454,92 @@ class TestGaussianEmMatchesLoopOracle:
         fit = em_fit(xs, 4, 16, GAUSS, box, max_iters=200)
         assert fit.iterations > 3
         self._check(fit, xs, 4, 16, GAUSS, box, None, 200)
+
+
+class TestLaggedShiftMatchesMaxShift:
+    """`em_fit` shifts each sample's log-sum-exp by its value from the last
+    iteration, inside the GEMM; the oracle takes the plain max shift of
+    `_max_shift_e_step` every iteration.  The fits must agree to rounding:
+    the same iterations and convergence, traces within 1e-12 relative."""
+
+    @staticmethod
+    def _fit(xs, n, k, kernel, box, seed, monkeypatch):
+        """The fit and its count of exact log-sum-exps: em_fit's fallbacks
+        plus the one of the final log_likelihood."""
+        lse0 = mixtures._logsumexp0
+        exact = []
+
+        def counting(a):
+            exact.append(1)
+            return lse0(a)
+
+        with monkeypatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(mixtures, "_logsumexp0", counting)
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fit = em_fit(xs, n, k, kernel, box, init_rng=np.random.default_rng(seed))
+        return fit, len(exact)
+
+    @staticmethod
+    def _check_against_oracle(fit, xs, n, k, kernel, box, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace, _, iterations, converged, reseeds, dropped = _gaussian_em_oracle(
+                xs, n, k, kernel, box, np.random.default_rng(seed))
+        assert (fit.iterations, fit.converged, fit.reseeds, fit.dropped) == (
+            iterations, converged, reseeds, dropped)
+        assert_allclose(fit.trace, trace, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def _check_trace(fit):
+        # Each reseed or drop may break monotonicity at one step only.
+        assert np.all(np.isfinite(fit.trace))
+        assert np.sum(np.diff(fit.trace) < -1e-9) <= fit.reseeds + fit.dropped
+
+    @pytest.mark.parametrize("k", [4, 16, 64])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_ordinary_fit(self, p, k, monkeypatch):
+        gauss = make_product_kernel("gaussian", p)
+        box = MeanBox(0.0, 1.0, p)
+        xs = make_target("two-truncated-normals", p).sample(600, np.random.default_rng(5))
+        fit, exact = self._fit(xs, 4, k, gauss, box, 17, monkeypatch)
+        assert fit.iterations > 10 and fit.reseeds == 0
+        # The first iteration and the final likelihood are exact; at p = 3,
+        # k = 64 the first M-step moves the means far enough to trip the
+        # guard once.  Every other iteration takes the lagged shift.
+        assert exact <= 3
+        self._check_against_oracle(fit, xs, 4, k, gauss, box, 17)
+        self._check_trace(fit)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_reseeded_fit(self, p, monkeypatch):
+        # Means drawn far from the data: the distant components starve, are
+        # reseeded and dropped, and every intervention restarts the shift.
+        gauss = make_product_kernel("gaussian", p)
+        box = MeanBox(-20.0, 20.0, p)
+        xs = make_target("two-truncated-normals", p).sample(600, np.random.default_rng(5))
+        fit, exact = self._fit(xs, 3, 64, gauss, box, 3, monkeypatch)
+        assert fit.reseeds >= 2
+        # An exact step follows every reseed or drop; here that is at least
+        # one per reseed, besides the first iteration and the final likelihood.
+        assert exact >= fit.reseeds + 2
+        self._check_against_oracle(fit, xs, 3, 64, gauss, box, 3)
+        self._check_trace(fit)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_first_lagged_step_trips_the_guard(self, p, monkeypatch):
+        # One mean drawn far from the data at k = 64: the first M-step moves
+        # it onto the sample mean, raising each sample's log-likelihood by
+        # 5e4 (p = 1) to 1e6 (p = 3), far beyond log(1e100), so exp(R - s)
+        # overflows and the exact step is taken again.
+        gauss = make_product_kernel("gaussian", p)
+        box = MeanBox(-20.0, 20.0, p)
+        xs = make_target("two-truncated-normals", p).sample(600, np.random.default_rng(5))
+        fit, exact = self._fit(xs, 1, 64, gauss, box, 0, monkeypatch)
+        assert fit.reseeds == 0 and fit.converged
+        assert exact == 3           # first iteration, the guard, final likelihood
+        assert_allclose(fit.mixture.means[0], xs.mean(axis=0), rtol=1e-12)
+        self._check_against_oracle(fit, xs, 1, 64, gauss, box, 0)
+        self._check_trace(fit)
 
 
 @st.composite

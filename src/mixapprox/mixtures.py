@@ -447,17 +447,41 @@ def mle_fit(xs, n_components: int, k_grid, kernel: ProductKernel, box: MeanBox,
 
 @dataclass(frozen=True, eq=False)
 class MixtureDictionary:
-    """Finite dictionary of dilated kernels with means on a lattice."""
+    """Finite dictionary of dilated kernels with means on a lattice.
+
+    :func:`build_dictionary` fills the two arrays :func:`greedy_fit` reads:
+    the element values at the grid nodes times the grid's quadrature weights,
+    and each element's squared weighted norm.  Unweighted rows come from
+    :meth:`table`.
+    """
 
     kernel: ProductKernel
     k: int
     means: np.ndarray           # (M, p)
     grid: TensorGrid
-    values: np.ndarray | None = None    # (M, G) element values at the grid nodes
+    weighted: np.ndarray | None = None  # (M, G) element values times quadrature weights
+    sqnorms: np.ndarray | None = None   # (M,) <d, d>_W per element
 
     @property
     def size(self) -> int:
         return int(self.means.shape[0])
+
+    def table(self, rows=slice(None)) -> np.ndarray:
+        """Element values at the grid nodes of the given rows, (r, G).
+
+        One lattice_pdf call on the per-axis offsets x_a - mu_a, which
+        broadcast into (r,) + (n,)*p; a row's bits do not depend on the rows
+        evaluated with it.
+        """
+        p = self.kernel.dim
+        mu = self.means[rows].reshape((-1,) + (1,) * p + (p,))
+        offsets = [x[None] - mu[..., a] for a, x in enumerate(np.ix_(*self.grid.nodes))]
+        return Dilation(self.kernel, self.k).lattice_pdf(offsets).reshape(mu.shape[0], -1)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The whole unweighted (M, G) table, built anew on every access."""
+        return self.table()
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Element values at arbitrary points, shaped (M, N).
@@ -469,8 +493,8 @@ class MixtureDictionary:
 
 
 def check_dictionary_size(means_per_axis: int, grid: TensorGrid) -> None:
-    """Size guard of the value table :func:`build_dictionary` builds for
-    :func:`greedy_fit`: at most 10^4 means and 2e7 table entries."""
+    """Size guard of the one weighted table :func:`build_dictionary` builds
+    for :func:`greedy_fit`: at most 10^4 means and 2e7 table entries."""
     size = means_per_axis ** grid.dim
     if size > 10_000:
         raise ValueError("dictionary exceeds 10^4 mean points")
@@ -486,17 +510,25 @@ def lattice_means(box: MeanBox, means_per_axis: int, dim: int) -> np.ndarray:
 
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,
                      means_per_axis: int, grid: TensorGrid) -> MixtureDictionary:
-    """Dictionary over a means lattice with its value table on the grid;
-    capped at 10^4 elements.  The (M, G) table is one lattice_pdf call on the
-    per-axis offsets x_a - mu_a, which broadcast into (m,)*p + (n,)*p."""
+    """Dictionary over a means lattice with its weighted table and squared
+    norms on the grid; capped at 10^4 elements.
+
+    The table is filled one slab at a time, the m^(p-1) means at one node of
+    the first mean axis, so the unweighted values are never held whole.
+    """
     check_dictionary_size(means_per_axis, grid)
-    p = kernel.dim
-    means = lattice_means(box, means_per_axis, p)
-    mu = np.linspace(box.m_lower, box.m_upper, means_per_axis)
-    lattice = np.ix_(*[mu] * p, *grid.nodes)
-    offsets = [lattice[p + a] - lattice[a] for a in range(p)]
-    vals = Dilation(kernel, int(k)).lattice_pdf(offsets).reshape(means.shape[0], -1)
-    return MixtureDictionary(kernel, int(k), means, grid, vals)
+    means = lattice_means(box, means_per_axis, kernel.dim)
+    W = grid.weight_tensor().ravel()
+    dictionary = MixtureDictionary(kernel, int(k), means, grid,
+                                   np.empty((means.shape[0], W.size)),
+                                   np.empty(means.shape[0]))
+    slab = means_per_axis ** (kernel.dim - 1)
+    for start in range(0, dictionary.size, slab):
+        rows = slice(start, start + slab)
+        values = dictionary.table(rows)
+        weighted = np.multiply(values, W, out=dictionary.weighted[rows])
+        dictionary.sqnorms[rows] = np.einsum("ij,ij->i", weighted, values)
+    return dictionary
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -539,6 +571,8 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     line search on [0, 1].  For the squared-L2 objective the element is chosen
     by exact vectorized minimization over the dictionary; for KL the element
     maximizes the linearized gain, which keeps every step nonincreasing.
+    Both read the dictionary's weighted table and squared norms; the chosen
+    element's values come from ``dictionary.table``.
 
     Returns one mixture per iterate together with its field on the target
     grid (the running convex combination of dictionary rows, which callers
@@ -547,8 +581,8 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     """
     if dictionary.size == 0:
         raise ValueError("empty dictionary")
-    if dictionary.values is None:
-        raise ValueError("greedy_fit needs the dictionary's value table (build_dictionary)")
+    if dictionary.weighted is None or dictionary.sqnorms is None:
+        raise ValueError("greedy_fit needs the dictionary's weighted table (build_dictionary)")
     if objective not in ("l2", "kl"):
         raise ValueError("objective must be 'l2' or 'kl'")
     if not target.grid.same_lattice(dictionary.grid):
@@ -556,9 +590,8 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
 
     t = target.values.ravel()
     W = target.grid.weight_tensor().ravel()
-    D = dictionary.values
-    DW = D * W[None, :]
-    dd = np.einsum("ij,ij->i", DW, D)      # <d, d>_W per element
+    DW = dictionary.weighted
+    dd = dictionary.sqnorms                 # <d, d>_W per element
 
     weights: dict[int, float] = {}
     v = np.zeros_like(t)
@@ -567,55 +600,57 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     if objective == "kl":
         mask = t > 0
         tW = t * W
+        tW_mask, log_t = tW[mask], np.log(t[mask])
 
         def kl_obj(vals):
-            if np.any(vals[mask] < 1e-300):
+            vals = vals[mask]
+            if np.any(vals < 1e-300):
                 return math.inf
-            return float(np.sum(tW[mask] * (np.log(t[mask]) - np.log(vals[mask]))))
+            return float(np.sum(tW_mask * (log_t - np.log(vals))))
+    else:
+        res, wres = np.empty_like(t), np.empty_like(t)
+
+        def l2_obj(l, e, diff):
+            # sum(W * r * r) with r = e + l * diff, in that order, in place.
+            np.multiply(l, diff, out=res)
+            np.add(e, res, out=res)
+            np.multiply(W, res, out=wres)
+            np.multiply(wres, res, out=wres)
+            return float(np.sum(wres))
 
     for step in range(1, n_max + 1):
         if objective == "l2":
             e = v - t
             b = DW @ e - float(np.sum(W * e * v))        # <e, d - v>_W
-            c = dd - 2.0 * (DW @ v) + float(np.sum(W * v * v))
             if step == 1:
+                c = dd                                  # v = 0
                 lam_cand = np.ones_like(b)
             else:
+                c = dd - 2.0 * (DW @ v) + float(np.sum(W * v * v))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     lam_cand = np.clip(np.where(c > 0, -b / c, 0.0), 0.0, 1.0)
             base = float(np.sum(W * e * e))
             cand_obj = base + 2.0 * lam_cand * b + lam_cand ** 2 * c
             idx = int(np.argmin(cand_obj))
-            d = D[idx]
-            if step == 1:
-                lam = 1.0
-            else:
-                diff = d - v
-
-                def fn(l, diff=diff, e=e):
-                    r = e + l * diff
-                    return float(np.sum(W * r * r))
-
-                lam = _golden_section(fn, 0.0, 1.0)
-                if fn(lam) > fn(lam_cand[idx]):
-                    lam = float(lam_cand[idx])
+        elif step == 1:
+            # <log d, t>_W for every element, on one table logged in place.
+            log_table = dictionary.table()
+            np.log(np.maximum(log_table, 1e-300, out=log_table), out=log_table)
+            idx = int(np.argmax(log_table @ tW))
+            del log_table
         else:
-            if step == 1:
-                with np.errstate(divide="ignore"):
-                    logD = np.log(np.maximum(D, 1e-300))
-                scores = logD @ (t * W)
-                idx = int(np.argmax(scores))
-                d = D[idx]
-                lam = 1.0
-            else:
-                grad_gain = DW @ (t / np.maximum(v, 1e-300))
-                idx = int(np.argmax(grad_gain))
-                d = D[idx]
+            idx = int(np.argmax(DW @ (t / np.maximum(v, 1e-300))))
 
-                def fn(l, d=d):
-                    return kl_obj((1.0 - l) * v + l * d)
-
-                lam = _golden_section(fn, 0.0, 1.0 - 1e-12)
+        d = dictionary.table([idx])[0]
+        if step == 1:
+            lam = 1.0
+        elif objective == "l2":
+            diff = d - v
+            lam = _golden_section(lambda l: l2_obj(l, e, diff), 0.0, 1.0)
+            if l2_obj(lam, e, diff) > l2_obj(lam_cand[idx], e, diff):
+                lam = float(lam_cand[idx])
+        else:
+            lam = _golden_section(lambda l: kl_obj((1.0 - l) * v + l * d), 0.0, 1.0 - 1e-12)
 
         v = (1.0 - lam) * v + lam * d
         for key in list(weights):

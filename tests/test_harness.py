@@ -549,3 +549,27 @@ def test_benchmark_traced_names_resolve():
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_benchmark_counters_read_real_results():
+    # The traced runs count dictionary entries and greedy steps from the
+    # results these return; a renamed or removed attribute must fail here,
+    # not only in `--trace 1`.
+    import runpy
+
+    from mixapprox.densities import make_target
+    from mixapprox.grids import make_grid
+    from mixapprox.kernels import make_product_kernel
+    from mixapprox.mixtures import MeanBox, build_dictionary, build_mixing_approximant, greedy_fit
+
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"))
+    f = make_target("truncated-normal", 1)
+    grid = make_grid(f.support, 257, "simpson")
+    kernel = make_product_kernel("gaussian", 1)
+    fbar = build_mixing_approximant(f, kernel, 8, grid).realized
+    dictionary = build_dictionary(kernel, 8, MeanBox(-1.0, 1.0, 1), 17, grid)
+    fit = greedy_fit(fbar, dictionary, 3)
+    counts = {}
+    spans["_count_dictionary"](counts, (), {}, dictionary)
+    spans["_count_greedy"](counts, (), {}, fit)
+    assert counts == {"entries": 17 * 257, "steps": 3}

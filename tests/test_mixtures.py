@@ -732,6 +732,155 @@ def test_dictionary_table_equals_the_per_mean_loop(name, p, k):
     assert np.array_equal(dictionary.values, ref)
 
 
+def _lattice_table(kernel, k, box, means_per_axis, grid):
+    # The whole (M, G) table from one lattice_pdf call on the (m,)*p + (n,)*p
+    # offset lattice: the reference for the slab-built table.
+    p = kernel.dim
+    mu = np.linspace(box.m_lower, box.m_upper, means_per_axis)
+    lattice = np.ix_(*[mu] * p, *grid.nodes)
+    offsets = [lattice[p + a] - lattice[a] for a in range(p)]
+    return Dilation(kernel, k).lattice_pdf(offsets).reshape(means_per_axis ** p, -1)
+
+
+def _greedy_table_oracle(target, D, dictionary, n_max, objective):
+    """The greedy fit on a full value table D and its copy D * W, with an
+    objective that allocates on every call; also counts the steps whose L2
+    argmin is tied and the steps that fall back to the clipped minimiser."""
+    t = target.values.ravel()
+    W = target.grid.weight_tensor().ravel()
+    DW = D * W[None, :]
+    dd = np.einsum("ij,ij->i", DW, D)
+    weights, v = {}, np.zeros_like(t)
+    mixes, fields, objs, selected, lambdas = [], [], [], [], []
+    ties = fallbacks = 0
+    mask = t > 0
+    tW = t * W
+
+    def kl_obj(vals):
+        if np.any(vals[mask] < 1e-300):
+            return math.inf
+        return float(np.sum(tW[mask] * (np.log(t[mask]) - np.log(vals[mask]))))
+
+    for step in range(1, n_max + 1):
+        if objective == "l2":
+            e = v - t
+            b = DW @ e - float(np.sum(W * e * v))
+            c = dd - 2.0 * (DW @ v) + float(np.sum(W * v * v))
+            if step == 1:
+                lam_cand = np.ones_like(b)
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    lam_cand = np.clip(np.where(c > 0, -b / c, 0.0), 0.0, 1.0)
+            cand_obj = float(np.sum(W * e * e)) + 2.0 * lam_cand * b + lam_cand ** 2 * c
+            idx = int(np.argmin(cand_obj))
+            ties += int(np.count_nonzero(cand_obj == cand_obj[idx]) > 1)
+            d = D[idx]
+            if step == 1:
+                lam = 1.0
+            else:
+                diff = d - v
+
+                def fn(l, diff=diff, e=e):
+                    r = e + l * diff
+                    return float(np.sum(W * r * r))
+
+                lam = mixtures._golden_section(fn, 0.0, 1.0)
+                if fn(lam) > fn(lam_cand[idx]):
+                    lam = float(lam_cand[idx])
+                    fallbacks += 1
+        elif step == 1:
+            with np.errstate(divide="ignore"):
+                logD = np.log(np.maximum(D, 1e-300))
+            idx = int(np.argmax(logD @ (t * W)))
+            d, lam = D[idx], 1.0
+        else:
+            idx = int(np.argmax(DW @ (t / np.maximum(v, 1e-300))))
+            d = D[idx]
+
+            def fn(l, d=d):
+                return kl_obj((1.0 - l) * v + l * d)
+
+            lam = mixtures._golden_section(fn, 0.0, 1.0 - 1e-12)
+        v = (1.0 - lam) * v + lam * d
+        for key in list(weights):
+            weights[key] *= (1.0 - lam)
+        weights[idx] = weights.get(idx, 0.0) + lam
+        idxs = sorted(weights)
+        w = np.array([weights[i] for i in idxs])
+        mixes.append(FiniteMixture(w / w.sum(), dictionary.means[idxs],
+                                   dictionary.k, dictionary.kernel))
+        fields.append(v.reshape(target.grid.shape))
+        selected.append(idx)
+        lambdas.append(float(lam))
+        if objective == "l2":
+            r = v - t
+            objs.append(float(np.sum(W * r * r)))
+        else:
+            objs.append(kl_obj(v))
+    fit = mixtures.GreedyFit(mixes, fields, np.asarray(objs), selected, lambdas, objective)
+    return fit, ties, fallbacks
+
+
+class TestGreedyMatchesTableOracle:
+    """greedy_fit on the weighted table and slab-built norms against the fit
+    on a full value table and its weighted copy, bit for bit."""
+
+    @pytest.mark.parametrize("kernel_name, dim, objective, n_max", [
+        ("gaussian", 1, "l2", 24), ("gaussian", 1, "kl", 12),
+        ("epanechnikov", 1, "l2", 16), ("gaussian", 2, "l2", 24),
+        ("gaussian", 3, "l2", 10),
+    ])
+    def test_fit_equals_the_oracle(self, kernel_name, dim, objective, n_max):
+        f = make_target("truncated-normal", dim)
+        points, k, means = {1: (1025, 16, 129), 2: (65, 8, 9), 3: (17, 2, 5)}[dim]
+        grid = make_grid(f.support, points, "simpson")
+        fbar = build_mixing_approximant(
+            f, make_product_kernel("gaussian", dim), k, grid).realized
+        kernel = make_product_kernel(kernel_name, dim)
+        box = MeanBox(-1.0, 1.0, dim)
+        dictionary = build_dictionary(kernel, k, box, means, grid)
+        D = _lattice_table(kernel, k, box, means, grid)
+        W = grid.weight_tensor().ravel()
+        assert np.array_equal(dictionary.values, D)
+        assert np.array_equal(dictionary.weighted, D * W[None, :])
+        assert np.array_equal(dictionary.sqnorms, np.einsum("ij,ij->i", D * W[None, :], D))
+
+        fit = greedy_fit(fbar, dictionary, n_max, objective=objective)
+        ref, ties, fallbacks = _greedy_table_oracle(fbar, D, dictionary, n_max, objective)
+        assert fit.selected == ref.selected
+        assert np.array_equal(fit.lambdas, ref.lambdas)
+        assert np.array_equal(fit.objectives, ref.objectives)
+        assert fit.objective == ref.objective
+        assert len(fit.mixtures) == len(ref.mixtures) == n_max
+        for got, want in zip(fit.mixtures, ref.mixtures):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.means, want.means)
+            assert (got.k, got.kernel) == (want.k, want.kernel)
+        for got, want in zip(fit.fields, ref.fields, strict=True):
+            assert np.array_equal(got, want)
+        if dim == 2:
+            # The symmetric target on a symmetric mean lattice: the argmin
+            # is tied between mirror images, and the golden section loses to
+            # the clipped minimiser on some steps.
+            assert ties > 0 and fallbacks > 0
+
+    def test_greedy_holds_one_table(self):
+        # 17^2 means on a 129^2 grid: the weighted table is 38 MB, and the
+        # build and the fit add only slabs and vectors on top of it.
+        f = make_target("truncated-normal", 2)
+        grid = make_grid(f.support, 129, "simpson")
+        fbar = build_mixing_approximant(f, make_product_kernel("gaussian", 2), 8, grid).realized
+        tracemalloc.start()
+        try:
+            dictionary = build_dictionary(make_product_kernel("gaussian", 2), 8,
+                                          MeanBox(-1.0, 1.0, 2), 17, grid)
+            greedy_fit(fbar, dictionary, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * dictionary.weighted.nbytes
+
+
 class TestMixingApproximant:
     def test_realized_matches_direct_convolution(self):
         f = make_target("clipped-cosine", 1)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CHECK_SLACK, GridCompatibilityError, GridFunction, SupportBox, TensorGrid
+from .grids import CHECK_SLACK, SupportBox
 from .kernels import ProductKernel
-from .mixtures import FiniteMixture, MeanBox, MixingApproximant, MixtureDictionary
+from .mixtures import MeanBox, MixingApproximant, MixtureDictionary
 
 __all__ = [
     "BoundConstants",
@@ -49,9 +49,6 @@ class BoundConstants:
     C_target: float = math.nan      # squared-denominator ratio for the target-KL bound
     B_lipschitz: float = math.nan
     A_box: float = math.nan         # width of the mean box
-    C_star: float = math.nan        # fitted certificate
-    C1: float = math.nan            # fitted certificate
-    C2: float = math.nan            # fitted certificate
     beta_lower: float = math.nan
     beta_upper: float = math.nan
 
@@ -61,7 +58,7 @@ class BoundConstants:
             if abs(self.gamma - expect) > 1e-9 * max(1.0, expect):
                 raise ValueError("gamma is inconsistent with the log-ratio sup")
         for name in ("A_logratio", "gamma", "C_hull", "C_target", "B_lipschitz",
-                     "A_box", "C_star", "C1", "C2", "beta_lower", "beta_upper"):
+                     "A_box", "beta_lower", "beta_upper"):
             v = getattr(self, name)
             if not math.isnan(v) and v < 0:
                 raise ValueError(f"constant {name} must be nonnegative, got {v}")
@@ -181,45 +178,24 @@ def estimate_B_lipschitz(kernel: ProductKernel, k: int, box: MeanBox,
     return _refined_sup(sweep, points_per_axis, "log-kernel Lipschitz sup")
 
 
-def _moment_ratio_fields(mixing, domain_grid: TensorGrid):
-    """Numerator and denominator fields of the integral-ratio constants."""
-    if isinstance(mixing, FiniteMixture):
-        pts = domain_grid.mesh().reshape(-1, domain_grid.dim)
-        # A C-ordered (N, n) copy: the products below keep their BLAS bits.
-        comp = np.exp(np.ascontiguousarray(mixing.component_log_pdf(pts)))
-        numer = (comp ** 2 @ mixing.weights).reshape(domain_grid.shape)
-        denom = (comp @ mixing.weights).reshape(domain_grid.shape)
-        return numer, denom
-    if isinstance(mixing, MixingApproximant):
-        if not mixing.realized.grid.same_lattice(domain_grid):
-            raise GridCompatibilityError(
-                "domain grid differs from the grid the mixing approximant is realized on"
-            )
-        return mixing.second_moment.values, mixing.realized.values
-    raise TypeError("mixing must be a MixingApproximant or a FiniteMixture")
-
-
-def _guard_denominator(numer: np.ndarray, denom: np.ndarray):
-    bad = (denom < 1e-300) & (numer > 0)
-    if np.any(bad):
+def _moment_ratio(mixing: MixingApproximant, power: int) -> np.ndarray:
+    """Second moment of the component density under the mixing law over the
+    power-th power of its first moment, on the law's grid; 0 where both vanish."""
+    numer, denom = mixing.second_moment.values, mixing.realized.values
+    if np.any((denom < 1e-300) & (numer > 0)):
         raise ValueError("mixing density vanishes inside the domain")
+    return np.where(denom > 0, numer / np.maximum(denom, 1e-300) ** power, 0.0)
 
 
-def hull_kl_constant(mixing, domain_grid: TensorGrid) -> float:
-    """Integral over the domain of (second moment / first moment) of the
-    component density under the mixing law; weights the hull-KL bound."""
-    numer, denom = _moment_ratio_fields(mixing, domain_grid)
-    _guard_denominator(numer, denom)
-    ratio = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
-    return float(domain_grid.integrate(ratio))
+def hull_kl_constant(mixing: MixingApproximant) -> float:
+    """Integral over the mixing law's grid of (second moment / first moment)
+    of the component density under that law; weights the hull-KL bound."""
+    return float(mixing.target.grid.integrate(_moment_ratio(mixing, 1)))
 
 
-def target_kl_constant(mixing, target: GridFunction, domain_grid: TensorGrid) -> float:
+def target_kl_constant(mixing: MixingApproximant) -> float:
     """Same ratio with a squared denominator, weighted by the sampled target."""
-    numer, denom = _moment_ratio_fields(mixing, domain_grid)
-    _guard_denominator(numer, denom)
-    ratio = np.where(denom > 0, numer / np.maximum(denom, 1e-300) ** 2, 0.0)
-    return float(domain_grid.integrate(ratio * target.values))
+    return float(mixing.target.grid.integrate(_moment_ratio(mixing, 2) * mixing.target.values))
 
 
 def kl_bound_two_stage(epsilon: float, beta: float, C: float, n: int) -> float:

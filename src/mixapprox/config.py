@@ -76,10 +76,14 @@ class ExperimentConfig:
              "grid.rule must be trapezoid or simpson"),
             (pts != 0 and (pts < 2 or self.grid_rule == "simpson" and pts % 2 == 0),
              "grid.points_per_axis must be 0 (the default) or >= 2, and odd under simpson"),
+            (self.seed < 0, "seed must be a nonnegative integer"),
             (self.replications < 1, "replications must be >= 1"),
             (self.objective not in ("l2", "kl"), "objective must be l2 or kl"),
             (not 0.0 <= self.interior_margin < 0.5, "interior.margin must lie in [0, 0.5)"),
             (not all(d > 0 for d in self.deltas), "deltas.list entries must be positive"),
+            (self.study == "check-identity"
+             and any(b <= a for a, b in zip(self.k_list, self.k_list[1:])),
+             "check-identity needs a strictly increasing k.list"),
             (not self.epsilon >= 0, "epsilon must be >= 0"),
             (any(v < 1 for v in (*self.k_list, *self.n_list, *self.N_list)),
              "k.list, n.list and N.list entries must be positive integers"),

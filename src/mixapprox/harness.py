@@ -231,8 +231,7 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
     _config_guard(check_dictionary_size, cfg.means_per_axis, grid)
     mixing = build_mixing_approximant(f, kernel, k, grid)
     f_gf, fbar = mixing.target, mixing.realized
-    inside = f.support.contains_points(grid.mesh())
-    beta = min(f.beta_lower, float(fbar.values[inside].min()))
+    beta = min(f.beta_lower, float(fbar.values.min()))
     kl_smooth = kl_divergence(f_gf, fbar)
     eps_hat = beta * kl_smooth
 
@@ -258,8 +257,8 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
     constants_ok = math.isfinite(a_log)
     if constants_ok:
         gamma = bnd.compute_gamma(a_log)
-        c_hull = bnd.hull_kl_constant(mixing, grid)
-        c_target = bnd.target_kl_constant(mixing, f_gf, grid)
+        c_hull = bnd.hull_kl_constant(mixing)
+        c_target = bnd.target_kl_constant(mixing)
         for name, value in (("A_logratio", a_log), ("gamma", gamma),
                             ("C_hull", c_hull), ("C_target", c_target)):
             result.rows.append(Row("mix-rate", "run", "", "", cfg.seed, name, value))
@@ -495,8 +494,8 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
         consts.gamma = bnd.compute_gamma(consts.A_logratio)
         _config_guard(check_resolution, grid, k)
         mixing = build_mixing_approximant(f, kernel, k, grid)
-        consts.C_hull = bnd.hull_kl_constant(mixing, grid)
-        consts.C_target = bnd.target_kl_constant(mixing, mixing.target, grid)
+        consts.C_hull = bnd.hull_kl_constant(mixing)
+        consts.C_target = bnd.target_kl_constant(mixing)
         try:
             consts.B_lipschitz = bnd.estimate_B_lipschitz(kernel, k, box, f.support)
         except ValueError as exc:

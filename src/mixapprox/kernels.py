@@ -263,7 +263,6 @@ class Dilation:
 
     base: ProductKernel
     k: int
-    limit_point: float = math.inf
 
     def __post_init__(self):
         if int(self.k) < 1:
@@ -393,18 +392,13 @@ def _axis_mass(marginal: UnivariateKernel, k: int, n_points: int = 4097) -> floa
     r = marginal.radius(1e-12) / k
     if isinstance(marginal, _CompactKernel):
         h = r / (n_points // 2)
-        pad = 8
-        m = n_points // 2 + pad
-        xs = h * np.arange(-m, m + 1)
-        vals = k * marginal.pdf(k * xs)
-        return float(np.sum(_axis_weights(xs.size, h, "trapezoid") * vals))
-    xs = np.linspace(-r, r, n_points)
+        m = n_points // 2 + 8       # 8 padding nodes past each edge
+        xs, rule = h * np.arange(-m, m + 1), "trapezoid"
+    else:
+        xs, rule = np.linspace(-r, r, n_points), "simpson"
+        h = xs[1] - xs[0]
     vals = k * marginal.pdf(k * xs)
-    h = xs[1] - xs[0]
-    w = np.full(n_points, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return float(np.sum(w * vals) * h / 3.0)
+    return float(np.sum(_axis_weights(xs.size, h, rule) * vals))
 
 
 @dataclass(frozen=True)

@@ -402,7 +402,6 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
 class MLEFit:
     fit: EMFit
     k: int
-    scanned: list               # (k, restart, log-likelihood) triples
 
     @property
     def mixture(self) -> FiniteMixture:
@@ -428,7 +427,6 @@ def mle_fit(xs, n_components: int, k_grid, kernel: ProductKernel, box: MeanBox,
     if restarts < 1:
         raise ValueError("need at least one restart")
     best = None
-    scanned = []
     for ki, k in enumerate(k_grid):
         for r in range(restarts):
             if r == 0:
@@ -439,28 +437,23 @@ def mle_fit(xs, n_components: int, k_grid, kernel: ProductKernel, box: MeanBox,
                 )
             fit = em_fit(xs, n_components, k, kernel, box,
                          init_rng=rng, max_iters=max_iters, tol=tol)
-            scanned.append((k, r, fit.log_likelihood))
             if best is None or fit.log_likelihood > best[0].log_likelihood:
                 best = (fit, k)
-    return MLEFit(best[0], best[1], scanned)
+    return MLEFit(best[0], best[1])
 
 
 @dataclass(frozen=True, eq=False)
 class MixtureDictionary:
     """Finite dictionary of dilated kernels with means on a lattice.
 
-    :func:`build_dictionary` fills the two arrays :func:`greedy_fit` reads:
-    the element values at the grid nodes times the grid's quadrature weights,
-    and each element's squared weighted norm.  Unweighted rows come from
-    :meth:`table`.
+    Holds its elements only; rows of their values on the grid come from
+    :meth:`table`, and :func:`greedy_fit` builds its weighted table itself.
     """
 
     kernel: ProductKernel
     k: int
     means: np.ndarray           # (M, p)
     grid: TensorGrid
-    weighted: np.ndarray | None = None  # (M, G) element values times quadrature weights
-    sqnorms: np.ndarray | None = None   # (M,) <d, d>_W per element
 
     @property
     def size(self) -> int:
@@ -493,8 +486,8 @@ class MixtureDictionary:
 
 
 def check_dictionary_size(means_per_axis: int, grid: TensorGrid) -> None:
-    """Size guard of the one weighted table :func:`build_dictionary` builds
-    for :func:`greedy_fit`: at most 10^4 means and 2e7 table entries."""
+    """Size guard of the one weighted table :func:`greedy_fit` builds for a
+    lattice dictionary: at most 10^4 means and 2e7 table entries."""
     size = means_per_axis ** grid.dim
     if size > 10_000:
         raise ValueError("dictionary exceeds 10^4 mean points")
@@ -510,25 +503,30 @@ def lattice_means(box: MeanBox, means_per_axis: int, dim: int) -> np.ndarray:
 
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,
                      means_per_axis: int, grid: TensorGrid) -> MixtureDictionary:
-    """Dictionary over a means lattice with its weighted table and squared
-    norms on the grid; capped at 10^4 elements.
-
-    The table is filled one slab at a time, the m^(p-1) means at one node of
-    the first mean axis, so the unweighted values are never held whole.
-    """
+    """Dictionary over a means lattice on the grid; capped at 10^4 elements."""
     check_dictionary_size(means_per_axis, grid)
-    means = lattice_means(box, means_per_axis, kernel.dim)
-    W = grid.weight_tensor().ravel()
-    dictionary = MixtureDictionary(kernel, int(k), means, grid,
-                                   np.empty((means.shape[0], W.size)),
-                                   np.empty(means.shape[0]))
-    slab = means_per_axis ** (kernel.dim - 1)
+    return MixtureDictionary(kernel, int(k), lattice_means(box, means_per_axis, kernel.dim),
+                             grid)
+
+
+def _weighted_table(dictionary: MixtureDictionary, W: np.ndarray):
+    """The weighted table D·W, (M, G) in C order, and each element's squared
+    weighted norm <d, d>_W, (M,).
+
+    Filled one slab of rows at a time, M^((p-1)/p) rows (on a lattice, the
+    means at one node of the first mean axis), so the unweighted values are
+    never held whole.
+    """
+    p = dictionary.kernel.dim
+    weighted = np.empty((dictionary.size, W.size))
+    sqnorms = np.empty(dictionary.size)
+    slab = max(1, round(dictionary.size ** ((p - 1) / p)))
     for start in range(0, dictionary.size, slab):
         rows = slice(start, start + slab)
         values = dictionary.table(rows)
-        weighted = np.multiply(values, W, out=dictionary.weighted[rows])
-        dictionary.sqnorms[rows] = np.einsum("ij,ij->i", weighted, values)
-    return dictionary
+        np.multiply(values, W, out=weighted[rows])
+        sqnorms[rows] = np.einsum("ij,ij->i", weighted[rows], values)
+    return weighted, sqnorms
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -571,8 +569,9 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     line search on [0, 1].  For the squared-L2 objective the element is chosen
     by exact vectorized minimization over the dictionary; for KL the element
     maximizes the linearized gain, which keeps every step nonincreasing.
-    Both read the dictionary's weighted table and squared norms; the chosen
-    element's values come from ``dictionary.table``.
+    Both read one weighted table and the squared norms, built here by
+    :func:`_weighted_table`; the chosen element's values come from
+    ``dictionary.table``.
 
     Returns one mixture per iterate together with its field on the target
     grid (the running convex combination of dictionary rows, which callers
@@ -581,8 +580,6 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     """
     if dictionary.size == 0:
         raise ValueError("empty dictionary")
-    if dictionary.weighted is None or dictionary.sqnorms is None:
-        raise ValueError("greedy_fit needs the dictionary's weighted table (build_dictionary)")
     if objective not in ("l2", "kl"):
         raise ValueError("objective must be 'l2' or 'kl'")
     if not target.grid.same_lattice(dictionary.grid):
@@ -590,8 +587,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
 
     t = target.values.ravel()
     W = target.grid.weight_tensor().ravel()
-    DW = dictionary.weighted
-    dd = dictionary.sqnorms                 # <d, d>_W per element
+    DW, dd = _weighted_table(dictionary, W)     # D·W and <d, d>_W per element
 
     weights: dict[int, float] = {}
     v = np.zeros_like(t)

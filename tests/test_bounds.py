@@ -25,11 +25,12 @@ from mixapprox.bounds import (
 )
 from mixapprox.densities import make_target
 from mixapprox import mixtures
-from mixapprox.grids import GridCompatibilityError, SupportBox, cube, make_grid, sample_on_grid
-from mixapprox.kernels import make_product_kernel
+from mixapprox.grids import GridFunction, SupportBox, convolve, cube, make_grid
+from mixapprox.kernels import dilate, make_product_kernel
 from mixapprox.mixtures import (
     FiniteMixture,
     MeanBox,
+    MixingApproximant,
     MixtureDictionary,
     build_dictionary,
     build_mixing_approximant,
@@ -159,53 +160,62 @@ class TestLipschitzMatchesAllPairsOracle:
                 == _all_pairs_B(lap, 8, box, UNIT_DOMAIN, 2 * 128 - 1))
 
 
+# Two targets, two scales and p = 1, 2 for the integral-ratio constants.
+RATIO_CASES = [(name, p, k) for name in ("uniform-box", "truncated-normal")
+               for p in (1, 2) for k in (4, 8)]
+
+
+def _ratio_case(name, p, k):
+    f = make_target(name, p)
+    grid = make_grid(f.support, {1: 1025, 2: 129}[p], "simpson")
+    return f, grid, build_mixing_approximant(f, make_product_kernel("gaussian", p), k, grid)
+
+
+def _point_mass_mixing():
+    # All of the mixing law's mass on the node 0.5 of a wide grid.
+    grid = make_grid(cube(-2.0, 3.0, 1), 2049, "simpson")
+    spike = np.zeros(grid.shape)
+    spike[1024] = 1.0 / grid.weights[0][1024]
+    target = GridFunction(grid, spike)
+    return MixingApproximant(target, GAUSS, 4,
+                             convolve(target, dilate(GAUSS, 4), out_grid=grid))
+
+
 class TestIntegralRatioConstants:
     def test_point_mass_hull_constant_is_kernel_mass(self):
         # With a one-point mixing law the ratio collapses to the component
         # density, so the constant is its mass over the domain.
-        pm = FiniteMixture(np.array([1.0]), np.array([[0.5]]), 4, GAUSS)
-        wide = make_grid(cube(-2.0, 3.0, 1), 2049, "simpson")
-        assert hull_kl_constant(pm, wide) == pytest.approx(1.0, abs=1e-9)
+        assert hull_kl_constant(_point_mass_mixing()) == pytest.approx(1.0, abs=1e-9)
 
     def test_point_mass_target_constant_is_one(self):
-        pm = FiniteMixture(np.array([1.0]), np.array([[0.5]]), 4, GAUSS)
-        f = make_target("uniform-box", 1)
-        grid = make_grid(f.support, 2049, "simpson")
-        c = target_kl_constant(pm, sample_on_grid(f.pdf, grid), grid)
-        assert c == pytest.approx(1.0, abs=1e-9)
+        assert target_kl_constant(_point_mass_mixing()) == pytest.approx(1.0, abs=1e-9)
 
     def test_target_constant_at_least_one(self):
         # Jensen: the squared-denominator ratio is >= 1 pointwise, and the
         # weight is a unit-mass density over the domain.
-        rng = np.random.default_rng(4)
-        f = make_target("uniform-box", 1)
-        grid = make_grid(f.support, 1025, "simpson")
-        f_gf = sample_on_grid(f.pdf, grid)
-        for _ in range(10):
-            n = rng.integers(2, 6)
-            w = rng.dirichlet(np.ones(n))
-            means = rng.uniform(0, 1, size=(n, 1))
-            mix = FiniteMixture(w, means, 8, GAUSS)
-            assert target_kl_constant(mix, f_gf, grid) >= 1.0 - 1e-9
+        for case in RATIO_CASES:
+            _, _, mixing = _ratio_case(*case)
+            assert target_kl_constant(mixing) >= 1.0 - 1e-9, case
 
     def test_quadrature_matches_mc_oracle(self):
-        f = make_target("uniform-box", 1)
-        grid = make_grid(f.support, 1025, "simpson")
-        mixing = build_mixing_approximant(f, GAUSS, 4, grid)
-        ch = hull_kl_constant(mixing, grid)
-        ct = target_kl_constant(mixing, sample_on_grid(f.pdf, grid), grid)
-
-        rng = np.random.default_rng(0)
-        ms = rng.uniform(0.0, 1.0, size=(40_000, 1))
-        pts = grid.mesh().reshape(-1, 1)
-        z = 4.0 * (pts[None, :, :] - ms[:, None, :])
-        comp = 4.0 * np.exp(-0.5 * z[..., 0] ** 2) / math.sqrt(2 * math.pi)
-        numer = (comp ** 2).mean(axis=0).reshape(grid.shape)
-        denom = comp.mean(axis=0).reshape(grid.shape)
-        mc_ch = grid.integrate(numer / denom)
-        mc_ct = grid.integrate(numer / denom ** 2 * sample_on_grid(f.pdf, grid).values)
-        assert ch == pytest.approx(mc_ch, rel=0.01)
-        assert ct == pytest.approx(mc_ct, rel=0.01)
+        # Monte Carlo over means drawn from the target: the component
+        # density's first and second moments at every grid node.  The product
+        # kernel factors per axis, so both sums over the draws are one
+        # contraction of the per-axis factor tables.
+        for name, p, k in RATIO_CASES:
+            f, grid, mixing = _ratio_case(name, p, k)
+            rng = np.random.default_rng([p, k, 0])
+            draws = 40_000
+            ms = f.sample(draws, rng).reshape(draws, p)
+            factors = [k * np.exp(-0.5 * (k * (x[None, :] - ms[:, a, None])) ** 2)
+                       / math.sqrt(2 * math.pi) for a, x in enumerate(grid.nodes)]
+            spec = ",".join("c" + "ij"[a] for a in range(p)) + "->" + "ij"[:p]
+            numer = np.einsum(spec, *[g ** 2 for g in factors])
+            denom = np.einsum(spec, *factors)
+            mc_ch = grid.integrate(numer / denom)
+            mc_ct = grid.integrate(numer / denom ** 2 * draws * mixing.target.values)
+            assert hull_kl_constant(mixing) == pytest.approx(mc_ch, rel=0.01), (name, p, k)
+            assert target_kl_constant(mixing) == pytest.approx(mc_ct, rel=0.01), (name, p, k)
 
     def test_smoothed_fields_built_once_on_the_realized_grid(self, monkeypatch):
         # Both constants share the mixing approximant's realized field and
@@ -217,11 +227,10 @@ class TestIntegralRatioConstants:
         real_convolve = mixtures.convolve
         monkeypatch.setattr(mixtures, "convolve",
                             lambda *a, **kw: calls.append(1) or real_convolve(*a, **kw))
-        hull_kl_constant(mixing, grid)
-        target_kl_constant(mixing, sample_on_grid(f.pdf, grid), grid)
+        hull_kl_constant(mixing)
+        target_kl_constant(mixing)
         assert len(calls) == 1
-        with pytest.raises(GridCompatibilityError):
-            hull_kl_constant(mixing, make_grid(f.support, 257, "simpson"))
+        assert mixing.second_moment.grid.same_lattice(grid)
 
     def test_symmetric_mixing_gives_symmetric_ratio(self):
         mix = FiniteMixture(np.array([0.5, 0.5]), np.array([[0.3], [0.7]]), 8, GAUSS)
@@ -373,7 +382,7 @@ class TestBoundConstants:
             bad.validate()
 
     def test_negative_rejected(self):
-        bad = BoundConstants(C1=-0.5)
+        bad = BoundConstants(C_hull=-0.5)
         with pytest.raises(ValueError, match="nonnegative"):
             bad.validate()
 

@@ -335,17 +335,30 @@ class TestCli:
         ("bounds", "density.name = truncated-normal\nepsilon = -0.01\n", "epsilon"),
         ("mle-risk", "density.name = truncated-normal\nfit.restarts = 0\n", "fit.restarts"),
         ("mle-risk", "density.name = truncated-normal\nfit.max_iters = 0\n", "fit.max_iters"),
+        ("check-identity", "k.list = 4,2\n", "strictly increasing k.list"),
+        ("check-identity", "k.list = 2,2\n", "strictly increasing k.list"),
+        ("bounds", "density.name = truncated-normal\nseed = -1\n", "seed"),
     ], ids=["empty-k-grid", "k-grid-below-1", "means-per-axis-below-1",
             "unknown-density", "unknown-kernel", "mle-risk-compact-kernel",
             "mle-risk-n-above-N", "mle-risk-heldout-n-above-N", "mle-risk-N-of-1",
             "interior-margin-half", "interior-margin-negative", "mean-box-one-number",
             "mean-box-reversed", "mle-risk-mean-box-zero-width", "delta-zero", "one-grid-point", "even-points-simpson",
-            "negative-epsilon", "no-restarts", "no-em-iterations"])
+            "negative-epsilon", "no-restarts", "no-em-iterations",
+            "check-identity-k-decreasing", "check-identity-k-repeated", "negative-seed"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, study, text, message):
         cfg = self._write(tmp_path, f"study = {study}\n{text}")
         out = tmp_path / "res.csv"
         assert cli_main([study, "--config", str(cfg), "--out", str(out)]) == 2
         assert any(line.startswith("error: ") and message in line
+                   for line in capsys.readouterr().err.splitlines())
+        assert not out.exists()
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "study = mle-risk\ndensity.name = truncated-normal\n")
+        out = tmp_path / "res.csv"
+        assert cli_main(["mle-risk", "--config", str(cfg), "--out", str(out),
+                         "--seed", "-5"]) == 2
+        assert any(line.startswith("error: ") and "seed" in line
                    for line in capsys.readouterr().err.splitlines())
         assert not out.exists()
 

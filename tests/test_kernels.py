@@ -185,10 +185,6 @@ class TestDilation:
         for mass in cert.masses:
             assert abs(mass - 1.0) <= 1e-6
 
-    def test_limit_point(self):
-        d = dilate(make_product_kernel("gaussian", 1), 3)
-        assert d.limit_point == math.inf
-
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -12,14 +12,15 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from mixapprox import mixtures
-from mixapprox.bounds import hull_kl_constant
+from mixapprox.bounds import hull_kl_constant, target_kl_constant
 from mixapprox.densities import make_target
 from mixapprox.divergences import lq_norm
-from mixapprox.grids import GridFunction, cube, make_grid, sample_on_grid
+from mixapprox.grids import GridFunction, convolve, cube, make_grid, sample_on_grid
 from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
 from mixapprox.mixtures import (
     FiniteMixture,
     MeanBox,
+    MixingApproximant,
     MixtureDictionary,
     build_dictionary,
     build_mixing_approximant,
@@ -82,7 +83,8 @@ class TestFiniteMixture:
 class TestComponentEvaluator:
     """Every caller of the one component evaluator against a per-mean loop of
     Dilation.log_pdf: exact on the per-axis route, within 1e-10 on the
-    Gaussian p > 1 route, which takes the centred GEMM."""
+    Gaussian p > 1 route, which takes the centred GEMM.  The integral-ratio
+    constants, which read convolutions, meet the same loop within 1e-10."""
 
     @staticmethod
     def _case(name, p, k):
@@ -114,7 +116,7 @@ class TestComponentEvaluator:
     def test_dictionary_evaluate_at(self, name, p, k):
         kernel, means, x, ref = self._case(name, p, k)
         grid = make_grid(cube(-1.0, 1.0, p), 3, "simpson")
-        dictionary = MixtureDictionary(kernel, k, means, grid, np.empty((6, 3 ** p)))
+        dictionary = MixtureDictionary(kernel, k, means, grid)
         got = dictionary.evaluate_at(x)
         assert got.shape == (6, 200)
         # No value here underflows, so a relative bound is one on the logs.
@@ -123,17 +125,25 @@ class TestComponentEvaluator:
             assert np.array_equal(dictionary.evaluate_at(x[:, 0]), got)
 
     def test_hull_kl_constant_on_finite_mixture(self, name, p, k):
-        kernel, means, _, _ = self._case(name, p, k)
-        weights = np.arange(1.0, 7.0) / 21.0
-        grid = make_grid(cube(-1.0, 1.0, p), 9, "simpson")
-        pts = grid.mesh().reshape(-1, p)
+        # A mixing approximant is the finite mixture over its grid nodes m_j,
+        # with weights f(m_j) W_j: both constants against the per-mean loop
+        # on that mixture.  9 nodes per axis keep 4 nodes per 1/k at k = 8;
+        # the realized field is the exact per-axis sum, with no widened grid.
+        kernel = make_product_kernel(name, p)
         dil = Dilation(kernel, k)
-        comp = np.exp(np.stack([dil.log_pdf(pts - m) for m in means], axis=1))
+        grid = make_grid(cube(-0.125, 0.125, p), 9, "simpson")
+        f_gf = sample_on_grid(make_target("truncated-normal", p).pdf, grid)
+        mixing = MixingApproximant(f_gf, kernel, k, convolve(f_gf, dil, out_grid=grid))
+        pts = grid.mesh().reshape(-1, p)
+        weights = (f_gf.values * grid.weight_tensor()).ravel()
+        comp = np.exp(np.stack([dil.log_pdf(pts - m) for m in pts], axis=1))
         numer, denom = comp ** 2 @ weights, comp @ weights
         ratio = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
-        ref = grid.integrate(ratio.reshape(grid.shape))
-        got = hull_kl_constant(FiniteMixture(weights, means, k, kernel), grid)
-        self._check(got, ref, name == "gaussian" and p > 1, relative=True)
+        hull = grid.integrate(ratio.reshape(grid.shape))
+        ratio = np.where(denom > 0, numer / np.maximum(denom, 1e-300) ** 2, 0.0)
+        target = grid.integrate(ratio.reshape(grid.shape) * f_gf.values)
+        assert_allclose(hull_kl_constant(mixing), hull, rtol=1e-10, atol=0.0)
+        assert_allclose(target_kl_constant(mixing), target, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -700,8 +710,7 @@ class TestGreedyFit:
         from mixapprox.mixtures import MixtureDictionary
 
         _, grid, fbar, dictionary = self._setup(means=65, n_pts=1025)
-        empty = MixtureDictionary(GAUSS, 16, np.empty((0, 1)), grid,
-                                  np.empty((0, grid.points_per_axis)))
+        empty = MixtureDictionary(GAUSS, 16, np.empty((0, 1)), grid)
         with pytest.raises(ValueError, match="empty"):
             greedy_fit(fbar, empty, 4)
 
@@ -822,7 +831,7 @@ def _greedy_table_oracle(target, D, dictionary, n_max, objective):
 
 
 class TestGreedyMatchesTableOracle:
-    """greedy_fit on the weighted table and slab-built norms against the fit
+    """greedy_fit on its slab-built weighted table and norms against the fit
     on a full value table and its weighted copy, bit for bit."""
 
     @pytest.mark.parametrize("kernel_name, dim, objective, n_max", [
@@ -842,8 +851,9 @@ class TestGreedyMatchesTableOracle:
         D = _lattice_table(kernel, k, box, means, grid)
         W = grid.weight_tensor().ravel()
         assert np.array_equal(dictionary.values, D)
-        assert np.array_equal(dictionary.weighted, D * W[None, :])
-        assert np.array_equal(dictionary.sqnorms, np.einsum("ij,ij->i", D * W[None, :], D))
+        weighted, sqnorms = mixtures._weighted_table(dictionary, W)
+        assert np.array_equal(weighted, D * W[None, :])
+        assert np.array_equal(sqnorms, np.einsum("ij,ij->i", D * W[None, :], D))
 
         fit = greedy_fit(fbar, dictionary, n_max, objective=objective)
         ref, ties, fallbacks = _greedy_table_oracle(fbar, D, dictionary, n_max, objective)
@@ -865,8 +875,8 @@ class TestGreedyMatchesTableOracle:
             assert ties > 0 and fallbacks > 0
 
     def test_greedy_holds_one_table(self):
-        # 17^2 means on a 129^2 grid: the weighted table is 38 MB, and the
-        # build and the fit add only slabs and vectors on top of it.
+        # 17^2 means on a 129^2 grid: the fit's weighted table is M G 8 bytes,
+        # 38 MB, and the fit adds only slabs and vectors on top of it.
         f = make_target("truncated-normal", 2)
         grid = make_grid(f.support, 129, "simpson")
         fbar = build_mixing_approximant(f, make_product_kernel("gaussian", 2), 8, grid).realized
@@ -878,7 +888,7 @@ class TestGreedyMatchesTableOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * dictionary.weighted.nbytes
+        assert peak < 1.3 * dictionary.size * grid.weight_tensor().size * 8
 
 
 class TestMixingApproximant:

@@ -15,7 +15,6 @@ from .grids import (
     restrict,
     sample_on_grid,
     young_inequality_check,
-    zero_extend,
 )
 from .kernels import (
     Dilation,
@@ -41,14 +40,10 @@ from .densities import (
 )
 from .divergences import (
     AbsoluteContinuityError,
-    DivergenceReport,
     Lemma13Report,
-    divergence_report,
-    empirical_distance,
     kl_divergence,
     kl_l2_bound_check,
     lq_norm,
-    tv_distance,
 )
 from .mixtures import (
     EMFit,

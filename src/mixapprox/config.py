@@ -91,6 +91,8 @@ class ExperimentConfig:
             (self.means_per_axis < 1, "dictionary.means_per_axis must be >= 1"),
             (self.fit_restarts < 1, "fit.restarts must be >= 1"),
             (self.fit_max_iters < 1, "fit.max_iters must be >= 1"),
+            (not (math.isfinite(self.fit_tol) and self.fit_tol >= 0),
+             "fit.tol must be a finite number >= 0"),
             (box and not (len(box) == 2 and all(map(math.isfinite, box)) and box[0] <= box[1]),
              "fit.mean_box must be two finite numbers lo, hi with lo <= hi"),
             # mle-risk fits by EM; the sqrt-log schedule divides by log N, and the

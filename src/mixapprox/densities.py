@@ -35,7 +35,7 @@ def _phi(x):
 
 
 class _UnivariateBase:
-    """Univariate building block: exact pdf, cdf, ppf, and certified bounds."""
+    """Univariate building block: exact pdf, exact sampler, certified bounds."""
 
     name = "abstract"
     lo = 0.0
@@ -75,9 +75,6 @@ class _Uniform01(_UnivariateBase):
         x = np.asarray(x, dtype=float)
         return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
 
-    def cdf(self, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-
     def ppf(self, u):
         return np.asarray(u, dtype=float)
 
@@ -115,10 +112,6 @@ class _Tent(_UnivariateBase):
         x = np.asarray(x, dtype=float)
         inside = (x >= 0.0) & (x <= 1.0)
         return np.where(inside, 2.0 - np.abs(4.0 * x - 2.0), 0.0)
-
-    def cdf(self, x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return np.where(x <= 0.5, 2.0 * x * x, 1.0 - 2.0 * (1.0 - x) ** 2)
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
@@ -158,10 +151,6 @@ class _TruncatedNormal(_UnivariateBase):
         u = (x - self.mu) / self.sigma
         return np.where(inside, _phi(u) / (self.sigma * self.z), 0.0)
 
-    def cdf(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-        return (ndtr((x - self.mu) / self.sigma) - self.cdf_a) / self.z
-
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         return self.mu + self.sigma * ndtri(self.cdf_a + u * self.z)
@@ -196,9 +185,6 @@ class _TwoTruncatedNormals(_UnivariateBase):
 
     def pdf(self, x):
         return 0.5 * (self.components[0].pdf(x) + self.components[1].pdf(x))
-
-    def cdf(self, x):
-        return 0.5 * (self.components[0].cdf(x) + self.components[1].cdf(x))
 
     def sample(self, n, rng):
         pick = rng.random(n) < 0.5

@@ -8,7 +8,6 @@ it is never floored away.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,56 +22,15 @@ from .grids import (
 
 __all__ = [
     "AbsoluteContinuityError",
-    "DivergenceReport",
     "Lemma13Report",
-    "divergence_report",
     "lq_norm",
-    "tv_distance",
     "kl_divergence",
-    "empirical_distance",
     "kl_l2_bound_check",
 ]
 
 
 class AbsoluteContinuityError(ValueError):
     """The approximant vanishes where the target has mass; KL is undefined."""
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    """One measured divergence value with its numerical context."""
-
-    metric: str          # l1 | l2 | linf | tv | kl | dn
-    order: float
-    value: float
-    grid_resolution: int
-    truncation_loss: float
-
-
-def divergence_report(metric: str, f: GridFunction, g: GridFunction) -> DivergenceReport:
-    """Measure one named divergence between two grid densities."""
-    orders = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
-    if metric in orders:
-        value = lq_norm(f - g, orders[metric])
-        order = orders[metric]
-    elif metric == "tv":
-        value, order = tv_distance(f, g), 1.0
-    elif metric == "kl":
-        value, order = kl_divergence(f, g), 1.0
-    else:
-        raise ValueError(f"unknown metric {metric!r}; expected l1, l2, linf, tv, kl")
-    return DivergenceReport(
-        metric=metric,
-        order=order,
-        value=value,
-        grid_resolution=f.grid.points_per_axis,
-        truncation_loss=f.truncation_loss + g.truncation_loss,
-    )
-
-
-def _common_grid(f: GridFunction, g: GridFunction):
-    if not f.grid.same_lattice(g.grid):
-        raise GridCompatibilityError("densities live on different grids")
 
 
 def lq_norm(h: GridFunction, q) -> float:
@@ -82,18 +40,13 @@ def lq_norm(h: GridFunction, q) -> float:
     return _lq_norm_values(h.grid, h.values, q)
 
 
-def tv_distance(f: GridFunction, g: GridFunction) -> float:
-    """Half the L1 distance, on the same quadrature path as lq_norm."""
-    _common_grid(f, g)
-    return 0.5 * lq_norm(f - g, 1)
-
-
 def kl_divergence(f: GridFunction, g: GridFunction) -> float:
     """Divergence sum of f log(f/g) over nodes where f > 0.
 
     Small negative quadrature residues (within -1e-9) clip to zero.
     """
-    _common_grid(f, g)
+    if not f.grid.same_lattice(g.grid):
+        raise GridCompatibilityError("densities live on different grids")
     fv = f.values
     gv = g.values
     mask = fv > 0.0
@@ -107,20 +60,6 @@ def kl_divergence(f: GridFunction, g: GridFunction) -> float:
     if -1e-9 <= value < 0.0:
         return 0.0
     return value
-
-
-def empirical_distance(f, g, xs) -> float:
-    """Root mean square difference of two evaluatable densities at sample points.
-
-    The squared form divides the summed squared differences by the sample
-    count; squaring the returned value recovers it.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise ValueError("empty sample")
-    fd = np.asarray(f(xs), dtype=float)
-    gd = np.asarray(g(xs), dtype=float)
-    return float(np.sqrt(np.mean((fd - gd) ** 2)))
 
 
 @dataclass(frozen=True)

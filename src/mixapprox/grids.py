@@ -25,7 +25,6 @@ __all__ = [
     "make_grid",
     "sample_on_grid",
     "quadrature_integrate",
-    "zero_extend",
     "restrict",
     "convolve",
     "grid_convolve",
@@ -68,14 +67,6 @@ class SupportBox:
     @property
     def dim(self) -> int:
         return len(self.lower)
-
-    @property
-    def edge_lengths(self) -> tuple:
-        return tuple(b - a for a, b in zip(self.lower, self.upper))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.edge_lengths))
 
     def contains_box(self, other: "SupportBox", tol: float = 1e-12) -> bool:
         return all(
@@ -202,25 +193,12 @@ class GridFunction:
     def mass(self) -> float:
         return self.grid.integrate(self.values)
 
-    def _binary(self, other, op):
+    def __sub__(self, other):
         if isinstance(other, GridFunction):
             if not self.grid.same_lattice(other.grid):
                 raise GridCompatibilityError("grid functions live on different lattices")
             other = other.values
-        return GridFunction(self.grid, op(self.values, other))
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            return self._binary(other, np.multiply)
-        return GridFunction(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
+        return GridFunction(self.grid, self.values - other)
 
 
 def sample_on_grid(fn, grid: TensorGrid) -> GridFunction:
@@ -245,36 +223,7 @@ def _lq_norm_values(grid: TensorGrid, values: np.ndarray, q) -> float:
     return float(grid.integrate(np.abs(values) ** q) ** (1.0 / q))
 
 
-def zero_extend(density, widened: SupportBox, points_per_axis: int,
-                rule: str = "simpson") -> GridFunction:
-    """Sample a compactly supported density on a wider box; zero outside support.
-
-    Nodes that land exactly on a support edge with the widened box extending
-    beyond it take the jump-midpoint value (half the inside limit), which
-    keeps the quadrature mass of boundary-discontinuous densities exact.
-    """
-    if not widened.contains_box(density.support):
-        raise ValueError("widened box does not contain the density support")
-    grid = make_grid(widened, points_per_axis, rule)
-    gf = sample_on_grid(density.pdf, grid)
-    for axis in range(grid.dim):
-        nodes = grid.nodes[axis]
-        tol = 1e-9 * (nodes[-1] - nodes[0])
-        for support_edge, widened_edge in (
-            (density.support.lower[axis], widened.lower[axis]),
-            (density.support.upper[axis], widened.upper[axis]),
-        ):
-            if abs(support_edge - widened_edge) <= tol:
-                continue  # trapezoid edge weights already treat this boundary
-            hits = np.abs(nodes - support_edge) <= tol
-            if np.any(hits):
-                sl = [slice(None)] * grid.dim
-                sl[axis] = hits
-                gf.values[tuple(sl)] *= 0.5
-    return gf
-
-
-def restrict(gf: GridFunction, box: SupportBox, rule: str | None = None) -> GridFunction:
+def restrict(gf: GridFunction, box: SupportBox) -> GridFunction:
     """Restrict a grid function to a sub-box whose corners lie on the lattice."""
     src = gf.grid
     h = src.spacing
@@ -293,7 +242,7 @@ def restrict(gf: GridFunction, box: SupportBox, rule: str | None = None) -> Grid
     if len(counts) != 1:
         raise GridCompatibilityError("restriction must keep a common per-axis count")
     n = counts.pop()
-    rule = rule or src.rule
+    rule = src.rule
     if rule == "simpson" and n % 2 == 0:
         rule = "trapezoid"
     sub = make_grid(box, n, rule)
@@ -312,10 +261,14 @@ def _kernel_axis_offsets(out_grid: TensorGrid, in_grid: TensorGrid) -> list:
     return offs
 
 
+def _widening(grid: TensorGrid, radius: float) -> int:
+    """Nodes the default output grid adds on each side for a kernel radius."""
+    return max(max(int(math.ceil(radius / h - 1e-12)) for h in grid.spacing), 0)
+
+
 def _default_out_grid(f: GridFunction, radius: float) -> TensorGrid:
     grid = f.grid
-    ext = max(int(math.ceil(radius / h - 1e-12)) for h in grid.spacing)
-    ext = max(ext, 0)
+    ext = _widening(grid, radius)
     lo = tuple(a - ext * h for a, h in zip(grid.box.lower, grid.spacing))
     hi = tuple(b + ext * h for b, h in zip(grid.box.upper, grid.spacing))
     return make_grid(SupportBox(lo, hi), grid.points_per_axis + 2 * ext, grid.rule)

@@ -29,6 +29,7 @@ from .mixtures import (
     MixtureDictionary,
     build_dictionary,
     build_mixing_approximant,
+    check_approximant_size,
     check_dictionary_size,
     greedy_fit,
     lattice_means,
@@ -229,6 +230,7 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
     grid = _study_grid(cfg, f.support)
     _config_guard(check_resolution, grid, k)
     _config_guard(check_dictionary_size, cfg.means_per_axis, grid)
+    _config_guard(check_approximant_size, kernel, k, grid)
     mixing = build_mixing_approximant(f, kernel, k, grid)
     f_gf, fbar = mixing.target, mixing.realized
     beta = min(f.beta_lower, float(fbar.values.min()))
@@ -493,6 +495,7 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     if math.isfinite(consts.A_logratio):
         consts.gamma = bnd.compute_gamma(consts.A_logratio)
         _config_guard(check_resolution, grid, k)
+        _config_guard(check_approximant_size, kernel, k, grid)
         mixing = build_mixing_approximant(f, kernel, k, grid)
         consts.C_hull = bnd.hull_kl_constant(mixing)
         consts.C_target = bnd.target_kl_constant(mixing)

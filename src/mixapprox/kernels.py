@@ -340,9 +340,7 @@ def make_product_kernel(marginal_name: str, dim: int) -> ProductKernel:
 
 
 def dilate(kernel: ProductKernel, k: int) -> Dilation:
-    if int(k) < 1:
-        raise ValueError("dilation scale k must be a positive integer")
-    return Dilation(kernel, int(k))
+    return Dilation(kernel, k)
 
 
 def _l1_inside_mass(marginal: UnivariateKernel, p: int, s: float) -> float:
@@ -365,20 +363,11 @@ def _l1_inside_mass(marginal: UnivariateKernel, p: int, s: float) -> float:
     return float(min(2.0 * val, 1.0))
 
 
-def l1_outside_mass(kernel, delta: float) -> float:
-    """Mass of the kernel outside the l1 ball of the given radius.
-
-    Accepts a ProductKernel or a Dilation (for which the threshold rescales).
-    """
-    if isinstance(kernel, Dilation):
-        marginal = kernel.base.marginal
-        p = kernel.dim
-        s = float(delta) * kernel.k
-    else:
-        marginal = kernel.marginal
-        p = kernel.dim
-        s = float(delta)
-    return float(min(max(1.0 - _l1_inside_mass(marginal, p, s), 0.0), 1.0))
+def l1_outside_mass(dilation: Dilation, delta: float) -> float:
+    """Mass of a dilated kernel outside the l1 ball of radius delta."""
+    s = float(delta) * dilation.k
+    inside = _l1_inside_mass(dilation.base.marginal, dilation.dim, s)
+    return float(min(max(1.0 - inside, 0.0), 1.0))
 
 
 def _axis_mass(marginal: UnivariateKernel, k: int, n_points: int = 4097) -> float:
@@ -417,13 +406,9 @@ class IdentityCertification:
     passed: bool
 
 
-def certify_approximate_identity(kernel, deltas, ks) -> IdentityCertification:
-    """Certify that dilations of a product kernel concentrate at the origin.
-
-    Accepts the base ProductKernel or any Dilation of it; the certification
-    always sweeps the scale indices in `ks`.
-    """
-    base = kernel.base if isinstance(kernel, Dilation) else kernel
+def certify_approximate_identity(base: ProductKernel, deltas, ks) -> IdentityCertification:
+    """Certify that the dilations of a product kernel by each scale in `ks`
+    concentrate at the origin."""
     deltas = tuple(float(d) for d in deltas)
     ks = tuple(int(k) for k in ks)
     if any(d <= 0 for d in deltas):

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import fft as sp_fft
 
-from .grids import GridFunction, TensorGrid, convolve, restrict, sample_on_grid
+from .grids import (TRUNCATION_TOL, GridFunction, TensorGrid, _widening, convolve,
+                    restrict, sample_on_grid)
 from .kernels import Dilation, ProductKernel, SquaredDilation, dilate
 
 __all__ = [
@@ -200,10 +202,7 @@ class FiniteMixture:
 
     def sample(self, n: int, rng) -> np.ndarray:
         comp = rng.choice(self.n, size=n, p=self.weights)
-        z = self.kernel.sample(n, rng) / self.k
-        if z.ndim == 1:
-            z = z[:, None]
-        return self.means[comp] + z
+        return self.means[comp] + Dilation(self.kernel, self.k).sample(n, rng)
 
 
 def mixture_sample(mix: FiniteMixture, seed, n: int) -> np.ndarray:
@@ -694,6 +693,29 @@ class MixingApproximant:
                         out_grid=self.realized.grid)
 
 
+# Points of the padded FFT lattice build_mixing_approximant may take in dim > 1,
+# about 28 bytes each at the peak: a 400^3 lattice (3-D gaussian, k = 2, on
+# the default grid) peaks 1.7 GiB above the interpreter's own footprint.
+_APPROXIMANT_FFT_POINTS = 1 << 26
+
+
+def check_approximant_size(kernel: ProductKernel, k: int, grid: TensorGrid) -> None:
+    """Size guard of the widened FFT that :func:`build_mixing_approximant`
+    takes in dim > 1, with that convolution's arithmetic: n input nodes per
+    axis against the kernel on n_out + n - 1 offsets, n_out = n + 2 ext,
+    padded to the next fast length."""
+    if grid.dim == 1:
+        return
+    n = grid.points_per_axis
+    n_out = n + 2 * _widening(grid, Dilation(kernel, k).radius(TRUNCATION_TOL))
+    side = sp_fft.next_fast_len(n + (n_out + n - 1) - 1, True)
+    if side ** grid.dim > _APPROXIMANT_FFT_POINTS:
+        raise ValueError(
+            f"the smoothed target's FFT lattice ({side}^{grid.dim} points) would "
+            "exceed the memory guard of 2^26 points"
+        )
+
+
 def build_mixing_approximant(target, kernel: ProductKernel, k: int,
                              grid: TensorGrid) -> MixingApproximant:
     """Sample a target on the grid and convolve it with the dilated kernel onto it."""
@@ -704,7 +726,7 @@ def build_mixing_approximant(target, kernel: ProductKernel, k: int,
         # only in the last bits, but greedy_fit's golden-section L2 step settles
         # its weights only to rounding noise, so those bits move the KL of the
         # 2-D greedy iterates by ~1e-6 relative.  A closed-form L2 step would
-        # let this take the per-axis sum too.
+        # let this take the per-axis sum too, and check_approximant_size go.
         realized = restrict(convolve(f_gf, dil, method="fft"), grid.box)
     else:
         realized = convolve(f_gf, dil, out_grid=grid)

@@ -1,17 +1,17 @@
-"""Tests for norms, total variation, KL divergence, and the KL-L2 bound."""
+"""Tests for norms, total variation, KL divergence, the KL-L2 bound, and the
+empirical rms distance of the covering numbers."""
 
 import math
 
 import numpy as np
 import pytest
 
+from mixapprox.bounds import _rms_distances
 from mixapprox.divergences import (
     AbsoluteContinuityError,
-    empirical_distance,
     kl_divergence,
     kl_l2_bound_check,
     lq_norm,
-    tv_distance,
 )
 from mixapprox.grids import GridFunction, cube, make_grid, sample_on_grid
 from mixapprox.densities import make_target
@@ -41,17 +41,19 @@ class TestLqNorm:
 
 
 class TestTvDistance:
+    """Total variation is half the L1 distance: lq_norm(f - g, 1) = 2 TV."""
+
     def test_identical_is_zero(self):
         grid = make_grid(cube(0.0, 1.0, 1), 257, "simpson")
         u = _uniform_gf(grid)
-        assert tv_distance(u, u) == 0.0
+        assert lq_norm(u - u, 1) == 0.0
 
     def test_disjoint_boxes(self):
         grid = make_grid(cube(0.0, 3.0, 1), 3073, "trapezoid")
         x = grid.nodes[0]
         f = GridFunction(grid, np.where(x <= 1.0, 1.0, 0.0))
         g = GridFunction(grid, np.where(x >= 2.0, 1.0, 0.0))
-        assert tv_distance(f, g) == pytest.approx(1.0, abs=2e-3)
+        assert lq_norm(f - g, 1) == pytest.approx(2.0, abs=2e-3)
 
     def test_half_shifted_boxes(self):
         grid = make_grid(cube(0.0, 1.5, 1), 1537, "trapezoid")
@@ -60,21 +62,14 @@ class TestTvDistance:
         g = GridFunction(grid, np.where(x >= 0.5, 1.0, 0.0))
         # Interior jumps cost half a cell each on the lattice; frozen value.
         h = grid.spacing[0]
-        assert tv_distance(f, g) == pytest.approx(0.5 - h / 2, abs=1e-12)
-        assert tv_distance(f, g) == pytest.approx(0.5, abs=1e-3)
-
-    def test_matches_l1_path(self):
-        f = make_target("tent", 1)
-        g = make_target("uniform-box", 1)
-        grid = make_grid(f.support, 2049, "simpson")
-        fg, gg = sample_on_grid(f.pdf, grid), sample_on_grid(g.pdf, grid)
-        assert tv_distance(fg, gg) == 0.5 * lq_norm(fg - gg, 1)
+        assert lq_norm(f - g, 1) == pytest.approx(1.0 - h, abs=1e-12)
+        assert lq_norm(f - g, 1) == pytest.approx(1.0, abs=1e-3)
 
     def test_grid_mismatch(self):
         a = _uniform_gf(make_grid(cube(0.0, 1.0, 1), 65, "trapezoid"))
         b = _uniform_gf(make_grid(cube(0.0, 2.0, 1), 65, "trapezoid"))
         with pytest.raises(ValueError):
-            tv_distance(a, b)
+            lq_norm(a - b, 1)
 
 
 class TestKlDivergence:
@@ -130,37 +125,38 @@ class TestKlDivergence:
             gg = sample_on_grid(lambda p: g.pdf(2.0 * p - 1.0) * 2.0, grid)
             vals[tag] = (
                 kl_divergence(fg, gg),
-                tv_distance(fg, gg),
+                lq_norm(fg - gg, 1),
                 lq_norm(fg - gg, 2),
             )
         for a, b in zip(vals["coarse"], vals["fine"]):
             assert abs(a - b) < 1e-4
 
 
+def _rms_distance(f, g, xs):
+    """Empirical rms distance of two densities, as one entry of the table the
+    covering numbers read: two rows, one per density."""
+    return _rms_distances(np.stack([f(xs), g(xs)]))[0, 1]
+
+
 class TestEmpiricalDistance:
     def test_identical(self):
         f = make_target("tent", 1)
         xs = np.linspace(0.1, 0.9, 33)[:, None]
-        assert empirical_distance(f.pdf, f.pdf, xs) == 0.0
+        assert _rms_distance(f.pdf, f.pdf, xs) == 0.0
 
     def test_constant_gap(self):
         xs = np.linspace(0.0, 1.0, 10)[:, None]
-        d = empirical_distance(lambda x: np.ones(x.shape[0]),
-                               lambda x: np.full(x.shape[0], 0.5), xs)
+        d = _rms_distance(lambda x: np.ones(x.shape[0]),
+                          lambda x: np.full(x.shape[0], 0.5), xs)
         assert d == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_direct_recomputation(self):
         f = make_target("uniform-box", 1)
         g = make_target("tent", 1)
         xs = np.linspace(0.0, 1.0, 128)[:, None]
-        d = empirical_distance(f.pdf, g.pdf, xs)
+        d = _rms_distance(f.pdf, g.pdf, xs)
         oracle = math.sqrt(np.mean((f.pdf(xs) - g.pdf(xs)) ** 2))
         assert d == pytest.approx(oracle, abs=1e-12)
-
-    def test_empty_sample(self):
-        f = make_target("tent", 1)
-        with pytest.raises(ValueError):
-            empirical_distance(f.pdf, f.pdf, np.empty((0, 1)))
 
 
 class TestKlL2Bound:
@@ -198,27 +194,3 @@ class TestKlL2Bound:
                 v = v + rng.uniform(-0.2, 0.2) * np.sin(2 * np.pi * j * x)
             rep = kl_l2_bound_check(f, GridFunction(grid, v))
             assert rep.passed
-
-
-class TestDivergenceReport:
-    def test_report_fields(self):
-        from mixapprox.divergences import divergence_report
-
-        f = make_target("tent", 1)
-        g = make_target("uniform-box", 1)
-        grid = make_grid(cube(0.0, 1.0, 1), 1025, "simpson")
-        fg, gg = sample_on_grid(f.pdf, grid), sample_on_grid(g.pdf, grid)
-        for metric in ("l1", "l2", "linf", "tv", "kl"):
-            rep = divergence_report(metric, fg, gg)
-            assert rep.value >= 0.0
-            assert rep.grid_resolution == 1025
-            if metric == "tv":
-                assert rep.value <= 1.0 + 1e-6
-
-    def test_unknown_metric(self):
-        from mixapprox.divergences import divergence_report
-
-        grid = make_grid(cube(0.0, 1.0, 1), 65, "simpson")
-        u = _uniform_gf(grid)
-        with pytest.raises(ValueError, match="unknown metric"):
-            divergence_report("hellinger", u, u)

@@ -17,7 +17,6 @@ from mixapprox.grids import (
     restrict,
     sample_on_grid,
     young_inequality_check,
-    zero_extend,
 )
 from mixapprox.kernels import SquaredDilation, dilate, make_product_kernel
 from mixapprox.densities import make_target, truncated_normal_density
@@ -30,7 +29,6 @@ class TestSupportBox:
         with pytest.raises(ValueError):
             SupportBox((0.0,), (np.inf,))
         box = cube(0.0, 1.0, 2)
-        assert box.volume == 1.0
         assert box.contains_box(cube(0.2, 0.8, 2))
         assert not box.contains_box(cube(-0.1, 0.5, 2))
 
@@ -83,31 +81,6 @@ class TestQuadrature:
         mesh = g.mesh()
         gf = GridFunction(g, mesh[..., 0] * mesh[..., 1] ** 2)
         assert quadrature_integrate(gf) == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-
-class TestZeroExtend:
-    def test_values_and_mass(self):
-        f = make_target("uniform-box", 1)
-        gf = zero_extend(f, cube(-1.0, 2.0, 1), 3073, "trapezoid")
-        x = gf.grid.nodes[0]
-        assert gf.values[np.searchsorted(x, -0.5)] == 0.0
-        assert gf.mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_tent_mass(self):
-        f = make_target("tent", 1)
-        gf = zero_extend(f, cube(-2.0, 3.0, 1), 5121, "trapezoid")
-        assert gf.mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_identity_extension(self):
-        f = make_target("tent", 1)
-        gf = zero_extend(f, f.support, 2049, "simpson")
-        direct = sample_on_grid(f.pdf, make_grid(f.support, 2049, "simpson"))
-        assert_allclose(gf.values, direct.values)
-
-    def test_requires_containment(self):
-        f = make_target("uniform-box", 1)
-        with pytest.raises(ValueError):
-            zero_extend(f, cube(0.25, 0.75, 1), 129)
 
 
 def _tilted(gf):

@@ -295,7 +295,16 @@ class TestCli:
                      "n.list = 2\nN.list = 100\nreplications = 1\n"
                      "heldout.n = 2\nheldout.N = 100\n",
          "too coarse"),
-    ], ids=["dictionary-table", "conv-rate-resolution", "mle-risk-resolution"])
+        # 3-D Laplace at k = 2 on the default 65^3 grid: the smoothed target's
+        # widened FFT would pad to 900^3 points, about 19 GiB.
+        ("mix-rate", "density.name = truncated-normal\ndensity.dim = 3\n"
+                     "kernel.name = laplace\nk.list = 2\ndictionary.means_per_axis = 4\n",
+         "900^3 points"),
+        ("bounds", "density.name = truncated-normal\ndensity.dim = 3\n"
+                   "kernel.name = laplace\nk.list = 2\nn.list = 4\nN.list = 1000\n",
+         "900^3 points"),
+    ], ids=["dictionary-table", "conv-rate-resolution", "mle-risk-resolution",
+            "mix-rate-approximant-fft", "bounds-approximant-fft"])
     def test_guard_is_a_config_error(self, tmp_path, capsys, study, text, message):
         # Configs that pass validate() but trip a library input guard exit 2
         # before any expensive stage, not with a traceback.
@@ -335,6 +344,8 @@ class TestCli:
         ("bounds", "density.name = truncated-normal\nepsilon = -0.01\n", "epsilon"),
         ("mle-risk", "density.name = truncated-normal\nfit.restarts = 0\n", "fit.restarts"),
         ("mle-risk", "density.name = truncated-normal\nfit.max_iters = 0\n", "fit.max_iters"),
+        ("mle-risk", "density.name = truncated-normal\nfit.tol = nan\n", "fit.tol"),
+        ("mle-risk", "density.name = truncated-normal\nfit.tol = -1\n", "fit.tol"),
         ("check-identity", "k.list = 4,2\n", "strictly increasing k.list"),
         ("check-identity", "k.list = 2,2\n", "strictly increasing k.list"),
         ("bounds", "density.name = truncated-normal\nseed = -1\n", "seed"),
@@ -343,7 +354,8 @@ class TestCli:
             "mle-risk-n-above-N", "mle-risk-heldout-n-above-N", "mle-risk-N-of-1",
             "interior-margin-half", "interior-margin-negative", "mean-box-one-number",
             "mean-box-reversed", "mle-risk-mean-box-zero-width", "delta-zero", "one-grid-point", "even-points-simpson",
-            "negative-epsilon", "no-restarts", "no-em-iterations",
+            "negative-epsilon", "no-restarts", "no-em-iterations", "fit-tol-nan",
+            "fit-tol-negative",
             "check-identity-k-decreasing", "check-identity-k-repeated", "negative-seed"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, study, text, message):
         cfg = self._write(tmp_path, f"study = {study}\n{text}")
@@ -562,6 +574,28 @@ def test_benchmark_traced_names_resolve():
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_public_names_resolve():
+    # Every name a module exports exists, and every name the package imports
+    # from a module is one that module exports.
+    import ast
+    import importlib
+    import pkgutil
+
+    import mixapprox
+
+    for info in pkgutil.iter_modules(mixapprox.__path__):
+        module = importlib.import_module(f"mixapprox.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
+    tree = ast.parse(Path(mixapprox.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        exported = importlib.import_module(f"mixapprox.{node.module}").__all__
+        for alias in node.names:
+            assert alias.name in exported, f"{node.module}.{alias.name}"
 
 
 def test_benchmark_counters_read_real_results():

@@ -248,12 +248,6 @@ class TestCertification:
         assert all(b < a for a, b in zip(seq, seq[1:]))
         assert seq[-1] < 1e-6
 
-    def test_accepts_dilation_argument(self):
-        d = dilate(make_product_kernel("gaussian", 1), 4)
-        cert = certify_approximate_identity(d, deltas=(0.25, 0.5), ks=(1, 2, 4, 8, 16, 32))
-        assert cert.kernel_name == "gaussian"
-        assert cert.passed
-
     def test_compact_kernel_exact_zero(self):
         cert = certify_approximate_identity(
             make_product_kernel("uniform-symmetric", 1), deltas=(0.5,), ks=(1, 2, 4))

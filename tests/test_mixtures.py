@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from mixapprox import mixtures
+from mixapprox import grids, mixtures
 from mixapprox.bounds import hull_kl_constant, target_kl_constant
-from mixapprox.densities import make_target
+from mixapprox.densities import default_points_per_axis, make_target
 from mixapprox.divergences import lq_norm
 from mixapprox.grids import GridFunction, convolve, cube, make_grid, sample_on_grid
 from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
@@ -741,6 +741,29 @@ def test_dictionary_table_equals_the_per_mean_loop(name, p, k):
     assert np.array_equal(dictionary.values, ref)
 
 
+@st.composite
+def _greedy_inputs(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    values = draw(arrays(float, (33 if dim == 1 else 9,) * dim,
+                         elements=st.floats(0.0, 2.0)))
+    return (values, draw(st.sampled_from(["gaussian", "laplace"])),
+            draw(st.sampled_from([2, 4])), draw(st.integers(2, 7)),
+            draw(st.sampled_from(["l2", "kl"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_greedy_inputs())
+def test_greedy_objective_never_increases(inputs):
+    # Any nonnegative target, not only a density, on 1-D and 2-D grids.
+    values, kernel_name, k, means_per_axis, objective = inputs
+    dim = values.ndim
+    grid = make_grid(cube(-1.0, 1.0, dim), values.shape[0], "simpson")
+    dictionary = build_dictionary(make_product_kernel(kernel_name, dim), k,
+                                  MeanBox(-1.0, 1.0, dim), means_per_axis, grid)
+    fit = greedy_fit(GridFunction(grid, values), dictionary, 6, objective=objective)
+    assert np.all(np.diff(fit.objectives) <= 1e-12)
+
+
 def _lattice_table(kernel, k, box, means_per_axis, grid):
     # The whole (M, G) table from one lattice_pdf call on the (m,)*p + (n,)*p
     # offset lattice: the reference for the slab-built table.
@@ -917,3 +940,43 @@ class TestMixingApproximant:
             tracemalloc.stop()
         assert peak < 480 * 2 ** 20
         assert mixing.realized.grid.same_lattice(grid)
+
+    @pytest.mark.parametrize("dim, kernel_name, k, points", [
+        (2, "laplace", 4, 33), (2, "gaussian", 4, 65), (3, "gaussian", 2, 17),
+    ])
+    def test_size_guard_counts_the_fft_lattice(self, monkeypatch, dim, kernel_name, k, points):
+        # The guard's count is the padded lattice the widened FFT transforms:
+        # admitted at exactly that many points, refused one below.
+        f = make_target("truncated-normal", dim)
+        grid = make_grid(f.support, points, "simpson")
+        kernel = make_product_kernel(kernel_name, dim)
+        shapes, irfftn = [], grids.sp_fft.irfftn
+        monkeypatch.setattr(grids.sp_fft, "irfftn",
+                            lambda x, s, **kw: shapes.append(s) or irfftn(x, s, **kw))
+        build_mixing_approximant(f, kernel, k, grid)
+        padded = math.prod(shapes[-1])
+        monkeypatch.setattr(mixtures, "_APPROXIMANT_FFT_POINTS", padded)
+        mixtures.check_approximant_size(kernel, k, grid)
+        monkeypatch.setattr(mixtures, "_APPROXIMANT_FFT_POINTS", padded - 1)
+        with pytest.raises(ValueError, match="memory guard"):
+            mixtures.check_approximant_size(kernel, k, grid)
+
+    @pytest.mark.parametrize("dim, kernel_name, k, side, admitted", [
+        (2, "gaussian", 16, 900, True),     # the 2-D mix-rate benchmark
+        (2, "gaussian", 8, 972, True),      # the 2-D bounds benchmark
+        (2, "laplace", 1, 6400, True),
+        (3, "gaussian", 2, 400, True),
+        (3, "laplace", 2, 900, False),
+        (3, "laplace", 4, 576, False),
+    ])
+    def test_size_guard_on_the_default_grid(self, monkeypatch, dim, kernel_name, k, side,
+                                            admitted):
+        # Arithmetic only: nothing the guard refuses is allocated.
+        f = make_target("truncated-normal", dim)
+        grid = make_grid(f.support, default_points_per_axis(dim), "simpson")
+        kernel = make_product_kernel(kernel_name, dim)
+        if admitted:
+            mixtures.check_approximant_size(kernel, k, grid)
+            monkeypatch.setattr(mixtures, "_APPROXIMANT_FFT_POINTS", 0)
+        with pytest.raises(ValueError, match=rf"\({side}\^{dim} points\)"):
+            mixtures.check_approximant_size(kernel, k, grid)

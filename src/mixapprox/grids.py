@@ -2,8 +2,9 @@
 
 Every integral in the package is realized as a tensor-product quadrature sum
 over a :class:`TensorGrid`.  Convolution is computed either by the direct
-quadrature sum (one Toeplitz pass per axis) or by FFT over the shared lattice;
-the two paths must agree to 1e-9 and are tested against each other.
+quadrature sum (a Toeplitz contraction per axis, one block of rows at a time)
+or by FFT over the shared lattice; the two paths must agree to 1e-9 and are
+tested against each other.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ CHECK_SLACK = 1e-6
 
 # Kernel mass :func:`convolve` may drop outside its truncation radius.
 TRUNCATION_TOL = 1e-9
+
+# Toeplitz rows the direct path copies and contracts at a time.  A multiple
+# of 4, because OpenBLAS's GEMV takes rows in fours, and large enough that
+# every shipped dim > 1 axis (at most 257 nodes) is one block, so its
+# contraction stays one GEMM: either way the result keeps the bits of one
+# product on the whole matrix.
+_BLOCK_ROWS = 256
 
 
 class GridCompatibilityError(ValueError):
@@ -294,6 +302,24 @@ def _toeplitz(kernel_axis: np.ndarray, n_out: int, n_in: int) -> np.ndarray:
     return windows[::-1]
 
 
+def _contract_rows(mat: np.ndarray, vals: np.ndarray, axis: int) -> np.ndarray:
+    """Contract `axis` of `vals` with the (n_out, n_in) Toeplitz view `mat`.
+
+    Rows are copied and multiplied one block at a time, so no dense
+    (n_out, n_in) matrix exists.  Blocks start at multiples of _BLOCK_ROWS
+    and the last one takes the remainder, so none is a single row (numpy
+    sends a one-row product to a dot kernel that rounds differently).
+    """
+    n_out, n_in = mat.shape
+    src = np.moveaxis(vals, axis, 0)
+    out = np.empty((n_out,) + src.shape[1:])
+    src, flat = src.reshape(n_in, -1), out.reshape(n_out, -1)
+    edges = [i * _BLOCK_ROWS for i in range(max(n_out // _BLOCK_ROWS, 1))] + [n_out]
+    for a, b in zip(edges, edges[1:]):
+        np.dot(np.ascontiguousarray(mat[a:b]), src, out=flat[a:b])
+    return np.moveaxis(out, 0, axis)
+
+
 def _fft_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real arrays of equal rank by FFT.
 
@@ -328,8 +354,9 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
 
     method: "auto" | "fft" | "direct".  The direct path is the quadrature-sum
     oracle: one ``axis_pdf`` call per axis on the n_out + n_in - 1 lattice
-    offsets, gathered by index into the (n_out, n_in) Toeplitz matrix and
-    contracted one axis at a time.  The fft path computes the same lattice
+    offsets, viewed by index as the (n_out, n_in) Toeplitz matrix and
+    contracted one axis at a time, one block of its rows at a time, so the
+    matrix is never stored whole.  The fft path computes the same lattice
     sum by FFT, on the kernel's ``lattice_pdf`` over the offset lattice.
     "auto" takes fft only in dim 1 beyond 2^23 (output, input) pairs.
     """
@@ -356,17 +383,18 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
     n_in, n_out = grid.points_per_axis, out_grid.points_per_axis
 
     if method == "auto":
-        # Each direct pass holds an (n_out, n_in) matrix.  In dim 1 the fft
-        # kernel is a vector too, and cheaper once a widened output makes that
-        # matrix large; in dim > 1 it is a full lattice, which the direct path
-        # never builds.
+        # Each direct pass takes n_out * n_in multiply-adds but holds only a
+        # block of rows.  In dim 1 the fft kernel is a vector too, and faster
+        # once a widened output makes that product large, so the cap there
+        # bounds time, not memory; in dim > 1 the fft kernel is a full
+        # lattice, which the direct path never builds.
         method = "direct" if p > 1 or n_out * n_in <= 1 << 23 else "fft"
 
     if method == "direct":
         vals = weighted
         for axis in range(p):
             mat = _toeplitz(kernel.axis_pdf(axis_offsets[axis]), n_out, n_in)
-            vals = np.moveaxis(np.tensordot(mat, vals, axes=([1], [axis])), 0, axis)
+            vals = _contract_rows(mat, vals, axis)
     elif method == "fft":
         full = _fft_full(weighted, kernel.lattice_pdf(np.ix_(*axis_offsets)))
         sl = tuple(slice(n_in - 1, n_in - 1 + n_out) for _ in range(p))

@@ -7,17 +7,15 @@ sup-norm slope of the hard-truncated normal decays at second order, and the
 greedy run-certificate domination fails for the spiky small-n iterates.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from mixapprox.bounds import compute_gamma
 from mixapprox.config import ExperimentConfig
 from mixapprox.densities import TargetDensity, make_target, truncated_normal_density
-from mixapprox.divergences import kl_divergence, kl_l2_bound_check, lq_norm
+from mixapprox.divergences import kl_l2_bound_check
 from mixapprox.grids import (
     GridFunction,
     SupportBox,

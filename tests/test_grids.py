@@ -1,12 +1,23 @@
 """Tests for grids: quadrature, convolution, and the norm inequalities."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mixapprox.grids import (
     GridCompatibilityError,
+    _clip_tiny_negatives,
+    _default_out_grid,
     _fft_full,
+    _kernel_axis_offsets,
+    _toeplitz,
+    TRUNCATION_TOL,
     GridFunction,
     SupportBox,
     convolve,
@@ -88,7 +99,67 @@ def _tilted(gf):
     return GridFunction(gf.grid, gf.values * np.prod(1.0 + gf.grid.mesh(), axis=-1))
 
 
+def _one_shot_direct(fg, kernel, out_grid):
+    """The direct lattice sum with one tensordot per axis on the dense matrix."""
+    vals = fg.values * fg.grid.weight_tensor()
+    n_in, n_out = fg.grid.points_per_axis, out_grid.points_per_axis
+    for axis, offsets in enumerate(_kernel_axis_offsets(out_grid, fg.grid)):
+        mat = _toeplitz(kernel.axis_pdf(offsets), n_out, n_in)
+        vals = np.moveaxis(np.tensordot(mat, vals, axes=([1], [axis])), 0, axis)
+    return _clip_tiny_negatives(vals)
+
+
+def _block_case(case):
+    """(field, kernel, out_grid or None) for one entry of BLOCK_CASES."""
+    dim, points, name, squared, k, widened = case
+    f = make_target("clipped-cosine", dim)
+    grid = make_grid(f.support, points, "simpson")
+    d = dilate(make_product_kernel(name, dim), k)
+    return (_tilted(sample_on_grid(f.pdf, grid)), SquaredDilation(d) if squared else d,
+            None if widened else grid)
+
+
+# (dim, points, kernel, squared, k, widened default output)
+WIDENED_CASE = (1, 1025, "gaussian", False, 4, True)
+BLOCK_CASES = [
+    *((1, 2049, name, squared, k, False) for name in ("gaussian", "laplace")
+      for squared in (False, True) for k in (2, 16)),
+    WIDENED_CASE,
+    (2, 257, "gaussian", False, 4, False),
+    (3, 33, "gaussian", False, 4, False),
+]
+
+
+def _blocked_direct_mismatches():
+    """Cases where convolve's direct path differs in any bit from the oracle."""
+    bad = []
+    for case in BLOCK_CASES:
+        fg, kernel, out_grid = _block_case(case)
+        got = convolve(fg, kernel, out_grid=out_grid, method="direct")
+        if not np.array_equal(got.values, _one_shot_direct(fg, kernel, got.grid)):
+            bad.append(list(case))
+    return bad
+
+
 class TestConvolve:
+    def test_blocked_direct_path_is_the_one_shot_product(self):
+        # The bits are compared under single-threaded BLAS: with more threads
+        # a GEMV splits its rows by thread count, so even the one-shot
+        # product's bits depend on it.  A child process pins the threads.
+        fg, kernel, _ = _block_case(WIDENED_CASE)
+        n_out = _default_out_grid(fg, float(kernel.radius(TRUNCATION_TOL))).points_per_axis
+        assert n_out == 4155   # the widened case ends on a 315-row block
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        code = ("import json, test_grids as t; "
+                "print(json.dumps(t._blocked_direct_mismatches()))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == []
+
     def test_gaussian_variance_addition(self):
         f = truncated_normal_density(-8.0, 8.0)
         grid = make_grid(f.support, 2049, "trapezoid")

@@ -1,7 +1,6 @@
 """Tests for the study harness, config parsing, reports, and the CLI."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -13,6 +12,8 @@ import pytest
 
 from mixapprox.cli import main as cli_main
 from mixapprox.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from mixapprox.densities import make_target
+from mixapprox.grids import convolve, make_grid, sample_on_grid
 from mixapprox.harness import (
     CSV_HEADER,
     Row,
@@ -25,6 +26,7 @@ from mixapprox.harness import (
     run_mix_rate,
     run_study,
 )
+from mixapprox.kernels import dilate, make_product_kernel
 
 
 class TestSlopeFit:
@@ -171,6 +173,22 @@ class TestConvRateStudy:
         assert peak < 512 * 2 ** 20
         sups = [v for _, v, _ in res.rate_reports[0].points]
         assert len(sups) == 2 and sups[1] < sups[0]
+
+    def test_1d_direct_convolution_holds_no_dense_matrix(self):
+        # The direct path contracts 256-row blocks of the Toeplitz matrix; the
+        # dense (2049, 2049) matrix alone would take 32 MiB.
+        f = make_target("two-truncated-normals", 1)
+        grid = make_grid(f.support, 2049, "simpson")
+        fg = sample_on_grid(f.pdf, grid)
+        kernel = dilate(make_product_kernel("gaussian", 1), 8)
+        tracemalloc.start()
+        try:
+            out = convolve(fg, kernel, out_grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert out.grid is grid
 
     def test_single_k_gives_null_slope(self):
         cfg = ExperimentConfig(study="conv-rate", density_name="tent",

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from mixapprox import grids, mixtures
 from mixapprox.bounds import hull_kl_constant, target_kl_constant
 from mixapprox.densities import default_points_per_axis, make_target
-from mixapprox.divergences import lq_norm
 from mixapprox.grids import GridFunction, convolve, cube, make_grid, sample_on_grid
 from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
 from mixapprox.mixtures import (

@@ -186,6 +186,8 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
     f_gf = sample_on_grid(f.pdf, grid)
     interior = f.support.shrink_fraction(cfg.interior_margin)
     inner = interior.contains_points(grid.mesh())
+    if not inner.any():
+        raise ConfigError("interior.margin leaves no grid node inside the interior sub-box")
 
     result = StudyResult("conv-rate")
     sup_int_points = []
@@ -353,7 +355,6 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     for k in cfg.fit_k_grid:
         _config_guard(check_resolution, grid, k)
     f_gf = sample_on_grid(f.pdf, grid)
-    mesh = grid.mesh()
     box = _mean_box(cfg, f.support)
 
     N_max = max(cfg.N_list)
@@ -377,8 +378,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
                              restarts=cfg.fit_restarts, seed=rep_seed,
                              max_iters=cfg.fit_max_iters, tol=cfg.fit_tol)
             chosen_k[fitted.k] = chosen_k.get(fitted.k, 0) + 1
-            mix_gf = GridFunction(grid, fitted.mixture.pdf(mesh))
-            kl = kl_divergence(f_gf, mix_gf)
+            kl = kl_divergence(f_gf, fitted.mixture.on_grid(grid))
             kls.append(kl)
             result.rows.append(Row("mle-risk", "N", N, r, rep_seed, f"kl@n{n}", kl))
         kls = np.asarray(kls)

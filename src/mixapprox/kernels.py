@@ -282,15 +282,18 @@ class Dilation:
         return self.dim * math.log(self.k) + self.base.log_pdf(self.k * x)
 
     def axis_pdf(self, offsets):
-        return self.k * self.base.marginal.pdf(self.k * np.asarray(offsets, dtype=float))
+        return self.k * self.axis_factors([offsets])[0]
+
+    def axis_factors(self, axis_offsets):
+        """pdf's per-axis factors g(k o), without k, one per offset array."""
+        return [self.base.marginal.pdf(self.k * np.asarray(o, dtype=float))
+                for o in axis_offsets]
 
     def lattice_pdf(self, axis_offsets):
         """pdf on the lattice of one broadcastable offset array per axis, with
         pdf's operations (factors multiplied in axis order, then k^p) and so
         its bits, without stacking the offset mesh."""
-        out = reduce(np.multiply, (
-            self.base.marginal.pdf(self.k * np.asarray(o, dtype=float))
-            for o in axis_offsets))
+        out = reduce(np.multiply, self.axis_factors(axis_offsets))
         out *= float(self.k) ** self.dim
         return out
 

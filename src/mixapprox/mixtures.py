@@ -69,32 +69,18 @@ class MeanBox:
         return rng.uniform(self.m_lower, self.m_upper, size=(n, self.dim))
 
 
-def _gaussian_sample_rows(xc: np.ndarray, k: int, shift: bool = False) -> np.ndarray:
-    """[k^2 (x - c)^T; 1], (p + 1, N), from the centred samples x - c: the
-    sample side of :func:`_gaussian_log_joint`, built once per sample set.
-    With shift, a last row s, zero until the caller fills it, makes it
-    (p + 2, N)."""
-    p = xc.shape[1]
-    rows = np.zeros((p + 2 if shift else p + 1, xc.shape[0]))
-    rows[:p] = (k * k) * xc.T
-    rows[p] = 1.0
-    return rows
-
-
 def _gaussian_log_joint(means: np.ndarray, logw: np.ndarray, c, k: int,
-                        rows: np.ndarray, params: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """[m - c, log w - (k^2/2)|m - c|^2, -1] @ rows, shaped (n, N).  This is the
+                        rows: np.ndarray, params: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """[m - c, log w - (k^2/2)|m - c|^2, -1] @ rows, shaped (n, N): EM's
     Gaussian log w_j + log k^p g(k (x_i - m_j)) without its per-sample term
     p (log k - log(2 pi)/2) - (k^2/2)|x_i - c|^2; centring keeps the expanded
     square accurate, and translation-invariant, far from the origin.
 
     The -1 column enters only when rows carries the shift row s; the result is
     then that log-joint minus s_i.  params, (n, p + 2), and out, (n, N), are
-    optional buffers for the parameter side and the product."""
-    n, p = means.shape
-    if params is None:
-        params = np.empty((n, rows.shape[0]))
+    the buffers of the parameter side and the product."""
+    p = means.shape[1]
     mc = params[:, :p]
     np.subtract(means, c, out=mc)
     params[:, p] = logw - 0.5 * k * k * np.sum(mc * mc, axis=1)
@@ -107,23 +93,15 @@ def _component_log_pdf(kernel: ProductKernel, k: int, means: np.ndarray,
     """Log of the dilated component k^p g(k (x - m)) at every mean and point.
 
     x is (N, p) or, for p = 1, (N,); means is (n, p).  Returns (n, N),
-    components by samples.  The marginal's log density is added one (n, N)
-    pass per axis, in axis order.  A Gaussian in p > 1 instead takes the GEMM
-    of :func:`_gaussian_log_joint`, centred at the midpoint of the means' range.
+    components by samples.  Every marginal, in every p, adds its log density
+    one (n, N) pass per axis, in axis order, and so matches a per-mean loop of
+    ``Dilation.log_pdf`` bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     p = x.shape[1]
     marg = kernel.marginal
-    if marg.name == "gaussian" and p > 1:
-        c = 0.5 * (means.min(axis=0) + means.max(axis=0))
-        xc = x - c
-        out = _gaussian_log_joint(means, np.zeros(means.shape[0]), c, k,
-                                  _gaussian_sample_rows(xc, k))
-        out += (p * (math.log(k) - 0.5 * math.log(2.0 * math.pi))
-                - 0.5 * k * k * np.sum(xc * xc, axis=1))
-        return out
     out = marg.log_pdf(k * (x[None, :, 0] - means[:, 0, None]))
     for axis in range(1, p):
         out += marg.log_pdf(k * (x[None, :, axis] - means[:, axis, None]))
@@ -195,10 +173,22 @@ class FiniteMixture:
         return _logsumexp0(joint)[0]
 
     def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim >= 2 and x.shape[-1] == self.dim:
-            return np.exp(self.log_pdf(x.reshape(-1, self.dim))).reshape(x.shape[:-1])
+        """Density at points (N, p) or, for p = 1, (N,), through the log-sum-exp
+        of :meth:`log_pdf`: the oracle of :meth:`on_grid`."""
         return np.exp(self.log_pdf(x))
+
+    def on_grid(self, grid: TensorGrid) -> GridFunction:
+        """Density at the grid nodes, k^p sum_j w_j prod_a F_a[j, i_a], from the
+        per-axis factor tables F_a[j, i] = g(k (x_a,i - m_ja)), (n, n_a): one
+        einsum in numpy's own loops, so no mesh, no (n, G) table and no BLAS,
+        whose bits depend on its thread count.  A term of at least 1e-300
+        (KL's floor) has every factor in the normal range: no log shift."""
+        factors = Dilation(self.kernel, self.k).axis_factors(
+            [x - m[:, None] for x, m in zip(grid.nodes, self.means.T)])
+        pairs = [v for axis, f in enumerate(factors, 1) for v in (f, [0, axis])]
+        values = np.einsum(self.weights, [0], *pairs, list(range(1, self.dim + 1)))
+        values *= float(self.k) ** self.dim
+        return GridFunction(grid, values)
 
     def sample(self, n: int, rng) -> np.ndarray:
         comp = rng.choice(self.n, size=n, p=self.weights)
@@ -308,8 +298,12 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
     if gaussian:
         c = 0.5 * (box.m_lower + box.m_upper)
         xc = xs - c
-        sample_rows = _gaussian_sample_rows(xc, k, shift=True)
-        shift = sample_rows[-1]     # the last iteration's per-sample lse
+        # The GEMM's sample side [k^2 (x - c)^T; 1; s], built once; the shift
+        # row s holds the last iteration's per-sample lse.
+        sample_rows = np.zeros((p + 2, N))
+        sample_rows[:p] = (k * k) * xc.T
+        sample_rows[p] = 1.0
+        shift = sample_rows[-1]
         shifted = False             # whether shift holds it
         params = np.empty((n_components, p + 2))    # buffers for the GEMM
         work = np.empty((n_components, N))

@@ -321,8 +321,13 @@ class TestCli:
         ("bounds", "density.name = truncated-normal\ndensity.dim = 3\n"
                    "kernel.name = laplace\nk.list = 2\nn.list = 4\nN.list = 1000\n",
          "900^3 points"),
+        # Trimming 45% per side of the tent's [0, 1] keeps [0.45, 0.55],
+        # between the nodes 0.4 and 0.6, so the interior sup has no node.
+        ("conv-rate", "density.name = tent\ngrid.points_per_axis = 6\n"
+                      "grid.rule = trapezoid\nk.list = 1\ninterior.margin = 0.45\n",
+         "no grid node"),
     ], ids=["dictionary-table", "conv-rate-resolution", "mle-risk-resolution",
-            "mix-rate-approximant-fft", "bounds-approximant-fft"])
+            "mix-rate-approximant-fft", "bounds-approximant-fft", "conv-rate-empty-interior"])
     def test_guard_is_a_config_error(self, tmp_path, capsys, study, text, message):
         # Configs that pass validate() but trip a library input guard exit 2
         # before any expensive stage, not with a traceback.
@@ -485,6 +490,63 @@ class TestCli:
                          "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert payload["study"] == "check-identity"
+
+
+# Small studies for the BLAS thread-count check, named <study>-<dim>d.
+_THREAD_STUDIES = {
+    "mle-risk-1d": "density.name = two-truncated-normals\nn.list = 4\nN.list = 100,200\n"
+                   "replications = 2\nfit.k_grid = 4,8\nheldout.n = 4\nheldout.N = 150\n",
+    "mle-risk-3d": "density.name = two-truncated-normals\ndensity.dim = 3\n"
+                   "grid.points_per_axis = 33\nn.list = 4\nN.list = 100,200\n"
+                   "replications = 2\nfit.k_grid = 4,8\nheldout.n = 4\nheldout.N = 150\n",
+    "mix-rate-2d": "density.name = truncated-normal\ndensity.dim = 2\n"
+                   "grid.points_per_axis = 65\nk.list = 4\nn.list = 1,2,4\n"
+                   "dictionary.means_per_axis = 5\n",
+    "conv-rate-1d": "density.name = tent\nk.list = 4,8,16\n",
+}
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The same studies in two children, at 1 and at 2 OpenBLAS threads, write
+    # the same bytes.  A KL sum absorbs a last-bit change at a few grid nodes,
+    # so the children also write one mixture field on a 257^2 grid at n = 23,
+    # where a GEMM (einsum with optimize=True) rounds its last column
+    # differently at 2 threads than at 1.
+    for name, text in _THREAD_STUDIES.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from mixapprox.cli import main\n"
+        "from mixapprox.grids import cube, make_grid\n"
+        "from mixapprox.kernels import make_product_kernel\n"
+        "from mixapprox.mixtures import FiniteMixture\n"
+        "cfgs, out = sys.argv[1:3]\n"
+        "for name in sys.argv[3:]:\n"
+        "    assert main([name.rsplit('-', 1)[0], '--config', f'{cfgs}/{name}.cfg',\n"
+        "                 '--out', f'{out}/{name}.csv']) == 0\n"
+        "rng = np.random.default_rng(23)\n"
+        "mix = FiniteMixture(rng.dirichlet(np.ones(23)), rng.uniform(0, 1, (23, 2)), 16,\n"
+        "                    make_product_kernel('gaussian', 2))\n"
+        "field = mix.on_grid(make_grid(cube(0.0, 1.0, 2), 257, 'simpson')).values\n"
+        "open(f'{out}/field.bin', 'wb').write(field.tobytes())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    children = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        children[out] = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path), str(out), *_THREAD_STUDIES],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    errors = [child.communicate(timeout=300)[1] for child in children.values()]
+    for child, err in zip(children.values(), errors):
+        assert child.returncode == 0, err
+    one, two = children
+    for name in (*(f"{name}.csv" for name in _THREAD_STUDIES), "field.bin"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 class TestMleRiskStudySmall:

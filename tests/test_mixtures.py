@@ -66,14 +66,52 @@ class TestFiniteMixture:
         m = _mix([0.3, 0.7], [[0.2], [0.8]], 8)
         radius = GAUSS.radius(1e-9) / 8
         grid = make_grid(cube(0.2 - radius, 0.8 + radius, 1), 4097, "simpson")
-        gf = GridFunction(grid, m.pdf(grid.mesh()))
-        assert abs(gf.mass - 1.0) <= 1e-5
+        assert abs(m.on_grid(grid).mass - 1.0) <= 1e-5
 
     def test_grid_shaped_pdf(self):
         m = _mix([1.0], [[0.5, 0.5]], 2, make_product_kernel("gaussian", 2))
         grid = make_grid(cube(0.0, 1.0, 2), 33, "trapezoid")
-        vals = m.pdf(grid.mesh())
-        assert vals.shape == grid.shape
+        field = m.on_grid(grid)
+        assert field.grid is grid
+        assert field.values.shape == grid.shape
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", MARGINAL_NAMES)
+def test_on_grid_equals_pdf_at_the_grid_points(name, p):
+    # The per-axis contraction against the log-sum-exp at the flattened grid
+    # points.  Means reach past the grid box, so far-out components are tiny
+    # (Gaussian, Laplace) or zero (compact marginals) over parts of it.
+    rng = np.random.default_rng([p, 12])
+    kernel = make_product_kernel(name, p)
+    means = rng.uniform(-2.0, 2.0, size=(9, p))
+    weights = rng.dirichlet(np.ones(9))
+    grid = make_grid(cube(-1.0, 1.0, p), {1: 129, 2: 33, 3: 17}[p], "simpson")
+    mix = FiniteMixture(weights, means, 4, kernel)
+    got = mix.on_grid(grid).values
+    ref = mix.pdf(grid.mesh().reshape(-1, p)).reshape(grid.shape)
+    live = ref >= 1e-300
+    assert_allclose(got[live], ref[live], rtol=1e-12, atol=0.0)
+    if name not in mixtures.EM_MARGINALS:
+        assert np.array_equal(got == 0, ref == 0)
+        assert np.any(ref == 0)
+
+
+def test_on_grid_holds_no_mesh_or_component_table():
+    # 3-D, n = 32 on 65^3: the field is 2.1 MiB, while the mesh and the
+    # (n, G) log table of pdf(mesh) come to about 88 MiB.
+    rng = np.random.default_rng(5)
+    kernel = make_product_kernel("gaussian", 3)
+    mix = FiniteMixture(rng.dirichlet(np.ones(32)), rng.uniform(-1.0, 1.0, size=(32, 3)),
+                        8, kernel)
+    grid = make_grid(cube(-1.0, 1.0, 3), 65, "simpson")
+    tracemalloc.start()
+    try:
+        mix.on_grid(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("k", [2, 8])
@@ -81,8 +119,7 @@ class TestFiniteMixture:
 @pytest.mark.parametrize("name", MARGINAL_NAMES)
 class TestComponentEvaluator:
     """Every caller of the one component evaluator against a per-mean loop of
-    Dilation.log_pdf: exact on the per-axis route, within 1e-10 on the
-    Gaussian p > 1 route, which takes the centred GEMM.  The integral-ratio
+    Dilation.log_pdf, bit for bit for every marginal and p.  The integral-ratio
     constants, which read convolutions, meet the same loop within 1e-10."""
 
     @staticmethod
@@ -95,22 +132,12 @@ class TestComponentEvaluator:
         ref = np.stack([dil.log_pdf(x - m) for m in means], axis=1)
         return kernel, means, x, ref
 
-    @staticmethod
-    def _check(got, ref, gemm_route, relative=False):
-        # Logs compare absolutely; values, whose logs they are, relatively.
-        if not gemm_route:
-            assert np.array_equal(got, ref)
-        elif relative:
-            assert_allclose(got, ref, rtol=1e-10, atol=0.0)
-        else:
-            assert_allclose(got, ref, rtol=0.0, atol=1e-10)
-
     def test_finite_mixture_component_log_pdf(self, name, p, k):
         kernel, means, x, ref = self._case(name, p, k)
         mix = FiniteMixture(np.full(6, 1.0 / 6), means, k, kernel)
         got = mix.component_log_pdf(x)
         assert got.shape == (200, 6)
-        self._check(got, ref, name == "gaussian" and p > 1)
+        assert np.array_equal(got, ref)
 
     def test_dictionary_evaluate_at(self, name, p, k):
         kernel, means, x, ref = self._case(name, p, k)
@@ -118,8 +145,7 @@ class TestComponentEvaluator:
         dictionary = MixtureDictionary(kernel, k, means, grid)
         got = dictionary.evaluate_at(x)
         assert got.shape == (6, 200)
-        # No value here underflows, so a relative bound is one on the logs.
-        self._check(got, np.exp(ref).T, name == "gaussian" and p > 1, relative=True)
+        assert np.array_equal(got, np.exp(ref).T)
         if p == 1:
             assert np.array_equal(dictionary.evaluate_at(x[:, 0]), got)
 
@@ -679,7 +705,7 @@ class TestGreedyFit:
             assert abs(mix.weights.sum() - 1.0) <= 1e-12
             radius = GAUSS.radius(1e-9) / 16
             gm = make_grid(cube(-1 - radius, 1 + radius, 1), 4097, "simpson")
-            assert abs(GridFunction(gm, mix.pdf(gm.mesh())).mass - 1.0) <= 1e-5
+            assert abs(mix.on_grid(gm).mass - 1.0) <= 1e-5
 
     @pytest.mark.parametrize("kernel_name, dim, objective", [
         ("gaussian", 1, "l2"), ("gaussian", 1, "kl"), ("gaussian", 2, "l2"),
@@ -698,7 +724,7 @@ class TestGreedyFit:
         fit = greedy_fit(fbar, dictionary, 12, objective=objective)
         assert len(fit.fields) == len(fit.mixtures) == 12
         for field, mix in zip(fit.fields, fit.mixtures):
-            ref = mix.pdf(grid.mesh())
+            ref = mix.pdf(grid.mesh().reshape(-1, dim)).reshape(grid.shape)
             assert field.shape == grid.shape
             assert_allclose(field, ref, rtol=1e-12, atol=0.0)
             assert np.array_equal(field == 0, ref == 0)

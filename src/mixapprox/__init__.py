@@ -62,7 +62,6 @@ from .mixtures import (
     mle_fit,
 )
 from .bounds import (
-    BoundConstants,
     BoundReport,
     GAMMA_AT_ZERO,
     compute_A_logratio,

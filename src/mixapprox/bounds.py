@@ -10,7 +10,6 @@ measurements and then checked for domination on held-out cells.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ from .kernels import ProductKernel
 from .mixtures import MeanBox, MixingApproximant, MixtureDictionary
 
 __all__ = [
-    "BoundConstants",
     "BoundReport",
     "compute_A_logratio",
     "compute_gamma",
@@ -37,31 +35,6 @@ __all__ = [
 ]
 
 GAMMA_AT_ZERO = 4.0 * (math.log(3.0) + 0.5)
-
-
-@dataclass
-class BoundConstants:
-    """Evaluated constants for one (kernel, scale, mean box, domain) setup."""
-
-    A_logratio: float = math.nan
-    gamma: float = math.nan
-    C_hull: float = math.nan        # integral ratio weighting the hull-KL bound
-    C_target: float = math.nan      # squared-denominator ratio for the target-KL bound
-    B_lipschitz: float = math.nan
-    A_box: float = math.nan         # width of the mean box
-    beta_lower: float = math.nan
-    beta_upper: float = math.nan
-
-    def validate(self):
-        if math.isfinite(self.A_logratio) and math.isfinite(self.gamma):
-            expect = compute_gamma(self.A_logratio)
-            if abs(self.gamma - expect) > 1e-9 * max(1.0, expect):
-                raise ValueError("gamma is inconsistent with the log-ratio sup")
-        for name in ("A_logratio", "gamma", "C_hull", "C_target", "B_lipschitz",
-                     "A_box", "beta_lower", "beta_upper"):
-            v = getattr(self, name)
-            if not math.isnan(v) and v < 0:
-                raise ValueError(f"constant {name} must be nonnegative, got {v}")
 
 
 @dataclass(frozen=True)
@@ -85,59 +58,40 @@ class BoundReport:
         )
 
 
-def _axis_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
-    return np.linspace(lo, hi, n)
-
-
 def _axis_probe(marginal, k: int, box: MeanBox, domain: SupportBox,
                 axis: int, n: int):
     """Probe table log g(k (x - m)) over n domain nodes by n mean nodes of one
     axis, returned with the mean nodes."""
-    xs = _axis_grid(domain.lower[axis], domain.upper[axis], n)
-    ms = _axis_grid(box.m_lower, box.m_upper, n)
+    xs = np.linspace(domain.lower[axis], domain.upper[axis], n)
+    ms = np.linspace(box.m_lower, box.m_upper, n)
     return marginal.log_pdf(k * (xs[:, None] - ms[None, :])), ms
 
 
-def _refined_sup(probe, points_per_axis: int, what: str) -> float:
-    """Probe at points_per_axis, then once refined to 2 points_per_axis - 1;
-    a disagreement above 1% is warned.  An infinite coarse value is final."""
-    coarse = probe(points_per_axis)
-    if math.isinf(coarse):
-        return math.inf
-    fine = probe(2 * points_per_axis - 1)
-    if abs(fine - coarse) > 0.01 * max(abs(fine), 1e-12):
-        warnings.warn(
-            f"{what} changed by more than 1% under refinement "
-            f"({coarse:.6g} -> {fine:.6g})",
-            RuntimeWarning,
-        )
-    return fine
-
-
 def compute_A_logratio(kernel: ProductKernel, k: int, box: MeanBox,
-                       domain: SupportBox, points_per_axis: int = 256) -> float:
-    """Sup over mean pairs and domain points of the component log ratio.
+                       domain: SupportBox) -> float:
+    """Sup over mean pairs and domain points of the component log ratio
+    log g(k(x - m1)) - log g(k(x - m2)), in closed form.
 
     The ratio separates per coordinate for product kernels over boxes, so the
-    sup is the sum over axes of per-axis sups.  Returns math.inf when the
-    marginal vanishes inside the probed range (compact-support marginals).
-    The probe grid is refined once; a persisting 1% disagreement is warned.
+    sup is the sum over axes of per-axis sups.  The closed form needs a
+    symmetric, log-concave marginal g, as every shipped one is.  Then
+    log g(k(x - m)) is concave in m with its peak at m = x, so at a domain
+    point x the spread over the means is log g at x clamped to the mean box
+    minus log g at the box end farther from x; that spread does not increase
+    toward the box midpoint, so its sup over the domain is at one of the two
+    domain ends.  Returns math.inf when the sum is not finite (compact-support
+    marginals).
     """
     k = int(k)
-
-    def total(n):
-        s = 0.0
-        for axis in range(kernel.dim):
-            lg, _ = _axis_probe(kernel.marginal, k, box, domain, axis, n)
-            spread = lg.max(axis=1) - lg.min(axis=1)
-            if not np.all(np.isfinite(spread)):
-                return math.inf
-            s += float(spread.max())
-        return s
-
-    return _refined_sup(total, points_per_axis, "log-ratio sup")
+    ends = np.array([box.m_lower, box.m_upper])
+    total = 0.0
+    for lo, hi in zip(domain.lower, domain.upper):
+        xs = np.array([lo, hi])
+        near = kernel.marginal.log_pdf(k * (xs - box.clamp(xs)))
+        far = kernel.marginal.log_pdf(k * (xs[:, None] - ends)).min(axis=1)
+        with np.errstate(invalid="ignore"):  # -inf - -inf: the sum is not finite
+            total += float(np.max(near - far))
+    return total if math.isfinite(total) else math.inf
 
 
 def compute_gamma(a_logratio: float) -> float:
@@ -150,7 +104,7 @@ def compute_gamma(a_logratio: float) -> float:
 
 
 def estimate_B_lipschitz(kernel: ProductKernel, k: int, box: MeanBox,
-                         domain: SupportBox, points_per_axis: int = 128) -> float:
+                         domain: SupportBox, points_per_axis: int = 255) -> float:
     """Lipschitz constant of the log component density in its mean.
 
     Max over probe triples (x, m1, m2) of |log g_k(x - m1) - log g_k(x - m2)|
@@ -158,24 +112,20 @@ def estimate_B_lipschitz(kernel: ProductKernel, k: int, box: MeanBox,
     are sums over axes, so the overall sup equals the worst per-axis sup.
     Only neighbouring probe means are compared: a chord's slope is a weighted
     mean of the neighbouring slopes it spans, so it never exceeds their max.
-    Refined once like the log-ratio sup.  Raises on infinite log ratios
-    (compact-support marginals).
+    One probe pass of points_per_axis domain and mean nodes per axis.  Raises
+    on infinite log ratios (compact-support marginals).
     """
     k = int(k)
     if box.m_upper - box.m_lower <= 0:
         return 0.0
-
-    def sweep(n):
-        best = 0.0
-        for axis in range(kernel.dim):
-            lg, ms = _axis_probe(kernel.marginal, k, box, domain, axis, n)
-            if np.any(np.isinf(lg)):
-                raise ValueError("log ratio is infinite on the probe grid")
-            slopes = np.abs(np.diff(lg, axis=1)) / np.diff(ms)
-            best = max(best, float(np.max(slopes, initial=0.0)))
-        return best
-
-    return _refined_sup(sweep, points_per_axis, "log-kernel Lipschitz sup")
+    best = 0.0
+    for axis in range(kernel.dim):
+        lg, ms = _axis_probe(kernel.marginal, k, box, domain, axis, points_per_axis)
+        if np.any(np.isinf(lg)):
+            raise ValueError("log ratio is infinite on the probe grid")
+        slopes = np.abs(np.diff(lg, axis=1)) / np.diff(ms)
+        best = max(best, float(np.max(slopes, initial=0.0)))
+    return best
 
 
 def _moment_ratio(mixing: MixingApproximant, power: int) -> np.ndarray:

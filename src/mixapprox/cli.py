@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
-from .config import STUDIES, ConfigError, _parse_unvalidated
+from .config import STUDIES, ConfigError, load_config
 from .harness import emit_report, run_study
 
 
@@ -36,18 +34,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {"study": args.study}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.out is not None:
+        overrides["out_path"] = args.out
+    if args.format is not None:
+        overrides["out_format"] = args.format
+    if args.strict:
+        overrides["strict"] = True
     try:
-        cfg = _parse_unvalidated(Path(args.config).read_text())
-        overrides = {"study": args.study}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out_path"] = args.out
-        if args.format is not None:
-            overrides["out_format"] = args.format
-        if args.strict:
-            overrides["strict"] = True
-        cfg = replace(cfg, **overrides).validate()
+        cfg = load_config(args.config, **overrides)
         result = run_study(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

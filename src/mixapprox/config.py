@@ -152,8 +152,9 @@ _KEYS = {
 }
 
 
-def _parse_unvalidated(text: str) -> ExperimentConfig:
-    """The config before validation, which the CLI runs after its overrides."""
+def parse_config_text(text: str, **overrides) -> ExperimentConfig:
+    """The config in `text`, with `overrides` (ExperimentConfig field names)
+    replacing its values before validation."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -171,12 +172,14 @@ def _parse_unvalidated(text: str) -> ExperimentConfig:
             values[attr] = conv(val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**{**values, **overrides}).validate()
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    return _parse_unvalidated(text).validate()
-
-
-def load_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+def load_config(path, **overrides) -> ExperimentConfig:
+    """The config file at `path`, with `overrides` applied before validation;
+    a file that cannot be read as text is a ConfigError."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
+    return parse_config_text(text, **overrides)

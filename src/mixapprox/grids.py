@@ -40,6 +40,12 @@ CHECK_SLACK = 1e-6
 # Kernel mass :func:`convolve` may drop outside its truncation radius.
 TRUNCATION_TOL = 1e-9
 
+# Node cap of a study grid.  A study's peak holds a few dozen arrays the size
+# of its grid: a 3-D mle-risk (N <= 200, fit.k_grid = 4,8; x86-64, numpy 2.4,
+# 1 BLAS thread) peaked at 90 MB RSS on 65^3 nodes and 472 MB on 129^3, about
+# 214 bytes a node, so 2^23 nodes peak near 1.7 GiB.
+MAX_GRID_NODES = 2 ** 23
+
 # Toeplitz rows the direct path copies and contracts at a time.  A multiple
 # of 4, because OpenBLAS's GEMV takes rows in fours, and large enough that
 # every shipped dim > 1 axis (at most 257 nodes) is one block, so its
@@ -340,6 +346,15 @@ def check_resolution(grid: TensorGrid, k) -> None:
     if max(grid.spacing) > 0.25 / float(k):
         raise ValueError(
             "grid too coarse for the kernel bandwidth: need >= 4 nodes per 1/k"
+        )
+
+
+def check_grid_size(points_per_axis: int, dim: int) -> None:
+    """Size guard of a study grid, before any of its arrays exist."""
+    if points_per_axis ** dim > MAX_GRID_NODES:
+        raise ValueError(
+            f"a grid of {points_per_axis}^{dim} nodes would exceed the memory "
+            "guard of 2^23 nodes"
         )
 
 

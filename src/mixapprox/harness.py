@@ -22,7 +22,8 @@ from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
 from .densities import default_points_per_axis, make_target
 from .divergences import AbsoluteContinuityError, kl_divergence, lq_norm
-from .grids import GridFunction, check_resolution, make_grid, convolve, sample_on_grid
+from .grids import (GridFunction, check_grid_size, check_resolution, convolve, make_grid,
+                    sample_on_grid)
 from .kernels import certify_approximate_identity, dilate, make_product_kernel
 from .mixtures import (
     MeanBox,
@@ -125,6 +126,7 @@ def fit_loglog_slope(points) -> SlopeFit:
 
 def _study_grid(cfg: ExperimentConfig, support):
     pts = cfg.grid_points_per_axis or default_points_per_axis(cfg.density_dim)
+    _config_guard(check_grid_size, pts, cfg.density_dim)
     return make_grid(support, pts, cfg.grid_rule)
 
 
@@ -489,29 +491,23 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     means = lattice_means(box, per_axis, grid.dim)
     result = StudyResult("bounds")
 
-    consts = bnd.BoundConstants(beta_lower=f.beta_lower, beta_upper=f.beta_upper,
-                                A_box=box.width)
-    consts.A_logratio = bnd.compute_A_logratio(kernel, k, box, f.support)
-    if math.isfinite(consts.A_logratio):
-        consts.gamma = bnd.compute_gamma(consts.A_logratio)
+    consts = {"A_logratio": bnd.compute_A_logratio(kernel, k, box, f.support)}
+    if math.isfinite(consts["A_logratio"]):
+        consts["gamma"] = bnd.compute_gamma(consts["A_logratio"])
         _config_guard(check_resolution, grid, k)
         _config_guard(check_approximant_size, kernel, k, grid)
         mixing = build_mixing_approximant(f, kernel, k, grid)
-        consts.C_hull = bnd.hull_kl_constant(mixing)
-        consts.C_target = bnd.target_kl_constant(mixing)
+        consts["C_hull"] = bnd.hull_kl_constant(mixing)
+        consts["C_target"] = bnd.target_kl_constant(mixing)
         try:
-            consts.B_lipschitz = bnd.estimate_B_lipschitz(kernel, k, box, f.support)
+            consts["B_lipschitz"] = bnd.estimate_B_lipschitz(kernel, k, box, f.support)
         except ValueError as exc:
             result.notes.append(f"log-kernel Lipschitz constant unavailable: {exc}")
     else:
         result.notes.append("log-ratio sup infinite; gamma-family constants skipped")
-    consts.validate()
-
-    for name in ("A_logratio", "gamma", "C_hull", "C_target", "B_lipschitz",
-                 "A_box", "beta_lower", "beta_upper"):
-        value = getattr(consts, name)
-        if not math.isnan(value):
-            result.rows.append(Row("bounds", "run", "", "", cfg.seed, name, value))
+    consts.update(A_box=box.width, beta_lower=f.beta_lower, beta_upper=f.beta_upper)
+    for name, value in consts.items():
+        result.rows.append(Row("bounds", "run", "", "", cfg.seed, name, value))
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     xs = f.sample(min(max(cfg.N_list), 512), rng)

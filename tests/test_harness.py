@@ -326,8 +326,13 @@ class TestCli:
         ("conv-rate", "density.name = tent\ngrid.points_per_axis = 6\n"
                       "grid.rule = trapezoid\nk.list = 1\ninterior.margin = 0.45\n",
          "no grid node"),
+        # 1025^3 nodes: the mesh of conv-rate's interior mask alone is 25.8 GB.
+        ("conv-rate", "density.name = tent\ndensity.dim = 3\n"
+                      "grid.points_per_axis = 1025\nk.list = 4\n",
+         "1025^3 nodes"),
     ], ids=["dictionary-table", "conv-rate-resolution", "mle-risk-resolution",
-            "mix-rate-approximant-fft", "bounds-approximant-fft", "conv-rate-empty-interior"])
+            "mix-rate-approximant-fft", "bounds-approximant-fft", "conv-rate-empty-interior",
+            "conv-rate-grid-size"])
     def test_guard_is_a_config_error(self, tmp_path, capsys, study, text, message):
         # Configs that pass validate() but trip a library input guard exit 2
         # before any expensive stage, not with a traceback.
@@ -385,6 +390,18 @@ class TestCli:
         out = tmp_path / "res.csv"
         assert cli_main([study, "--config", str(cfg), "--out", str(out)]) == 2
         assert any(line.startswith("error: ") and message in line
+                   for line in capsys.readouterr().err.splitlines())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, b"study = conv-rate\nk.list = 4\xff\n"],
+                             ids=["missing", "not-utf-8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "study.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "res.csv"
+        assert cli_main(["conv-rate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert any(line.startswith("error: cannot read config file")
                    for line in capsys.readouterr().err.splitlines())
         assert not out.exists()
 
@@ -503,6 +520,10 @@ _THREAD_STUDIES = {
                    "grid.points_per_axis = 65\nk.list = 4\nn.list = 1,2,4\n"
                    "dictionary.means_per_axis = 5\n",
     "conv-rate-1d": "density.name = tent\nk.list = 4,8,16\n",
+    "bounds-2d": "density.name = truncated-normal\ndensity.dim = 2\n"
+                 "grid.points_per_axis = 65\nk.list = 4\nN.list = 100\n"
+                 "dictionary.means_per_axis = 5\n",
+    "check-identity-1d": "kernel.name = gaussian\nk.list = 1,2,4,8,16\n",
 }
 
 

@@ -1,9 +1,8 @@
-"""Target densities on compact boxes with certified bounds and exact samplers.
+"""Target densities on compact boxes: one univariate marginal over `dim` axes.
 
-The zoo ships five product-form families spanning flat, smooth, and kinked
-behaviour.  Every member carries analytically derived support bounds and a
-Lipschitz certificate; samplers are exact (inverse CDF per coordinate, or
-component draws for the bimodal family).
+The zoo ships five marginals spanning flat, smooth, and kinked behaviour, each
+with an exact pdf and sampler and certified extremes and slope; a target's
+support bounds and Lipschitz certificate are derived from its marginal's.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .grids import SupportBox, TensorGrid, quadrature_integrate, sample_on_grid
+from .grids import SupportBox, TensorGrid, cube, quadrature_integrate, sample_on_grid
 
 __all__ = [
     "TargetDensity",
@@ -180,9 +179,6 @@ class _TwoTruncatedNormals(_UnivariateBase):
             0.5 * sum(c.slope_bound for c in self.components)
         )
 
-    lo = 0.0
-    hi = 1.0
-
     def pdf(self, x):
         return 0.5 * (self.components[0].pdf(x) + self.components[1].pdf(x))
 
@@ -210,58 +206,50 @@ def default_points_per_axis(dim: int) -> int:
 
 @dataclass(frozen=True)
 class TargetDensity:
-    """Density on a compact box with certified bounds and an exact sampler.
+    """Product density f(x) = prod_a g(x_a) of one marginal g over `dim` axes.
 
-    `beta_lower` may be zero for members that vanish on the support boundary
+    `beta_lower` is zero for members that vanish on the support boundary
     (tent, clipped-cosine); those are valid test targets but not members of
     the lower-bounded class that the estimation results require.
     """
 
-    name: str
+    marginal: _UnivariateBase
     dim: int
-    support: SupportBox
-    beta_lower: float
-    beta_upper: float
-    lipschitz_exponent: float
-    lipschitz_constant: float
-    evaluator: object          # callable, points (..., dim) -> values
-    sampler: object            # callable, (rng, n) -> points (n, dim)
+
+    lipschitz_exponent = 1.0
+
+    @property
+    def name(self) -> str:
+        return self.marginal.name
+
+    @property
+    def support(self) -> SupportBox:
+        return cube(self.marginal.lo, self.marginal.hi, self.dim)
+
+    @property
+    def beta_lower(self) -> float:
+        return self.marginal.min_value ** self.dim
+
+    @property
+    def beta_upper(self) -> float:
+        return self.marginal.max_value ** self.dim
+
+    @property
+    def lipschitz_constant(self) -> float:
+        return self.dim * self.marginal.slope_bound * self.marginal.max_value ** (self.dim - 1)
 
     def pdf(self, x):
+        """Density at points shaped (..., dim): the oracle of per-axis sampling."""
         x = np.asarray(x, dtype=float)
         if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
             x = x[..., None]
-        return self.evaluator(x)
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"points must have last axis {self.dim}")
+        return np.prod(self.marginal.pdf(x), axis=-1)
 
     def sample(self, n: int, rng) -> np.ndarray:
-        return self.sampler(rng, int(n))
-
-
-def _product_density(name: str, base: _UnivariateBase, dim: int) -> TargetDensity:
-    support = SupportBox((base.lo,) * dim, (base.hi,) * dim)
-
-    def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != dim:
-            raise ValueError(f"points must have last axis {dim}")
-        return np.prod(base.pdf(x), axis=-1)
-
-    def sampler(rng, n):
-        cols = [base.sample(n, rng) for _ in range(dim)]
-        return np.stack(cols, axis=-1)
-
-    lip = dim * base.slope_bound * base.max_value ** (dim - 1)
-    return TargetDensity(
-        name=name,
-        dim=dim,
-        support=support,
-        beta_lower=base.min_value ** dim if base.min_value > 0 else 0.0,
-        beta_upper=base.max_value ** dim,
-        lipschitz_exponent=1.0,
-        lipschitz_constant=lip,
-        evaluator=evaluator,
-        sampler=sampler,
-    )
+        """n points shaped (n, dim): one marginal draw per axis, in axis order."""
+        return np.stack([self.marginal.sample(int(n), rng) for _ in range(self.dim)], axis=-1)
 
 
 def make_target(name: str, dim: int) -> TargetDensity:
@@ -270,14 +258,13 @@ def make_target(name: str, dim: int) -> TargetDensity:
         raise ValueError(f"unknown density {name!r}; expected one of {ZOO_NAMES}")
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3 (tensor-grid cost guard)")
-    return _product_density(name, _ZOO[name](), dim)
+    return TargetDensity(_ZOO[name](), dim)
 
 
 def truncated_normal_density(lo: float, hi: float, mu: float = 0.0,
                              sigma: float = 1.0, dim: int = 1) -> TargetDensity:
     """General truncated-normal product density on [lo, hi]^dim."""
-    base = _TruncatedNormal(lo, hi, mu, sigma)
-    return _product_density("truncated-normal", base, dim)
+    return TargetDensity(_TruncatedNormal(lo, hi, mu, sigma), dim)
 
 
 @dataclass(frozen=True)
@@ -299,9 +286,9 @@ def verify_f5_membership(f: TargetDensity, grid: TensorGrid,
     """Check the declared lower bound and unit mass of a target on a grid."""
     if not grid.box.contains_box(f.support):
         raise ValueError("grid does not cover the density support")
-    gf = sample_on_grid(f.pdf, grid)
+    gf = sample_on_grid(f, grid)
     mass = quadrature_integrate(gf)
-    inside = f.support.contains_points(grid.mesh())
+    inside = f.support.grid_mask(grid)
     measured_min = float(gf.values[inside].min())
     mass_ok = abs(mass - 1.0) <= mass_tol
     lower_ok = measured_min >= f.beta_lower - 1e-12
@@ -327,8 +314,8 @@ def estimate_lipschitz(f: TargetDensity, grid: TensorGrid, a: float) -> float:
         raise ValueError("need at least 64 points per axis")
     if not 0.0 < a <= 1.0:
         raise ValueError("exponent must lie in (0, 1]")
-    vals = sample_on_grid(f.pdf, grid).values
-    inside = f.support.contains_points(grid.mesh())
+    vals = sample_on_grid(f, grid).values
+    inside = f.support.grid_mask(grid)
     best = 0.0
     for axis in range(grid.dim):
         h = grid.spacing[axis]

@@ -86,8 +86,8 @@ def kl_l2_bound_check(f, g: GridFunction) -> Lemma13Report:
     grid = g.grid
     if not grid.box.contains_box(f.support):
         raise ValueError("grid does not cover the target support")
-    f_gf = sample_on_grid(f.pdf, grid)
-    inside = f.support.contains_points(grid.mesh())
+    f_gf = sample_on_grid(f, grid)
+    inside = f.support.grid_mask(grid)
     g_min = float(g.values[inside].min())
     if g_min <= 0:
         raise ValueError("approximant is not bounded below on the support")

@@ -40,10 +40,12 @@ CHECK_SLACK = 1e-6
 # Kernel mass :func:`convolve` may drop outside its truncation radius.
 TRUNCATION_TOL = 1e-9
 
-# Node cap of a study grid.  A study's peak holds a few dozen arrays the size
-# of its grid: a 3-D mle-risk (N <= 200, fit.k_grid = 4,8; x86-64, numpy 2.4,
-# 1 BLAS thread) peaked at 90 MB RSS on 65^3 nodes and 472 MB on 129^3, about
-# 214 bytes a node, so 2^23 nodes peak near 1.7 GiB.
+_BOX_TOL = 1e-12   # distance outside a box at which a point still counts as inside
+
+# Node cap of a study grid.  A 3-D mle-risk (N <= 200, fit.k_grid = 4,8;
+# x86-64, numpy 2.4, 1 BLAS thread) peaked at 79 MB RSS on 65^3 nodes and
+# 196 MB on 129^3, about 63 bytes a node between the two, so 2^23 nodes peak
+# near 0.6 GiB.
 MAX_GRID_NODES = 2 ** 23
 
 # Toeplitz rows the direct path copies and contracts at a time.  A multiple
@@ -88,14 +90,22 @@ class SupportBox:
             for a, b, c, d in zip(self.lower, self.upper, other.lower, other.upper)
         )
 
-    def contains_points(self, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Boolean mask over points shaped (..., dim)."""
+    def contains_points(self, x: np.ndarray, tol: float = _BOX_TOL) -> np.ndarray:
+        """Boolean mask over points shaped (..., dim); the oracle of grid_mask."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {x.shape[-1]}, box has {self.dim}")
         lo = np.asarray(self.lower) - tol
         hi = np.asarray(self.upper) + tol
         return np.all((x >= lo) & (x <= hi), axis=-1)
+
+    def grid_mask(self, grid: "TensorGrid") -> np.ndarray:
+        """Boolean mask over the nodes of a grid: the outer AND of one mask per axis."""
+        if grid.dim != self.dim:
+            raise ValueError(f"grid has dimension {grid.dim}, box has {self.dim}")
+        masks = [(ax >= a - _BOX_TOL) & (ax <= b + _BOX_TOL)
+                 for ax, a, b in zip(grid.nodes, self.lower, self.upper)]
+        return reduce(np.logical_and.outer, masks)
 
     def shrink_fraction(self, fraction: float) -> "SupportBox":
         """Interior sub-box obtained by trimming `fraction` of each edge per side."""
@@ -149,7 +159,7 @@ class TensorGrid:
         return tuple(ax[1] - ax[0] for ax in self.nodes)
 
     def mesh(self) -> np.ndarray:
-        """Node coordinates as an array shaped (*shape, dim)."""
+        """Node coordinates shaped (*shape, dim), the tests' oracle of per-axis forms."""
         grids = np.meshgrid(*self.nodes, indexing="ij")
         return np.stack(grids, axis=-1)
 
@@ -215,9 +225,12 @@ class GridFunction:
         return GridFunction(self.grid, self.values - other)
 
 
-def sample_on_grid(fn, grid: TensorGrid) -> GridFunction:
-    """Evaluate a callable of points shaped (..., dim) on the grid nodes."""
-    return GridFunction(grid, np.asarray(fn(grid.mesh()), dtype=float))
+def sample_on_grid(f, grid: TensorGrid) -> GridFunction:
+    """A product density (a target or kernel: one `marginal` over `dim` axes) on
+    the grid nodes, as the outer product of the marginal at each axis's nodes."""
+    if f.dim != grid.dim:
+        raise ValueError(f"grid has dimension {grid.dim}, target has {f.dim}")
+    return GridFunction(grid, reduce(np.multiply.outer, map(f.marginal.pdf, grid.nodes)))
 
 
 def quadrature_integrate(h: GridFunction) -> float:

@@ -185,9 +185,9 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
         )
     grid = _study_grid(cfg, f.support)
     _config_guard(check_resolution, grid, max(cfg.k_list))
-    f_gf = sample_on_grid(f.pdf, grid)
+    f_gf = sample_on_grid(f, grid)
     interior = f.support.shrink_fraction(cfg.interior_margin)
-    inner = interior.contains_points(grid.mesh())
+    inner = interior.grid_mask(grid)
     if not inner.any():
         raise ConfigError("interior.margin leaves no grid node inside the interior sub-box")
 
@@ -356,7 +356,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     grid = _study_grid(cfg, f.support)
     for k in cfg.fit_k_grid:
         _config_guard(check_resolution, grid, k)
-    f_gf = sample_on_grid(f.pdf, grid)
+    f_gf = sample_on_grid(f, grid)
     box = _mean_box(cfg, f.support)
 
     N_max = max(cfg.N_list)
@@ -380,6 +380,9 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
                              restarts=cfg.fit_restarts, seed=rep_seed,
                              max_iters=cfg.fit_max_iters, tol=cfg.fit_tol)
             chosen_k[fitted.k] = chosen_k.get(fitted.k, 0) + 1
+            if fitted.fit.dropped:
+                result.notes.append(f"best fit at n={n}, N={N}, replication {r} dropped "
+                                    f"{fitted.fit.dropped} starved mixture component(s)")
             kl = kl_divergence(f_gf, fitted.mixture.on_grid(grid))
             kls.append(kl)
             result.rows.append(Row("mle-risk", "N", N, r, rep_seed, f"kl@n{n}", kl))

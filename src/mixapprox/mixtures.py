@@ -10,7 +10,6 @@ which preserves the update's argmax property for both supported marginals
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -273,8 +272,8 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
 
     The trace of log-likelihood values is nondecreasing within 1e-9 between
     ordinary iterations.  A starving component (weight below 1e-12) is
-    re-seeded once, then dropped with a warning; either event may reset the
-    trace monotonicity at that single step.
+    re-seeded once, then dropped and counted in `EMFit.dropped`; either
+    event may reset the trace monotonicity at that single step.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
@@ -356,9 +355,6 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
                 if idx in reseeded:
                     keep[idx] = False
                     dropped += 1
-                    warnings.warn(
-                        f"dropping starved mixture component {idx}", RuntimeWarning
-                    )
                 else:
                     reseeded.add(int(idx))
                     reseeds += 1
@@ -713,7 +709,7 @@ def check_approximant_size(kernel: ProductKernel, k: int, grid: TensorGrid) -> N
 def build_mixing_approximant(target, kernel: ProductKernel, k: int,
                              grid: TensorGrid) -> MixingApproximant:
     """Sample a target on the grid and convolve it with the dilated kernel onto it."""
-    f_gf = sample_on_grid(target.pdf, grid)
+    f_gf = sample_on_grid(target, grid)
     dil = dilate(kernel, int(k))
     if grid.dim > 1:
         # Kept on the widened FFT sum.  The exact per-axis sum differs from it

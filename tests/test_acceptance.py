@@ -63,7 +63,7 @@ def test_criterion_2_convolution_oracle():
 
     f = truncated_normal_density(-8.0, 8.0)
     grid = make_grid(f.support, 2049, "trapezoid")
-    fg = sample_on_grid(f.pdf, grid)
+    fg = sample_on_grid(f, grid)
     out = restrict(convolve(fg, dilate(make_product_kernel("gaussian", 1), 2)),
                    f.support)
     expected = np.exp(-grid.nodes[0] ** 2 / 2.5) / np.sqrt(2.5 * np.pi)
@@ -71,7 +71,7 @@ def test_criterion_2_convolution_oracle():
 
     u = make_target("uniform-box", 1)
     ugrid = make_grid(u.support, 2049, "trapezoid")
-    ug = sample_on_grid(u.pdf, ugrid)
+    ug = sample_on_grid(u, ugrid)
     tri_out = convolve(ug, dilate(make_product_kernel("uniform-symmetric", 1), 1))
     x = tri_out.grid.nodes[0]
     tri = np.clip(np.minimum(x + 0.5, 1.5 - x), 0.0, 1.0)
@@ -151,23 +151,29 @@ def test_criterion_4b_lipschitz_rate_truncated_normal():
             f"[slope={slope:.3f}; monotone={monotone}; {elapsed:.1f}s]")
 
 
-def _random_f5_target(rng):
-    coefs = rng.uniform(-0.15, 0.15, size=3)
+class _RandomTrig:
+    """Marginal 1 + sum_j c_j sin(2 pi j x) on [0, 1], |c_j| <= 0.15."""
 
-    def evaluator(x):
-        x = np.asarray(x, dtype=float)[..., 0]
+    name = "random-trig"
+    lo = 0.0
+    hi = 1.0
+
+    def __init__(self, coefs):
+        self.coefs = coefs
+        self.min_value = 1.0 - float(np.sum(np.abs(coefs)))
+        self.max_value = 2.0 - self.min_value
+        self.slope_bound = float(2 * np.pi * np.abs(coefs) @ np.arange(1, 4))
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
         v = np.ones_like(x)
-        for j, c in enumerate(coefs, start=1):
+        for j, c in enumerate(self.coefs, start=1):
             v = v + c * np.sin(2 * np.pi * j * x)
         return np.where((x >= 0.0) & (x <= 1.0), v, 0.0)
 
-    beta = 1.0 - float(np.sum(np.abs(coefs)))
-    return TargetDensity(
-        name="random-trig", dim=1, support=cube(0.0, 1.0, 1),
-        beta_lower=beta, beta_upper=2.0 - beta, lipschitz_exponent=1.0,
-        lipschitz_constant=float(2 * np.pi * np.abs(coefs) @ np.arange(1, 4)),
-        evaluator=evaluator, sampler=None,
-    )
+
+def _random_f5_target(rng):
+    return TargetDensity(_RandomTrig(rng.uniform(-0.15, 0.15, size=3)), 1)
 
 
 def test_criterion_5_kl_l2_domination():

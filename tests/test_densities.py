@@ -1,7 +1,7 @@
 """Tests for the target density zoo: certified bounds, mass, and samplers."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,13 +9,14 @@ from scipy.special import ndtr
 
 from mixapprox.densities import (
     ZOO_NAMES,
+    TargetDensity,
     default_points_per_axis,
     estimate_lipschitz,
     make_target,
     truncated_normal_density,
     verify_f5_membership,
 )
-from mixapprox.grids import cube, make_grid, quadrature_integrate, sample_on_grid
+from mixapprox.grids import SupportBox, cube, make_grid, quadrature_integrate, sample_on_grid
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 Z1 = 2.0 * ndtr(1.0) - 1.0
@@ -68,23 +69,59 @@ class TestMakeTarget:
     def test_mass_at_default_resolution(self, name, dim):
         f = make_target(name, dim)
         grid = make_grid(f.support, default_points_per_axis(dim), "simpson")
-        mass = quadrature_integrate(sample_on_grid(f.pdf, grid))
+        mass = quadrature_integrate(sample_on_grid(f, grid))
         assert abs(mass - 1.0) <= 1e-6, (name, dim, mass)
 
     @pytest.mark.parametrize("name", ZOO_NAMES)
     def test_declared_bounds_certify(self, name):
         f = make_target(name, 1)
         grid = make_grid(f.support, 4097, "simpson")
-        vals = sample_on_grid(f.pdf, grid).values
+        vals = sample_on_grid(f, grid).values
         assert vals.min() >= f.beta_lower - 1e-12
         assert vals.max() <= f.beta_upper + 1e-12
 
     def test_two_bumps_min_at_endpoints(self):
         f = make_target("two-truncated-normals", 1)
         grid = make_grid(f.support, 8193, "simpson")
-        vals = sample_on_grid(f.pdf, grid).values
+        vals = sample_on_grid(f, grid).values
         assert vals.min() == pytest.approx(f.beta_lower, abs=1e-12)
         assert np.argmin(vals) in (0, vals.size - 1)
+
+    def test_two_settable_fields(self):
+        assert [fd.name for fd in fields(TargetDensity)] == ["marginal", "dim"]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", [*ZOO_NAMES, "custom"])
+    def test_certificate_values(self, name, dim):
+        # Hand-derived (lo, hi, min g, max g, sup |g'|) of each marginal g; a
+        # truncated normal's slope peaks at |u| = 1, its extremes at the mode
+        # and the end farther from it.  The custom one is N(0, 1) on [0, 2].
+        def phi(t):
+            return PHI0 * math.exp(-0.5 * t * t)
+        bump = 0.12 * (ndtr(0.7 / 0.12) - ndtr(-0.3 / 0.12))
+        custom = ndtr(2.0) - 0.5
+        lo, hi, g_min, g_max, slope = {
+            "uniform-box": (0.0, 1.0, 1.0, 1.0, 0.0),
+            "clipped-cosine": (0.0, 1.0, 0.0, 2.0, 2.0 * math.pi),
+            "tent": (0.0, 1.0, 0.0, 2.0, 4.0),
+            "truncated-normal": (-1.0, 1.0, phi(1.0) / Z1, PHI0 / Z1, phi(1.0) / Z1),
+            "two-truncated-normals": (0.0, 1.0, 0.5 * (phi(2.5) + phi(0.7 / 0.12)) / bump,
+                                      PHI0 / bump, phi(1.0) / (0.12 * bump)),
+            "custom": (0.0, 2.0, phi(2.0) / custom, PHI0 / custom, phi(1.0) / custom),
+        }[name]
+        if name == "custom":
+            f = truncated_normal_density(0.0, 2.0, dim=dim)
+        else:
+            f = make_target(name, dim)
+        assert f.name == ("truncated-normal" if name == "custom" else name)
+        assert f.support == SupportBox((lo,) * dim, (hi,) * dim)
+        # On [lo, hi]^dim the product's extremes are the marginal's to the
+        # power dim, and its gradient's l1 norm is at most dim sup|g'| max^(dim-1).
+        assert f.beta_lower == pytest.approx(g_min ** dim, rel=1e-12)
+        assert f.beta_upper == pytest.approx(g_max ** dim, rel=1e-12)
+        assert f.lipschitz_constant == pytest.approx(
+            dim * slope * g_max ** (dim - 1), rel=1e-12, abs=0.0)
+        assert f.lipschitz_exponent == 1.0
 
     def test_custom_truncated_normal(self):
         f = truncated_normal_density(-8.0, 8.0)
@@ -112,7 +149,12 @@ class TestF5Membership:
 
     def test_broken_scaled_density_fails(self):
         f = make_target("uniform-box", 1)
-        broken = replace(f, evaluator=lambda x: 0.9 * f.evaluator(x))
+
+        class Scaled(type(f.marginal)):
+            def pdf(self, x):
+                return 0.9 * super().pdf(x)
+
+        broken = replace(f, marginal=Scaled())
         rep = verify_f5_membership(broken, make_grid(f.support, 1025, "trapezoid"))
         assert not rep.passed
         assert rep.measured_mass == pytest.approx(0.9, abs=1e-9)
@@ -172,7 +214,7 @@ class TestSamplers:
         counts, _ = np.histogram(xs, bins=edges)
         for i in range(16):
             g = make_grid(cube(edges[i], edges[i + 1], 1), 257, "simpson")
-            p = quadrature_integrate(sample_on_grid(f.pdf, g))
+            p = quadrature_integrate(sample_on_grid(f, g))
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(counts[i] / n - p) <= 4 * se, (name, i)
 
@@ -186,7 +228,7 @@ class TestSamplers:
         counts, _ = np.histogram(xs[:, 0], bins=edges)
         for i in range(16):
             g = make_grid(cube(edges[i], edges[i + 1], 1), 257, "simpson")
-            p = quadrature_integrate(sample_on_grid(base.pdf, g))
+            p = quadrature_integrate(sample_on_grid(base, g))
             se = math.sqrt(max(p * (1 - p), 1e-12) / xs.shape[0])
             assert abs(counts[i] / xs.shape[0] - p) <= 4 * se, i
 

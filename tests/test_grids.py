@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from mixapprox.grids import (
     young_inequality_check,
 )
 from mixapprox.kernels import SquaredDilation, dilate, make_product_kernel
-from mixapprox.densities import make_target, truncated_normal_density
+from mixapprox.densities import ZOO_NAMES, make_target, truncated_normal_density
 
 
 class TestSupportBox:
@@ -47,6 +48,63 @@ class TestSupportBox:
         box = cube(0.0, 1.0, 2)
         pts = np.array([[0.5, 0.5], [1.5, 0.5]])
         assert list(box.contains_points(pts)) == [True, False]
+
+
+_TARGETS = [*ZOO_NAMES, "custom-truncated-normal"]
+
+
+def _target(name, dim):
+    if name == "custom-truncated-normal":
+        return truncated_normal_density(0.2, 1.7, mu=0.5, sigma=0.4, dim=dim)
+    return make_target(name, dim)
+
+
+def _box_around(support, where):
+    """The support itself, a box wider than it, or a box inside it."""
+    lo, hi = np.array(support.lower), np.array(support.upper)
+    pad = {"equal": 0.0, "wider": 0.3, "inside": -0.2}[where] * (hi - lo)
+    return SupportBox(tuple(lo - pad), tuple(hi + pad))
+
+
+class TestPerAxisForms:
+    """The per-axis grid forms against their point-wise oracles on the mesh."""
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+    @pytest.mark.parametrize("where", ["equal", "wider", "inside"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", _TARGETS)
+    def test_sample_and_masks_match_the_mesh(self, name, dim, where, rule):
+        f = _target(name, dim)
+        grid = make_grid(_box_around(f.support, where), {1: 65, 2: 33, 3: 17}[dim], rule)
+        mesh = grid.mesh()
+        assert np.array_equal(sample_on_grid(f, grid).values, f.pdf(mesh))
+        # The support, and the interior sub-box of conv-rate.
+        for box in (f.support, f.support.shrink_fraction(0.1)):
+            assert np.array_equal(box.grid_mask(grid), box.contains_points(mesh))
+
+    def test_grid_mask_rejects_a_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            cube(0.0, 1.0, 2).grid_mask(make_grid(cube(0.0, 1.0, 3), 5, "simpson"))
+
+    @pytest.mark.parametrize("dim, grid_dim", [(1, 2), (2, 1), (2, 3), (3, 2)])
+    def test_sample_rejects_a_dimension_mismatch(self, dim, grid_dim):
+        f = make_target("tent", dim)
+        with pytest.raises(ValueError, match="dimension"):
+            sample_on_grid(f, make_grid(cube(0.0, 1.0, grid_dim), 5, "simpson"))
+
+    def test_3d_sample_holds_one_field(self):
+        # The outer product holds nothing of the field's size but the field;
+        # a point-wise product on the stacked (129^3, 3) mesh takes ~15 fields.
+        f = make_target("two-truncated-normals", 3)
+        grid = make_grid(f.support, 129, "simpson")
+        tracemalloc.start()
+        try:
+            gf = sample_on_grid(f, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gf.values.shape == grid.shape
+        assert peak < 2 * gf.values.nbytes
 
 
 class TestQuadrature:
@@ -115,7 +173,7 @@ def _block_case(case):
     f = make_target("clipped-cosine", dim)
     grid = make_grid(f.support, points, "simpson")
     d = dilate(make_product_kernel(name, dim), k)
-    return (_tilted(sample_on_grid(f.pdf, grid)), SquaredDilation(d) if squared else d,
+    return (_tilted(sample_on_grid(f, grid)), SquaredDilation(d) if squared else d,
             None if widened else grid)
 
 
@@ -163,7 +221,7 @@ class TestConvolve:
     def test_gaussian_variance_addition(self):
         f = truncated_normal_density(-8.0, 8.0)
         grid = make_grid(f.support, 2049, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         out = restrict(convolve(fg, dilate(make_product_kernel("gaussian", 1), 2)),
                        f.support)
         expected = np.exp(-grid.nodes[0] ** 2 / 2.5) / np.sqrt(2.5 * np.pi)
@@ -172,7 +230,7 @@ class TestConvolve:
     def test_box_box_triangle(self):
         f = make_target("uniform-box", 1)
         grid = make_grid(f.support, 2049, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         out = convolve(fg, dilate(make_product_kernel("uniform-symmetric", 1), 1),
                        method="direct")
         x = out.grid.nodes[0]
@@ -194,7 +252,7 @@ class TestConvolve:
     def test_fft_matches_direct_oracle(self):
         f = make_target("clipped-cosine", 1)
         grid = make_grid(f.support, 513, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         d = dilate(make_product_kernel("gaussian", 1), 4)
         a = convolve(fg, d, method="direct")
         b = convolve(fg, d, method="fft")
@@ -204,7 +262,7 @@ class TestConvolve:
     def test_fft_matches_direct_nd(self, dim, points):
         f = make_target("clipped-cosine", dim)
         grid = make_grid(f.support, points, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         d = dilate(make_product_kernel("gaussian", dim), 4)
         a = convolve(fg, d, method="direct")
         b = convolve(fg, d, method="fft")
@@ -236,7 +294,7 @@ class TestConvolve:
         # widened default output, for densities and for the squared kernel.
         f = make_target("clipped-cosine", dim)
         grid = make_grid(f.support, points, "simpson")
-        fg = _tilted(sample_on_grid(f.pdf, grid))
+        fg = _tilted(sample_on_grid(f, grid))
         d = dilate(make_product_kernel("gaussian", dim), 4)
         kernel = SquaredDilation(d) if squared else d
         a = convolve(fg, kernel, out_grid=grid)
@@ -256,7 +314,7 @@ class TestConvolve:
     def test_mass_conservation_with_truncation_budget(self):
         f = make_target("two-truncated-normals", 1)
         grid = make_grid(f.support, 2049, "simpson")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         for k in (4, 16, 64):
             out = convolve(fg, dilate(make_product_kernel("gaussian", 1), k))
             assert 1.0 - out.truncation_loss - 1e-6 <= out.mass <= 1.0 + 1e-6
@@ -264,14 +322,14 @@ class TestConvolve:
     def test_nonnegative_output(self):
         f = make_target("tent", 1)
         grid = make_grid(f.support, 1025, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         out = convolve(fg, dilate(make_product_kernel("gaussian", 1), 8), method="fft")
         assert np.min(out.values) >= 0.0
 
     def test_coarse_grid_guard(self):
         f = make_target("uniform-box", 1)
         grid = make_grid(f.support, 33, "trapezoid")   # h = 1/32 > 0.25/16
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         with pytest.raises(ValueError, match="coarse"):
             convolve(fg, dilate(make_product_kernel("gaussian", 1), 16))
 
@@ -280,12 +338,12 @@ class TestConvolve:
         # zero at the edges, so both orderings are the same lattice sum.
         f = make_target("tent", 1)
         grid_f = make_grid(f.support, 513, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid_f)
+        fg = sample_on_grid(f, grid_f)
         tri = make_product_kernel("triangular", 1)
         conv1 = convolve(fg, dilate(tri, 1), method="direct")
 
         grid_t = make_grid(cube(-1.0, 1.0, 1), 1025, "trapezoid")
-        tg = sample_on_grid(lambda x: tri.pdf(x), grid_t)
+        tg = sample_on_grid(tri, grid_t)
         conv2 = grid_convolve(tg, fg)
 
         # Compare on the common sub-box.
@@ -296,7 +354,7 @@ class TestConvolve:
     def test_restrict_alignment_errors(self):
         f = make_target("uniform-box", 1)
         grid = make_grid(f.support, 101, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         with pytest.raises(GridCompatibilityError):
             restrict(fg, cube(0.1234567, 0.9, 1))
 
@@ -316,7 +374,7 @@ class TestYoung:
     def test_unit_boxes_case_i(self):
         f = make_target("uniform-box", 1)
         grid = make_grid(f.support, 1025, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         rep = young_inequality_check(fg, fg, 1, 1)
         assert rep.case == "i" and rep.passed
         assert rep.lhs == pytest.approx(1.0, abs=1e-3)
@@ -324,7 +382,7 @@ class TestYoung:
     def test_unit_boxes_case_ii(self):
         f = make_target("uniform-box", 1)
         grid = make_grid(f.support, 1025, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         rep = young_inequality_check(fg, fg, 2, 2)
         assert rep.case == "ii" and rep.passed
         assert rep.rhs == pytest.approx(1.0, abs=1e-12)
@@ -332,7 +390,7 @@ class TestYoung:
     def test_scaled_half_box(self):
         half = GridFunction(make_grid(cube(0.0, 0.5, 1), 513, "trapezoid"),
                             np.full(513, 2.0))
-        box = sample_on_grid(make_target("uniform-box", 1).pdf,
+        box = sample_on_grid(make_target("uniform-box", 1),
                              make_grid(cube(0.0, 1.0, 1), 1025, "trapezoid"))
         rep = young_inequality_check(half, box, 1, np.inf)
         assert rep.passed
@@ -346,7 +404,7 @@ class TestYoung:
     def test_conjugacy_violation_rejected(self):
         f = make_target("uniform-box", 1)
         grid = make_grid(f.support, 129, "trapezoid")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         with pytest.raises(ValueError):
             young_inequality_check(fg, fg, 2, 3)
 
@@ -374,7 +432,7 @@ class TestConvergenceRealization:
 
         f = make_target(name, 1)
         grid = make_grid(f.support, 2049, "simpson")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         kernel = make_product_kernel("gaussian", 1)
         out = {1: [], 2: [], "sup": []}
         for k in self.KS:

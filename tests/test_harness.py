@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixapprox import harness
 from mixapprox.cli import main as cli_main
 from mixapprox.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from mixapprox.densities import make_target
@@ -179,7 +180,7 @@ class TestConvRateStudy:
         # dense (2049, 2049) matrix alone would take 32 MiB.
         f = make_target("two-truncated-normals", 1)
         grid = make_grid(f.support, 2049, "simpson")
-        fg = sample_on_grid(f.pdf, grid)
+        fg = sample_on_grid(f, grid)
         kernel = dilate(make_product_kernel("gaussian", 1), 8)
         tracemalloc.start()
         try:
@@ -599,6 +600,29 @@ class TestMleRiskStudySmall:
         emit_report(run_study(cfg), a, "csv")
         emit_report(run_study(cfg), b, "csv")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_dropped_component_is_a_note(self, monkeypatch):
+        # EM only counts a dropped starved component (EMFit.dropped); the
+        # study names each reported best fit that dropped one in a note.
+        real_mle_fit = harness.mle_fit
+
+        def mle_fit(xs, n_components, *args, **kwargs):
+            fitted = real_mle_fit(xs, n_components, *args, **kwargs)
+            fitted.fit.dropped = int(n_components == 2)
+            return fitted
+
+        monkeypatch.setattr(harness, "mle_fit", mle_fit)
+        cfg = ExperimentConfig(
+            study="mle-risk", density_name="two-truncated-normals",
+            n_list=(1, 2), N_list=(100,), replications=2,
+            fit_k_grid=(4,), fit_restarts=1, heldout_n=2, heldout_N=150,
+            grid_points_per_axis=1025, seed=11,
+        ).validate()
+        notes = [note for note in run_study(cfg).notes if "starved" in note]
+        assert notes == [
+            f"best fit at n=2, N={N}, replication {r} dropped 1 starved mixture "
+            "component(s)" for N in (100, 150) for r in (0, 1)
+        ]
 
 
 class TestNnls2Col:

@@ -157,7 +157,7 @@ class TestComponentEvaluator:
         kernel = make_product_kernel(name, p)
         dil = Dilation(kernel, k)
         grid = make_grid(cube(-0.125, 0.125, p), 9, "simpson")
-        f_gf = sample_on_grid(make_target("truncated-normal", p).pdf, grid)
+        f_gf = sample_on_grid(make_target("truncated-normal", p), grid)
         mixing = MixingApproximant(f_gf, kernel, k, convolve(f_gf, dil, out_grid=grid))
         pts = grid.mesh().reshape(-1, p)
         weights = (f_gf.values * grid.weight_tensor()).ravel()
@@ -320,14 +320,12 @@ class TestEmFit:
         rng = np.random.default_rng(0)
         xs = 0.5 + 0.001 * rng.standard_normal((400, 1))
         box = MeanBox(-1e6, 1e6, 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             fit = em_fit(xs, 2, 64, GAUSS, box,
                          init_rng=np.random.default_rng(12))
-        if fit.dropped:
-            assert any("starved" in str(w.message) for w in caught)
-            assert fit.mixture.n < 2
         assert fit.reseeds >= 1
+        assert fit.dropped == 1 and fit.mixture.n == 1
 
 
 def _weighted_median(x, w):

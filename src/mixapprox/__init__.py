@@ -24,7 +24,6 @@ from .kernels import (
     UnivariateKernel,
     certify_approximate_identity,
     check_moment_condition,
-    dilate,
     l1_outside_mass,
     make_product_kernel,
 )
@@ -32,7 +31,6 @@ from .densities import (
     F5MembershipReport,
     TargetDensity,
     ZOO_NAMES,
-    default_points_per_axis,
     estimate_lipschitz,
     make_target,
     truncated_normal_density,

@@ -58,15 +58,6 @@ class BoundReport:
         )
 
 
-def _axis_probe(marginal, k: int, box: MeanBox, domain: SupportBox,
-                axis: int, n: int):
-    """Probe table log g(k (x - m)) over n domain nodes by n mean nodes of one
-    axis, returned with the mean nodes."""
-    xs = np.linspace(domain.lower[axis], domain.upper[axis], n)
-    ms = np.linspace(box.m_lower, box.m_upper, n)
-    return marginal.log_pdf(k * (xs[:, None] - ms[None, :])), ms
-
-
 def compute_A_logratio(kernel: ProductKernel, k: int, box: MeanBox,
                        domain: SupportBox) -> float:
     """Sup over mean pairs and domain points of the component log ratio
@@ -119,8 +110,10 @@ def estimate_B_lipschitz(kernel: ProductKernel, k: int, box: MeanBox,
     if box.m_upper - box.m_lower <= 0:
         return 0.0
     best = 0.0
+    ms = np.linspace(box.m_lower, box.m_upper, points_per_axis)
     for axis in range(kernel.dim):
-        lg, ms = _axis_probe(kernel.marginal, k, box, domain, axis, points_per_axis)
+        xs = np.linspace(domain.lower[axis], domain.upper[axis], points_per_axis)
+        lg = kernel.marginal.log_pdf(k * (xs[:, None] - ms[None, :]))
         if np.any(np.isinf(lg)):
             raise ValueError("log ratio is infinite on the probe grid")
         slopes = np.abs(np.diff(lg, axis=1)) / np.diff(ms)

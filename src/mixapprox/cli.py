@@ -3,8 +3,9 @@
     mixapprox <study> --config <file> [--seed S] [--out PATH]
               [--format csv|json] [--strict]
 
-Exit codes: 0 success, 2 configuration error, 3 domination-check failure
-under --strict.
+Exit codes: 0 success, 2 configuration error or a report that cannot be
+written, 3 domination-check failure under --strict (the option or the
+config's `strict` setting).
 """
 
 from __future__ import annotations
@@ -24,34 +25,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("study", choices=STUDIES, help="study to run")
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--out", default=None, help="override output path")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--out", dest="out_path", metavar="OUT", default=None,
+                        help="override output path")
+    parser.add_argument("--format", dest="out_format", choices=("csv", "json"), default=None,
                         help="override output format")
-    parser.add_argument("--strict", action="store_true",
+    parser.add_argument("--strict", action="store_const", const=True, default=None,
                         help="exit 3 when any domination check fails")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {"study": args.study}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_path"] = args.out
-    if args.format is not None:
-        overrides["out_format"] = args.format
-    if args.strict:
-        overrides["strict"] = True
+    # Every option but --config is named after the config field it overrides.
+    args = vars(build_parser().parse_args(argv))
+    config_path = args.pop("config")
+    overrides = {name: value for name, value in args.items() if value is not None}
     try:
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(config_path, **overrides)
         result = run_study(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     out_path = cfg.out_path or f"{cfg.study}.{cfg.out_format}"
-    emit_report(result, out_path, cfg.out_format)
+    try:
+        emit_report(result, out_path, cfg.out_format)
+    except OSError as exc:
+        print(f"error: cannot write report {out_path!r}: {exc}", file=sys.stderr)
+        return 2
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)
     failed = [b for b in result.bound_reports if not b.dominated]

@@ -2,13 +2,17 @@
 
 Config files are plain text, one `key = value` per line, `#` comments.  Keys
 use dotted names (`density.name`, `grid.points_per_axis`, ...); list values
-are comma separated.  Unknown keys are rejected so typos fail loudly.
+are comma separated, and `strict` takes 1/0, true/false or yes/no in any case.
+Unknown keys and unparsable values are rejected so typos fail loudly.
+
+Each `ExperimentConfig` field declares its key and its parser, and the key
+table is derived from the fields, so a new setting is one line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .densities import ZOO_NAMES
@@ -32,34 +36,46 @@ def _float_list(raw: str):
     return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
 
 
+def _flag(raw: str) -> bool:
+    value = raw.lower()
+    if value not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"expected 1, 0, true, false, yes or no, got {raw!r}")
+    return value in ("1", "true", "yes")
+
+
+def _key(key: str, parse, default):
+    """A config field read from the file's `key` line by `parse`."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    study: str = "conv-rate"
-    density_name: str = "tent"
-    density_dim: int = 1
-    kernel_name: str = "gaussian"
-    grid_points_per_axis: int = 0          # 0: per-dim default
-    grid_rule: str = "simpson"
-    k_list: tuple = (2, 4, 8, 16, 32)
-    n_list: tuple = (1, 2, 4, 8, 16, 32)
-    N_list: tuple = (250, 1000, 4000)
-    deltas: tuple = (0.25, 0.5, 1.0)
-    replications: int = 20
-    epsilon: float = 0.01
-    seed: int = 20240801
-    out_path: str = ""
-    out_format: str = "csv"
-    strict: bool = False
-    interior_margin: float = 0.1
-    objective: str = "l2"
-    means_per_axis: int = 257
-    fit_k_grid: tuple = (4, 8, 16)
-    fit_restarts: int = 1
-    fit_max_iters: int = 500
-    fit_tol: float = 1e-8
-    fit_mean_box: tuple = ()               # empty: density support
-    heldout_n: int = 8
-    heldout_N: int = 2000
+    study: str = _key("study", str, "conv-rate")
+    density_name: str = _key("density.name", str, "tent")
+    density_dim: int = _key("density.dim", int, 1)
+    kernel_name: str = _key("kernel.name", str, "gaussian")
+    grid_points_per_axis: int = _key("grid.points_per_axis", int, 0)   # 0: per-dim default
+    grid_rule: str = _key("grid.rule", str, "simpson")
+    k_list: tuple = _key("k.list", _int_list, (2, 4, 8, 16, 32))
+    n_list: tuple = _key("n.list", _int_list, (1, 2, 4, 8, 16, 32))
+    N_list: tuple = _key("N.list", _int_list, (250, 1000, 4000))
+    deltas: tuple = _key("deltas.list", _float_list, (0.25, 0.5, 1.0))
+    replications: int = _key("replications", int, 20)
+    epsilon: float = _key("epsilon", float, 0.01)
+    seed: int = _key("seed", int, 20240801)
+    out_path: str = _key("out.path", str, "")
+    out_format: str = _key("out.format", str, "csv")
+    strict: bool = _key("strict", _flag, False)
+    interior_margin: float = _key("interior.margin", float, 0.1)
+    objective: str = _key("objective", str, "l2")
+    means_per_axis: int = _key("dictionary.means_per_axis", int, 257)
+    fit_k_grid: tuple = _key("fit.k_grid", _int_list, (4, 8, 16))
+    fit_restarts: int = _key("fit.restarts", int, 1)
+    fit_max_iters: int = _key("fit.max_iters", int, 500)
+    fit_tol: float = _key("fit.tol", float, 1e-8)
+    fit_mean_box: tuple = _key("fit.mean_box", _float_list, ())   # empty: density support
+    heldout_n: int = _key("heldout.n", int, 8)
+    heldout_N: int = _key("heldout.N", int, 2000)
 
     def validate(self) -> "ExperimentConfig":
         pts, box, mle = self.grid_points_per_axis, self.fit_mean_box, self.study == "mle-risk"
@@ -122,34 +138,7 @@ class ExperimentConfig:
         return self
 
 
-_KEYS = {
-    "study": ("study", str),
-    "density.name": ("density_name", str),
-    "density.dim": ("density_dim", int),
-    "kernel.name": ("kernel_name", str),
-    "grid.points_per_axis": ("grid_points_per_axis", int),
-    "grid.rule": ("grid_rule", str),
-    "k.list": ("k_list", _int_list),
-    "n.list": ("n_list", _int_list),
-    "N.list": ("N_list", _int_list),
-    "deltas.list": ("deltas", _float_list),
-    "replications": ("replications", int),
-    "epsilon": ("epsilon", float),
-    "seed": ("seed", int),
-    "out.path": ("out_path", str),
-    "out.format": ("out_format", str),
-    "strict": ("strict", lambda v: v.lower() in ("1", "true", "yes")),
-    "interior.margin": ("interior_margin", float),
-    "objective": ("objective", str),
-    "dictionary.means_per_axis": ("means_per_axis", int),
-    "fit.k_grid": ("fit_k_grid", _int_list),
-    "fit.restarts": ("fit_restarts", int),
-    "fit.max_iters": ("fit_max_iters", int),
-    "fit.tol": ("fit_tol", float),
-    "fit.mean_box": ("fit_mean_box", _float_list),
-    "heldout.n": ("heldout_n", int),
-    "heldout.N": ("heldout_N", int),
-}
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, **overrides) -> ExperimentConfig:
@@ -167,9 +156,9 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         val = val.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, conv = _KEYS[key]
+        f = _KEYS[key]
         try:
-            values[attr] = conv(val)
+            values[f.name] = f.metadata["parse"](val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**{**values, **overrides}).validate()

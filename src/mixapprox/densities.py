@@ -23,7 +23,6 @@ __all__ = [
     "truncated_normal_density",
     "verify_f5_membership",
     "estimate_lipschitz",
-    "default_points_per_axis",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -197,13 +196,6 @@ _ZOO = {
 }
 ZOO_NAMES = tuple(sorted(_ZOO))
 
-_DEFAULT_POINTS = {1: 2049, 2: 257, 3: 65}
-
-
-def default_points_per_axis(dim: int) -> int:
-    return _DEFAULT_POINTS[dim]
-
-
 @dataclass(frozen=True)
 class TargetDensity:
     """Product density f(x) = prod_a g(x_a) of one marginal g over `dim` axes.
@@ -281,8 +273,7 @@ class F5MembershipReport:
     passed: bool
 
 
-def verify_f5_membership(f: TargetDensity, grid: TensorGrid,
-                         mass_tol: float = 1e-6) -> F5MembershipReport:
+def verify_f5_membership(f: TargetDensity, grid: TensorGrid) -> F5MembershipReport:
     """Check the declared lower bound and unit mass of a target on a grid."""
     if not grid.box.contains_box(f.support):
         raise ValueError("grid does not cover the density support")
@@ -290,7 +281,7 @@ def verify_f5_membership(f: TargetDensity, grid: TensorGrid,
     mass = quadrature_integrate(gf)
     inside = f.support.grid_mask(grid)
     measured_min = float(gf.values[inside].min())
-    mass_ok = abs(mass - 1.0) <= mass_tol
+    mass_ok = abs(mass - 1.0) <= 1e-6
     lower_ok = measured_min >= f.beta_lower - 1e-12
     return F5MembershipReport(
         name=f.name,

@@ -84,9 +84,9 @@ class SupportBox:
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains_box(self, other: "SupportBox", tol: float = 1e-12) -> bool:
+    def contains_box(self, other: "SupportBox") -> bool:
         return all(
-            a <= c + tol and d <= b + tol
+            a <= c + _BOX_TOL and d <= b + _BOX_TOL
             for a, b, c, d in zip(self.lower, self.upper, other.lower, other.upper)
         )
 
@@ -175,11 +175,11 @@ class TensorGrid:
             out = out @ w
         return float(out)
 
-    def same_lattice(self, other: "TensorGrid", tol: float = 1e-9) -> bool:
+    def same_lattice(self, other: "TensorGrid") -> bool:
         if self.dim != other.dim:
             return False
         for a, b in zip(self.nodes, other.nodes):
-            if len(a) != len(b) or np.max(np.abs(a - b)) > tol:
+            if len(a) != len(b) or np.max(np.abs(a - b)) > 1e-9:
                 return False
         return True
 

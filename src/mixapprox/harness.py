@@ -10,21 +10,20 @@ bytes.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
-from .densities import default_points_per_axis, make_target
+from .densities import make_target
 from .divergences import AbsoluteContinuityError, kl_divergence, lq_norm
 from .grids import (GridFunction, check_grid_size, check_resolution, convolve, make_grid,
                     sample_on_grid)
-from .kernels import certify_approximate_identity, dilate, make_product_kernel
+from .kernels import Dilation, certify_approximate_identity, make_product_kernel
 from .mixtures import (
     MeanBox,
     MixtureDictionary,
@@ -52,8 +51,6 @@ __all__ = [
     "emit_report",
 ]
 
-CSV_HEADER = "study,axis,axis_value,replication,seed,metric,value"
-
 
 @dataclass(frozen=True)
 class Row:
@@ -75,12 +72,14 @@ class Row:
                 object.__setattr__(self, name, float(v))
 
 
+CSV_HEADER = ",".join(f.name for f in fields(Row))
+
+
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
     intercept: float
     ci_halfwidth: object        # float or None when dof is insufficient
-    n_points: int
 
 
 @dataclass
@@ -121,11 +120,14 @@ def fit_loglog_slope(points) -> SlopeFit:
         sxx = float(np.sum((lx - lx.mean()) ** 2))
         if sxx > 0:
             ci = 2.0 * math.sqrt(max(rss, 0.0) / dof / sxx)
-    return SlopeFit(slope, intercept, ci, len(pts))
+    return SlopeFit(slope, intercept, ci)
+
+
+_DEFAULT_POINTS = {1: 2049, 2: 257, 3: 65}     # study grid nodes per axis, by dimension
 
 
 def _study_grid(cfg: ExperimentConfig, support):
-    pts = cfg.grid_points_per_axis or default_points_per_axis(cfg.density_dim)
+    pts = cfg.grid_points_per_axis or _DEFAULT_POINTS[cfg.density_dim]
     _config_guard(check_grid_size, pts, cfg.density_dim)
     return make_grid(support, pts, cfg.grid_rule)
 
@@ -194,7 +196,7 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
     result = StudyResult("conv-rate")
     sup_int_points = []
     for k in cfg.k_list:
-        out = convolve(f_gf, dilate(kernel, k), out_grid=grid)
+        out = convolve(f_gf, Dilation(kernel, k), out_grid=grid)
         diff = out.values - f_gf.values
         metrics = {
             "sup": float(np.max(np.abs(diff))),
@@ -410,7 +412,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     # constants dominating every training cell, checked on the held-out cell.
     kl_by_k = {}
     for k in cfg.fit_k_grid:
-        fbar = convolve(f_gf, dilate(kernel, k), out_grid=grid)
+        fbar = convolve(f_gf, Dilation(kernel, k), out_grid=grid)
         kl_by_k[k] = kl_divergence(f_gf, fbar)
     beta = f.beta_lower
     eps_hat = beta * min(kl_by_k.values())
@@ -428,10 +430,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
         pred = design[i] @ np.array([C1, C2])
         if resid[i] > 0 and pred > 0:
             scale = max(scale, resid[i] / pred)
-    if any(resid > 0) and (C1 == 0.0 and C2 == 0.0):
-        C2 = float(max(resid[i] * math.sqrt(c[1]) for i, c in enumerate(train)))
-    else:
-        C1, C2 = C1 * scale, C2 * scale
+    C1, C2 = C1 * scale, C2 * scale
 
     k_star = max(chosen_k, key=lambda k: (chosen_k[k], k))
     a_log = bnd.compute_A_logratio(kernel, k_star, box, f.support)
@@ -565,11 +564,7 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return repr(float(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _sorted_rows(rows) -> list:
@@ -583,44 +578,15 @@ def emit_report(result: StudyResult, path, fmt: str = "csv") -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = _sorted_rows(result.rows)
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for r in rows:
-            buf.write(",".join([
-                r.study, r.axis, _fmt(r.axis_value), _fmt(r.replication),
-                _fmt(r.seed), r.metric, _fmt(r.value),
-            ]) + "\n")
-        path.write_text(buf.getvalue())
+        lines = [CSV_HEADER, *(",".join(map(_fmt, astuple(r))) for r in rows)]
+        path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         payload = {
             "study": result.study,
-            "rows": [
-                {
-                    "study": r.study, "axis": r.axis, "axis_value": r.axis_value,
-                    "replication": r.replication, "seed": r.seed,
-                    "metric": r.metric, "value": r.value,
-                }
-                for r in rows
-            ],
-            "slopes": [
-                {
-                    "study": rep.study, "axis": rep.axis,
-                    "points": [list(p) for p in rep.points],
-                    "fitted_slope": rep.fitted_slope,
-                    "fitted_intercept": rep.fitted_intercept,
-                    "slope_ci_halfwidth": rep.slope_ci_halfwidth,
-                }
-                for rep in result.rate_reports
-            ],
-            "bounds": [
-                {
-                    "bound_name": br.bound_name, "rhs": br.rhs,
-                    "measured": br.measured, "dominated": br.dominated,
-                    "inputs": {k: br.inputs[k] for k in sorted(br.inputs)},
-                }
-                for br in result.bound_reports
-            ],
-            "notes": list(result.notes),
+            "rows": [asdict(r) for r in rows],
+            "slopes": [asdict(rep) for rep in result.rate_reports],
+            "bounds": [asdict(br) for br in result.bound_reports],
+            "notes": result.notes,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:

@@ -26,7 +26,6 @@ __all__ = [
     "IdentityCertification",
     "MARGINAL_NAMES",
     "make_product_kernel",
-    "dilate",
     "certify_approximate_identity",
     "check_moment_condition",
     "l1_outside_mass",
@@ -342,10 +341,6 @@ def make_product_kernel(marginal_name: str, dim: int) -> ProductKernel:
     return ProductKernel(int(dim), _MARGINALS[marginal_name]())
 
 
-def dilate(kernel: ProductKernel, k: int) -> Dilation:
-    return Dilation(kernel, k)
-
-
 def _l1_inside_mass(marginal: UnivariateKernel, p: int, s: float) -> float:
     """P(|Z_1| + ... + |Z_p| <= s) for iid symmetric marginals."""
     if s <= 0:
@@ -373,7 +368,7 @@ def l1_outside_mass(dilation: Dilation, delta: float) -> float:
     return float(min(max(1.0 - inside, 0.0), 1.0))
 
 
-def _axis_mass(marginal: UnivariateKernel, k: int, n_points: int = 4097) -> float:
+def _axis_mass(marginal: UnivariateKernel, k: int) -> float:
     """Measured per-axis mass of the dilated marginal.
 
     Compactly supported marginals are integrated by trapezoid on a padded
@@ -381,7 +376,7 @@ def _axis_mass(marginal: UnivariateKernel, k: int, n_points: int = 4097) -> floa
     midpoint jump convention makes the sum exact.  Full-support marginals use
     Simpson on the truncation interval.
     """
-    r = marginal.radius(1e-12) / k
+    r, n_points = marginal.radius(1e-12) / k, 4097
     if isinstance(marginal, _CompactKernel):
         h = r / (n_points // 2)
         m = n_points // 2 + 8       # 8 padding nodes past each edge
@@ -397,10 +392,7 @@ def _axis_mass(marginal: UnivariateKernel, k: int, n_points: int = 4097) -> floa
 class IdentityCertification:
     """Mass, positivity, and concentration checks for a dilation family."""
 
-    kernel_name: str
-    dim: int
     ks: tuple
-    deltas: tuple
     masses: tuple                 # measured mass per k
     outside: dict                 # delta -> tuple of outside-l1-ball masses per k
     mass_ok: bool
@@ -435,10 +427,7 @@ def certify_approximate_identity(base: ProductKernel, deltas, ks) -> IdentityCer
             concentration_ok = False
 
     return IdentityCertification(
-        kernel_name=base.marginal.name,
-        dim=base.dim,
         ks=ks,
-        deltas=deltas,
         masses=masses,
         outside=outside,
         mass_ok=mass_ok,

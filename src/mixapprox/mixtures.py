@@ -18,7 +18,7 @@ from scipy import fft as sp_fft
 
 from .grids import (TRUNCATION_TOL, GridFunction, TensorGrid, _widening, convolve,
                     restrict, sample_on_grid)
-from .kernels import Dilation, ProductKernel, SquaredDilation, dilate
+from .kernels import Dilation, ProductKernel, SquaredDilation
 
 __all__ = [
     "MeanBox",
@@ -518,14 +518,14 @@ def _weighted_table(dictionary: MixtureDictionary, W: np.ndarray):
     return weighted, sqnorms
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimize a unimodal scalar function on [lo, hi]."""
+def _golden_section(fn, lo: float, hi: float) -> float:
+    """Minimize a unimodal scalar function on [lo, hi], to a bracket of 1e-10."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -679,7 +679,7 @@ class MixingApproximant:
         The second moment of the component density under the mixing law, the
         numerator shared by both integral-ratio constants; built on first use.
         """
-        return convolve(self.target, SquaredDilation(dilate(self.kernel, self.k)),
+        return convolve(self.target, SquaredDilation(Dilation(self.kernel, self.k)),
                         out_grid=self.realized.grid)
 
 
@@ -710,7 +710,7 @@ def build_mixing_approximant(target, kernel: ProductKernel, k: int,
                              grid: TensorGrid) -> MixingApproximant:
     """Sample a target on the grid and convolve it with the dilated kernel onto it."""
     f_gf = sample_on_grid(target, grid)
-    dil = dilate(kernel, int(k))
+    dil = Dilation(kernel, int(k))
     if grid.dim > 1:
         # Kept on the widened FFT sum.  The exact per-axis sum differs from it
         # only in the last bits, but greedy_fit's golden-section L2 step settles

@@ -27,7 +27,7 @@ from mixapprox.grids import (
     young_inequality_check,
 )
 from mixapprox.harness import emit_report, run_conv_rate, run_mix_rate, run_study
-from mixapprox.kernels import certify_approximate_identity, dilate, make_product_kernel
+from mixapprox.kernels import Dilation, certify_approximate_identity, make_product_kernel
 from mixapprox.mixtures import MeanBox, em_fit, mixture_sample, FiniteMixture
 
 
@@ -64,7 +64,7 @@ def test_criterion_2_convolution_oracle():
     f = truncated_normal_density(-8.0, 8.0)
     grid = make_grid(f.support, 2049, "trapezoid")
     fg = sample_on_grid(f, grid)
-    out = restrict(convolve(fg, dilate(make_product_kernel("gaussian", 1), 2)),
+    out = restrict(convolve(fg, Dilation(make_product_kernel("gaussian", 1), 2)),
                    f.support)
     expected = np.exp(-grid.nodes[0] ** 2 / 2.5) / np.sqrt(2.5 * np.pi)
     gauss_err = float(np.max(np.abs(out.values - expected)))
@@ -72,7 +72,7 @@ def test_criterion_2_convolution_oracle():
     u = make_target("uniform-box", 1)
     ugrid = make_grid(u.support, 2049, "trapezoid")
     ug = sample_on_grid(u, ugrid)
-    tri_out = convolve(ug, dilate(make_product_kernel("uniform-symmetric", 1), 1))
+    tri_out = convolve(ug, Dilation(make_product_kernel("uniform-symmetric", 1), 1))
     x = tri_out.grid.nodes[0]
     tri = np.clip(np.minimum(x + 0.5, 1.5 - x), 0.0, 1.0)
     box_l1 = float(tri_out.grid.integrate(np.abs(tri_out.values - tri)))

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from mixapprox import bounds
 from mixapprox.bounds import (
     GAMMA_AT_ZERO,
     BoundReport,
@@ -24,7 +23,7 @@ from mixapprox.bounds import (
 from mixapprox.densities import make_target
 from mixapprox import mixtures
 from mixapprox.grids import GridFunction, SupportBox, convolve, cube, make_grid
-from mixapprox.kernels import MARGINAL_NAMES, dilate, make_product_kernel
+from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
 from mixapprox.mixtures import (
     FiniteMixture,
     MeanBox,
@@ -70,13 +69,21 @@ class TestLogRatioSup:
         assert compute_A_logratio(uni, 1, UNIT_BOX, UNIT_DOMAIN) == math.inf
 
 
+def _probe_table(marginal, k, box, domain, axis, n):
+    """Probe table log g(k (x - m)) over n domain nodes by n mean nodes of one
+    axis, returned with the mean nodes."""
+    xs = np.linspace(domain.lower[axis], domain.upper[axis], n)
+    ms = np.linspace(box.m_lower, box.m_upper, n)
+    return marginal.log_pdf(k * (xs[:, None] - ms[None, :])), ms
+
+
 def _probe_A(kernel, k, box, domain, n):
     """Oracle: the dense probe the closed form replaced.  Per axis, the spread
     of log g(k(x - m)) over n mean nodes at each of n domain nodes, maxed over
     the domain nodes and summed over the axes; inf when a spread is not finite."""
     total = 0.0
     for axis in range(kernel.dim):
-        lg, _ = bounds._axis_probe(kernel.marginal, k, box, domain, axis, n)
+        lg, _ = _probe_table(kernel.marginal, k, box, domain, axis, n)
         with np.errstate(invalid="ignore"):
             spread = lg.max(axis=1) - lg.min(axis=1)
         if not np.all(np.isfinite(spread)):
@@ -168,7 +175,7 @@ def _all_pairs_B(kernel, k, box, domain, n):
     the probe table, at n probe points per axis."""
     best = 0.0
     for axis in range(kernel.dim):
-        lg, ms = bounds._axis_probe(kernel.marginal, k, box, domain, axis, n)
+        lg, ms = _probe_table(kernel.marginal, k, box, domain, axis, n)
         dm = np.abs(ms[:, None] - ms[None, :])
         np.fill_diagonal(dm, np.inf)
         for row in lg:
@@ -217,7 +224,7 @@ def _point_mass_mixing():
     spike[1024] = 1.0 / grid.weights[0][1024]
     target = GridFunction(grid, spike)
     return MixingApproximant(target, GAUSS, 4,
-                             convolve(target, dilate(GAUSS, 4), out_grid=grid))
+                             convolve(target, Dilation(GAUSS, 4), out_grid=grid))
 
 
 class TestIntegralRatioConstants:

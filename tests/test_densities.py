@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from mixapprox import harness
 from mixapprox.densities import (
     ZOO_NAMES,
     TargetDensity,
-    default_points_per_axis,
     estimate_lipschitz,
     make_target,
     truncated_normal_density,
@@ -68,7 +68,7 @@ class TestMakeTarget:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_mass_at_default_resolution(self, name, dim):
         f = make_target(name, dim)
-        grid = make_grid(f.support, default_points_per_axis(dim), "simpson")
+        grid = make_grid(f.support, harness._DEFAULT_POINTS[dim], "simpson")
         mass = quadrature_integrate(sample_on_grid(f, grid))
         assert abs(mass - 1.0) <= 1e-6, (name, dim, mass)
 

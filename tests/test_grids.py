@@ -30,7 +30,7 @@ from mixapprox.grids import (
     sample_on_grid,
     young_inequality_check,
 )
-from mixapprox.kernels import SquaredDilation, dilate, make_product_kernel
+from mixapprox.kernels import Dilation, SquaredDilation, make_product_kernel
 from mixapprox.densities import ZOO_NAMES, make_target, truncated_normal_density
 
 
@@ -172,7 +172,7 @@ def _block_case(case):
     dim, points, name, squared, k, widened = case
     f = make_target("clipped-cosine", dim)
     grid = make_grid(f.support, points, "simpson")
-    d = dilate(make_product_kernel(name, dim), k)
+    d = Dilation(make_product_kernel(name, dim), k)
     return (_tilted(sample_on_grid(f, grid)), SquaredDilation(d) if squared else d,
             None if widened else grid)
 
@@ -222,7 +222,7 @@ class TestConvolve:
         f = truncated_normal_density(-8.0, 8.0)
         grid = make_grid(f.support, 2049, "trapezoid")
         fg = sample_on_grid(f, grid)
-        out = restrict(convolve(fg, dilate(make_product_kernel("gaussian", 1), 2)),
+        out = restrict(convolve(fg, Dilation(make_product_kernel("gaussian", 1), 2)),
                        f.support)
         expected = np.exp(-grid.nodes[0] ** 2 / 2.5) / np.sqrt(2.5 * np.pi)
         assert np.max(np.abs(out.values - expected)) < 1e-9
@@ -231,7 +231,7 @@ class TestConvolve:
         f = make_target("uniform-box", 1)
         grid = make_grid(f.support, 2049, "trapezoid")
         fg = sample_on_grid(f, grid)
-        out = convolve(fg, dilate(make_product_kernel("uniform-symmetric", 1), 1),
+        out = convolve(fg, Dilation(make_product_kernel("uniform-symmetric", 1), 1),
                        method="direct")
         x = out.grid.nodes[0]
         tri = np.clip(np.minimum(x + 0.5, 1.5 - x), 0.0, 1.0)
@@ -253,7 +253,7 @@ class TestConvolve:
         f = make_target("clipped-cosine", 1)
         grid = make_grid(f.support, 513, "trapezoid")
         fg = sample_on_grid(f, grid)
-        d = dilate(make_product_kernel("gaussian", 1), 4)
+        d = Dilation(make_product_kernel("gaussian", 1), 4)
         a = convolve(fg, d, method="direct")
         b = convolve(fg, d, method="fft")
         assert np.max(np.abs(a.values - b.values)) < 1e-9
@@ -263,7 +263,7 @@ class TestConvolve:
         f = make_target("clipped-cosine", dim)
         grid = make_grid(f.support, points, "trapezoid")
         fg = sample_on_grid(f, grid)
-        d = dilate(make_product_kernel("gaussian", dim), 4)
+        d = Dilation(make_product_kernel("gaussian", dim), 4)
         a = convolve(fg, d, method="direct")
         b = convolve(fg, d, method="fft")
         assert np.max(np.abs(a.values - b.values)) < 1e-9
@@ -295,7 +295,7 @@ class TestConvolve:
         f = make_target("clipped-cosine", dim)
         grid = make_grid(f.support, points, "simpson")
         fg = _tilted(sample_on_grid(f, grid))
-        d = dilate(make_product_kernel("gaussian", dim), 4)
+        d = Dilation(make_product_kernel("gaussian", dim), 4)
         kernel = SquaredDilation(d) if squared else d
         a = convolve(fg, kernel, out_grid=grid)
         b = restrict(convolve(fg, kernel), grid.box)
@@ -307,7 +307,7 @@ class TestConvolve:
         # Convolving a near-point mass recovers the kernel shape; here just
         # check k=1 dilation equals the base kernel pointwise.
         kernel = make_product_kernel("gaussian", 1)
-        d = dilate(kernel, 1)
+        d = Dilation(kernel, 1)
         xs = np.linspace(-3, 3, 101)[:, None]
         assert_allclose(d.pdf(xs), kernel.pdf(xs))
 
@@ -316,14 +316,14 @@ class TestConvolve:
         grid = make_grid(f.support, 2049, "simpson")
         fg = sample_on_grid(f, grid)
         for k in (4, 16, 64):
-            out = convolve(fg, dilate(make_product_kernel("gaussian", 1), k))
+            out = convolve(fg, Dilation(make_product_kernel("gaussian", 1), k))
             assert 1.0 - out.truncation_loss - 1e-6 <= out.mass <= 1.0 + 1e-6
 
     def test_nonnegative_output(self):
         f = make_target("tent", 1)
         grid = make_grid(f.support, 1025, "trapezoid")
         fg = sample_on_grid(f, grid)
-        out = convolve(fg, dilate(make_product_kernel("gaussian", 1), 8), method="fft")
+        out = convolve(fg, Dilation(make_product_kernel("gaussian", 1), 8), method="fft")
         assert np.min(out.values) >= 0.0
 
     def test_coarse_grid_guard(self):
@@ -331,7 +331,7 @@ class TestConvolve:
         grid = make_grid(f.support, 33, "trapezoid")   # h = 1/32 > 0.25/16
         fg = sample_on_grid(f, grid)
         with pytest.raises(ValueError, match="coarse"):
-            convolve(fg, dilate(make_product_kernel("gaussian", 1), 16))
+            convolve(fg, Dilation(make_product_kernel("gaussian", 1), 16))
 
     def test_commutative_roles_on_shared_lattice(self):
         # Tent target and triangular kernel: continuous, compactly supported,
@@ -340,7 +340,7 @@ class TestConvolve:
         grid_f = make_grid(f.support, 513, "trapezoid")
         fg = sample_on_grid(f, grid_f)
         tri = make_product_kernel("triangular", 1)
-        conv1 = convolve(fg, dilate(tri, 1), method="direct")
+        conv1 = convolve(fg, Dilation(tri, 1), method="direct")
 
         grid_t = make_grid(cube(-1.0, 1.0, 1), 1025, "trapezoid")
         tg = sample_on_grid(tri, grid_t)
@@ -436,7 +436,7 @@ class TestConvergenceRealization:
         kernel = make_product_kernel("gaussian", 1)
         out = {1: [], 2: [], "sup": []}
         for k in self.KS:
-            o = restrict(convolve(fg, dilate(kernel, k)), f.support)
+            o = restrict(convolve(fg, Dilation(kernel, k)), f.support)
             diff = GridFunction(grid, o.values - fg.values)
             out[1].append(lq_norm(diff, 1))
             out[2].append(lq_norm(diff, 2))

@@ -5,10 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mixapprox import harness
 from mixapprox.cli import main as cli_main
@@ -27,7 +31,7 @@ from mixapprox.harness import (
     run_mix_rate,
     run_study,
 )
-from mixapprox.kernels import dilate, make_product_kernel
+from mixapprox.kernels import Dilation, make_product_kernel
 
 
 class TestSlopeFit:
@@ -75,9 +79,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("studyy = conv-rate")
 
-    def test_bad_value(self):
-        with pytest.raises(ConfigError, match="bad value"):
-            parse_config_text("density.dim = two")
+    @pytest.mark.parametrize("line", [
+        "density.dim = two", "strict = ture", "strict = 2", "strict = on", "strict = ",
+    ])
+    def test_bad_value(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"line 2: bad value for '{key}'"):
+            parse_config_text(f"study = check-identity\n{line}")
 
     def test_unknown_study(self):
         with pytest.raises(ConfigError, match="unknown study"):
@@ -92,6 +100,24 @@ class TestConfig:
         p.write_text("study = check-identity\nkernel.name = laplace\nseed = 3\n")
         cfg = load_config(p)
         assert cfg.kernel_name == "laplace"
+
+    def test_every_key_parses_its_default_back(self):
+        # One `key = value` line per field, the value a rendering of the
+        # field's default; the keys are distinct, and each parser inverts it.
+        def render(value):
+            return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+        declared = fields(ExperimentConfig)
+        assert len({f.metadata["key"] for f in declared}) == len(declared)
+        text = "\n".join(f"{f.metadata['key']} = {render(f.default)}" for f in declared)
+        assert parse_config_text(text) == ExperimentConfig()
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("true", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("false", False), ("False", False), ("NO", False),
+    ])
+    def test_strict_values(self, raw, value):
+        assert parse_config_text(f"study = check-identity\nstrict = {raw}").strict is value
 
 
 class TestEmitReport:
@@ -181,7 +207,7 @@ class TestConvRateStudy:
         f = make_target("two-truncated-normals", 1)
         grid = make_grid(f.support, 2049, "simpson")
         fg = sample_on_grid(f, grid)
-        kernel = dilate(make_product_kernel("gaussian", 1), 8)
+        kernel = Dilation(make_product_kernel("gaussian", 1), 8)
         tracemalloc.start()
         try:
             out = convolve(fg, kernel, out_grid=grid)
@@ -485,29 +511,53 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
-    def test_strict_domination_failure_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("setting, option", [("", ["--strict"]), ("strict = true\n", [])])
+    def test_strict_domination_failure_exit_code(self, tmp_path, capsys, setting, option):
         # Small-n greedy iterates violate the run-certificate domination, so
-        # strict mode exits 3 (see the acceptance notes for the analysis).
+        # strict mode, set by the option or by the config, exits 3 (see the
+        # acceptance notes for the analysis).
         cfg = self._write(tmp_path, "study = mix-rate\n"
                                     "density.name = truncated-normal\n"
                                     "k.list = 16\nn.list = 1,2\n"
-                                    "dictionary.means_per_axis = 129\n")
+                                    f"dictionary.means_per_axis = 129\n{setting}")
         out = tmp_path / "mix.csv"
-        code = cli_main(["mix-rate", "--config", str(cfg), "--out", str(out),
-                         "--strict"])
+        code = cli_main(["mix-rate", "--config", str(cfg), "--out", str(out), *option])
         assert code == 3
         err = capsys.readouterr().err
         assert "domination failed" in err
 
-    def test_json_format_override(self, tmp_path):
-        cfg = self._write(tmp_path, "study = check-identity\n"
-                                    "kernel.name = gaussian\n"
-                                    "k.list = 1,2,4,8,16,32\n")
-        out = tmp_path / "ident.json"
+    def test_misspelt_strict_value_exits_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "study = check-identity\nstrict = ture\nk.list = 1,2\n")
+        out = tmp_path / "ident.csv"
+        assert cli_main(["check-identity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: line 2: bad value for 'strict'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
+        # The report's parent directory is a regular file.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = self._write(tmp_path, "study = check-identity\nk.list = 1,2\n")
+        out = blocker / "ident.csv"
+        assert cli_main(["check-identity", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write report {str(out)!r}" in err
+        assert "Traceback" not in err
+
+    def test_out_and_format_replace_the_file_values(self, tmp_path, capsys):
+        in_file = tmp_path / "from-file.csv"
+        cfg = self._write(tmp_path, "study = check-identity\nkernel.name = gaussian\n"
+                                    f"k.list = 1,2,4,8,16,32\nout.path = {in_file}\n"
+                                    "out.format = csv\n")
+        assert cli_main(["check-identity", "--config", str(cfg)]) == 0
+        assert in_file.read_text().startswith(CSV_HEADER)
+        in_file.unlink()
+        out = tmp_path / "from-options.json"
         assert cli_main(["check-identity", "--config", str(cfg), "--out", str(out),
                          "--format", "json"]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["study"] == "check-identity"
+        assert json.loads(out.read_text())["study"] == "check-identity"
+        assert not in_file.exists()
+        assert capsys.readouterr().out.splitlines() == [str(in_file), str(out)]
 
 
 # Small studies for the BLAS thread-count check, named <study>-<dim>d.
@@ -655,6 +705,17 @@ class TestNnls2Col:
         assert _nnls_2col(a, a @ [2.0, -3.0])[1] == 0.0
         assert _nnls_2col(a, a @ [-2.0, 3.0])[0] == 0.0
         assert np.all(_nnls_2col(a, -np.ones(3)) == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda m: st.tuples(
+        arrays(float, (m, 2), elements=st.floats(1e-6, 1.0)),
+        arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(1e-30, 1e3))))))
+    def test_positive_design_and_residuals_give_a_nonzero_fit(self, design_and_b):
+        # run_mle_risk's design entries 1/n and 1/sqrt(N) are positive and its
+        # residuals nonnegative, so some column correlates with b > 0.
+        a, b = design_and_b
+        assume(np.any(b > 0))
+        assert np.any(_nnls_2col(a, b) > 0.0)
 
 
 def test_cli_import_leaves_out_optimize_and_integrate():

@@ -1,5 +1,7 @@
 """Source hygiene: every top-level import of a module or test file is used,
-and the package neither evaluates on a stacked mesh nor warns.
+the package neither evaluates on a stacked mesh nor warns, every function,
+class and method it defines is named somewhere else, and every config field
+is read by a study or the CLI.
 
 No linter ships with the package, so these scans stand in for one.  The
 package ``__init__`` is left out of the import scan: its imports are
@@ -9,15 +11,21 @@ reports what it would warn about as a note.
 """
 
 import ast
+import re
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from mixapprox.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "mixapprox").glob("*.py"))
 FILES = sorted(
     p for p in [*SRC, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py"
 )
+READERS = [*SRC, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -71,3 +79,48 @@ def test_scan_flags_a_mesh_and_a_warning():
     tree = ast.parse("g.mesh()\nbox.contains_points(x)\nwarnings.warn('w')\n"
                      "g.mesh\nwarn('w')\ndef mesh(self): pass\n")
     assert _banned_calls(tree) == [(1, "mesh"), (2, "contains_points"), (3, "warnings.warn")]
+
+
+def _unnamed_definitions(trees: list, texts: list) -> list:
+    """Function, class and method names defined in `trees` (dunders aside)
+    that occur in `texts` no more often than they are defined."""
+    defined = Counter(
+        node.name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__")))
+    words = Counter(word for text in texts for word in re.findall(r"\w+", text))
+    return sorted(name for name, count in defined.items() if words[name] <= count)
+
+
+def test_every_definition_is_named_elsewhere():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SRC]
+    unnamed = _unnamed_definitions(trees, [p.read_text() for p in READERS])
+    assert not unnamed, "defined under src/mixapprox/ and never named elsewhere: " + \
+        ", ".join(unnamed)
+
+
+def test_scan_flags_an_unnamed_definition():
+    src = ("class Used:\n    def method(self): pass\n    def __init__(self): pass\n"
+           "def orphan(): pass\ndef twice(): pass\ndef twice(): pass\n")
+    tree = ast.parse(src)
+    assert _unnamed_definitions([tree], [src, "Used().method()\n"]) == ["orphan", "twice"]
+    assert _unnamed_definitions([tree], [src, "Used().method()\ntwice()\n"]) == ["orphan"]
+
+
+def _unread_fields(names, trees: list) -> list:
+    """Names in `names` never read as ``cfg.<name>`` in `trees`."""
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"}
+    return sorted(set(names) - read)
+
+
+def test_every_config_field_is_read():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SRC if p.name != "config.py"]
+    unread = _unread_fields([f.name for f in fields(ExperimentConfig)], trees)
+    assert not unread, "config fields with no effect: " + ", ".join(unread)
+
+
+def test_scan_flags_an_unread_field():
+    tree = ast.parse("def run(cfg, other):\n    return cfg.seed + other.tol + cfg.k\n")
+    assert _unread_fields(["seed", "tol", "k"], [tree]) == ["tol"]

@@ -10,10 +10,10 @@ from scipy.special import ndtr
 
 from mixapprox.kernels import (
     MARGINAL_NAMES,
+    Dilation,
     SquaredDilation,
     certify_approximate_identity,
     check_moment_condition,
-    dilate,
     l1_outside_mass,
     make_product_kernel,
 )
@@ -148,25 +148,25 @@ class TestProductKernel:
 
 class TestDilation:
     def test_scaling_value(self):
-        d = dilate(make_product_kernel("gaussian", 1), 2)
+        d = Dilation(make_product_kernel("gaussian", 1), 2)
         assert d.pdf(np.zeros(1)) == pytest.approx(2 / math.sqrt(2 * math.pi), abs=1e-12)
 
     def test_k1_identity(self):
         for name in ALL:
             k = make_product_kernel(name, 1)
-            d = dilate(k, 1)
+            d = Dilation(k, 1)
             xs = np.linspace(-2, 2, 41)[:, None]
             assert_allclose(d.pdf(xs), k.pdf(xs), atol=1e-15)
 
     def test_uniform_k4_support(self):
-        d = dilate(make_product_kernel("uniform-symmetric", 1), 4)
+        d = Dilation(make_product_kernel("uniform-symmetric", 1), 4)
         assert d.pdf(np.array([0.0])) == pytest.approx(4.0)
         assert d.pdf(np.array([0.2])) == 0.0
         assert d.pdf(np.array([0.1])) == pytest.approx(4.0)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            dilate(make_product_kernel("gaussian", 1), 0)
+            Dilation(make_product_kernel("gaussian", 1), 0)
 
     @pytest.mark.parametrize("name", ALL)
     def test_formula_consistency_at_random_probes(self, name):
@@ -174,7 +174,7 @@ class TestDilation:
         rng = np.random.default_rng(8)
         pts = rng.uniform(-1, 1, size=(100, 2))
         for k in (2, 5, 16):
-            d = dilate(kernel, k)
+            d = Dilation(kernel, k)
             assert_allclose(d.pdf(pts), k ** 2 * kernel.pdf(k * pts), atol=1e-13)
 
     @pytest.mark.parametrize("name", ALL)
@@ -198,7 +198,7 @@ class TestLatticePdf:
     def _case(name, p, k):
         axes = [(a + 1) / 32.0 * np.arange(-(12 + 2 * a), 13 + 2 * a) for a in range(p)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        d = dilate(make_product_kernel(name, p), k)
+        d = Dilation(make_product_kernel(name, p), k)
         return d, np.ix_(*axes), d.pdf(mesh)
 
     def test_dilation(self, name, p, k):
@@ -214,11 +214,11 @@ class TestLatticePdf:
 
 class TestL1Tail:
     def test_1d_gaussian_closed_form(self):
-        d = dilate(make_product_kernel("gaussian", 1), 1)
+        d = Dilation(make_product_kernel("gaussian", 1), 1)
         assert l1_outside_mass(d, 0.5) == pytest.approx(2 * ndtr(-0.5), abs=1e-12)
 
     def test_uniform_within_support(self):
-        d = dilate(make_product_kernel("uniform-symmetric", 1), 2)
+        d = Dilation(make_product_kernel("uniform-symmetric", 1), 2)
         assert l1_outside_mass(d, 0.5) == 0.0
 
     def test_2d_gaussian_vs_mc(self):
@@ -227,13 +227,13 @@ class TestL1Tail:
         z = rng.standard_normal((400_000, 2))
         for k, d in ((1, 0.5), (2, 0.5), (2, 1.0)):
             est = np.mean(np.abs(z / k).sum(axis=1) > d)
-            val = l1_outside_mass(dilate(kernel, k), d)
+            val = l1_outside_mass(Dilation(kernel, k), d)
             se = math.sqrt(max(est * (1 - est), 1e-8) / z.shape[0])
             assert abs(val - est) < 5 * se + 1e-6
 
     def test_2d_laplace_gamma_tail(self):
         # Sum of two iid absolute-laplace variables is Gamma(2, 1).
-        d = dilate(make_product_kernel("laplace", 2), 4)
+        d = Dilation(make_product_kernel("laplace", 2), 4)
         s = 4 * 0.5
         assert l1_outside_mass(d, 0.5) == pytest.approx(math.exp(-s) * (1 + s), rel=1e-8)
 

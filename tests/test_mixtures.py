@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from mixapprox import grids, mixtures
+from mixapprox import grids, harness, mixtures
 from mixapprox.bounds import hull_kl_constant, target_kl_constant
-from mixapprox.densities import default_points_per_axis, make_target
+from mixapprox.densities import make_target
 from mixapprox.grids import GridFunction, convolve, cube, make_grid, sample_on_grid
 from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
 from mixapprox.mixtures import (
@@ -996,7 +996,7 @@ class TestMixingApproximant:
                                             admitted):
         # Arithmetic only: nothing the guard refuses is allocated.
         f = make_target("truncated-normal", dim)
-        grid = make_grid(f.support, default_points_per_axis(dim), "simpson")
+        grid = make_grid(f.support, harness._DEFAULT_POINTS[dim], "simpson")
         kernel = make_product_kernel(kernel_name, dim)
         if admitted:
             mixtures.check_approximant_size(kernel, k, grid)

@@ -20,8 +20,8 @@ from .kernels import (
     Dilation,
     IdentityCertification,
     MARGINAL_NAMES,
+    Marginal,
     ProductKernel,
-    UnivariateKernel,
     certify_approximate_identity,
     check_moment_condition,
     l1_outside_mass,

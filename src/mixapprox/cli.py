@@ -11,7 +11,10 @@ config's `strict` setting).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+from pathlib import Path
 
 from .config import STUDIES, ConfigError, load_config
 from .harness import emit_report, run_study
@@ -34,6 +37,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     # Every option but --config is named after the config field it overrides.
     args = vars(build_parser().parse_args(argv))
@@ -41,17 +49,27 @@ def main(argv=None) -> int:
     overrides = {name: value for name, value in args.items() if value is not None}
     try:
         cfg = load_config(config_path, **overrides)
+    except ConfigError as exc:
+        return _error(exc)
+
+    # The report's directory is made and checked before the study runs,
+    # which can take minutes.
+    out_path = cfg.out_path or f"{cfg.study}.{cfg.out_format}"
+    out_dir = Path(out_path).parent
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if not os.access(out_dir, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(out_dir))
+    except OSError as exc:
+        return _error(f"cannot write report {out_path!r}: {exc}")
+    try:
         result = run_study(cfg)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    out_path = cfg.out_path or f"{cfg.study}.{cfg.out_format}"
+        return _error(exc)
     try:
         emit_report(result, out_path, cfg.out_format)
     except OSError as exc:
-        print(f"error: cannot write report {out_path!r}: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot write report {out_path!r}: {exc}")
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)
     failed = [b for b in result.bound_reports if not b.dominated]

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .grids import SupportBox, TensorGrid, cube, quadrature_integrate, sample_on_grid
+from .kernels import Gaussian, Marginal
 
 __all__ = [
     "TargetDensity",
@@ -25,49 +26,14 @@ __all__ = [
     "estimate_lipschitz",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_GAUSS = Gaussian()
 
 
-def _phi(x):
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
-
-
-class _UnivariateBase:
-    """Univariate building block: exact pdf, exact sampler, certified bounds."""
-
-    name = "abstract"
-    lo = 0.0
-    hi = 1.0
-    min_value = 0.0
-    max_value = 1.0
-    slope_bound = 0.0
-
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def ppf(self, u):
-        """Inverse cdf by 80 bisection steps on [0, 1]; exact forms override it."""
-        u = np.asarray(u, dtype=float)
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
-
-    def sample(self, n, rng):
-        return self.ppf(rng.random(n))
-
-
-class _Uniform01(_UnivariateBase):
+class _Uniform01(Marginal):
     name = "uniform-box"
-    min_value = 1.0
-    max_value = 1.0
+    lo, hi = 0.0, 1.0
+    min_value = max_value = 1.0
+    slope_bound = 0.0
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -77,13 +43,14 @@ class _Uniform01(_UnivariateBase):
         return np.asarray(u, dtype=float)
 
 
-class _ClippedCosine(_UnivariateBase):
+class _ClippedCosine(Marginal):
     """One period of a clipped cosine wave, 1 - cos(2 pi x) on [0, 1].
 
     Zero at both edges, so the zero extension is continuous on the whole line.
     """
 
     name = "clipped-cosine"
+    lo, hi = 0.0, 1.0
     min_value = 0.0
     max_value = 2.0
     slope_bound = 2.0 * math.pi
@@ -97,11 +64,24 @@ class _ClippedCosine(_UnivariateBase):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         return x - np.sin(2.0 * math.pi * x) / (2.0 * math.pi)
 
+    def ppf(self, u):
+        """Inverse cdf by 80 bisection steps on [0, 1]."""
+        u = np.asarray(u, dtype=float)
+        lo = np.zeros_like(u)
+        hi = np.ones_like(u)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = self.cdf(mid) < u
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
 
-class _Tent(_UnivariateBase):
+
+class _Tent(Marginal):
     """Piecewise-linear tent 2 - |4x - 2| on [0, 1]; slope 4, zero at the edges."""
 
     name = "tent"
+    lo, hi = 0.0, 1.0
     min_value = 0.0
     max_value = 2.0
     slope_bound = 4.0
@@ -116,7 +96,7 @@ class _Tent(_UnivariateBase):
         return np.where(u <= 0.5, np.sqrt(u / 2.0), 1.0 - np.sqrt((1.0 - u) / 2.0))
 
 
-class _TruncatedNormal(_UnivariateBase):
+class _TruncatedNormal(Marginal):
     """Normal(mu, sigma^2) restricted to [lo, hi] and renormalized."""
 
     def __init__(self, lo=-1.0, hi=1.0, mu=0.0, sigma=1.0, name="truncated-normal"):
@@ -130,31 +110,31 @@ class _TruncatedNormal(_UnivariateBase):
         self.z = float(ndtr(self.b) - ndtr(self.a))
         self.cdf_a = float(ndtr(self.a))
         # Extremes of the density over the closed interval.
-        ends = _phi(np.array([self.a, self.b])) / (self.sigma * self.z)
+        ends = _GAUSS.pdf(np.array([self.a, self.b])) / (self.sigma * self.z)
         self.min_value = float(ends.min())
         peak = min(max(0.0, self.a), self.b)  # clamp of the mode into [a, b]
-        self.max_value = float(_phi(peak) / (self.sigma * self.z))
+        self.max_value = float(_GAUSS.pdf(peak) / (self.sigma * self.z))
         # sup |f'| = max |u| phi(u) / (sigma^2 z) over u in [a, b]; |u| phi(|u|)
         # increases to u = 1 and decreases beyond, so check the clamp and ends.
         cands = [abs(self.a), abs(self.b)]
         if self.a <= -1.0 <= self.b or self.a <= 1.0 <= self.b:
             cands.append(1.0)
         self.slope_bound = float(
-            max(t * _phi(t) for t in cands) / (self.sigma ** 2 * self.z)
+            max(t * _GAUSS.pdf(t) for t in cands) / (self.sigma ** 2 * self.z)
         )
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.lo) & (x <= self.hi)
         u = (x - self.mu) / self.sigma
-        return np.where(inside, _phi(u) / (self.sigma * self.z), 0.0)
+        return np.where(inside, _GAUSS.pdf(u) / (self.sigma * self.z), 0.0)
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         return self.mu + self.sigma * ndtri(self.cdf_a + u * self.z)
 
 
-class _TwoTruncatedNormals(_UnivariateBase):
+class _TwoTruncatedNormals(Marginal):
     """Equal mixture of two normals truncated to [0, 1]; bimodal, bounded below.
 
     Default means 0.3 and 0.7 with sigma 0.12.  Both components increase on
@@ -164,6 +144,7 @@ class _TwoTruncatedNormals(_UnivariateBase):
     """
 
     name = "two-truncated-normals"
+    lo, hi = 0.0, 1.0
 
     def __init__(self, mus=(0.3, 0.7), sigma=0.12):
         self.components = tuple(
@@ -205,7 +186,7 @@ class TargetDensity:
     the lower-bounded class that the estimation results require.
     """
 
-    marginal: _UnivariateBase
+    marginal: Marginal
     dim: int
 
     lipschitz_exponent = 1.0

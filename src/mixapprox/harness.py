@@ -567,6 +567,18 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _json_safe(v):
+    """A report value with every non-finite float as its CSV token, a JSON
+    string ("inf", "-inf", "nan"), so the report is standard JSON."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(float(v))
+    if isinstance(v, dict):
+        return {key: _json_safe(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    return v
+
+
 def _sorted_rows(rows) -> list:
     return sorted(rows, key=lambda r: (
         r.study, r.axis, str(r.axis_value), str(r.replication), r.metric))
@@ -588,6 +600,7 @@ def emit_report(result: StudyResult, path, fmt: str = "csv") -> None:
             "bounds": [asdict(br) for br in result.bound_reports],
             "notes": result.notes,
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+        path.write_text(text + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

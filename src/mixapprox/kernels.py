@@ -1,9 +1,10 @@
 """Location-scale kernel marginals, product kernels, and dilations.
 
 A product kernel is a p-dimensional density built from one shared univariate
-marginal.  Dilating a product kernel by an integer scale concentrates its mass
-at the origin, which is certified numerically by
-:func:`certify_approximate_identity`.
+marginal.  :class:`Marginal` is the base of every univariate marginal, the
+kernels' here and the target zoo's in :mod:`mixapprox.densities`.  Dilating
+a product kernel by an integer scale concentrates its mass at the origin,
+which is certified numerically by :func:`certify_approximate_identity`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.special import ndtr, ndtri
 from .grids import _axis_weights
 
 __all__ = [
-    "UnivariateKernel",
+    "Marginal",
     "ProductKernel",
     "Dilation",
     "SquaredDilation",
@@ -34,37 +35,29 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-class UnivariateKernel:
-    """Symmetric univariate density with closed-form tail and moment maps."""
+class Marginal:
+    """Univariate density on the line: the one base of the kernel marginals
+    and the target-zoo marginals.
+
+    A subclass defines `pdf`, and `ppf` when it keeps the default sampler.
+    A kernel marginal, symmetric about 0, also has `cdf`, `tail_mass(delta)`
+    (the mass outside [-delta, delta]), `moment(a)` (E|X|^a, math.inf when
+    divergent) and `radius(tol)` (an r with tail_mass(r) <= tol).
+    """
 
     name = "abstract"
 
-    def pdf(self, x):
-        raise NotImplementedError
-
     def log_pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def tail_mass(self, delta):
-        """Mass outside [-delta, delta]."""
-        raise NotImplementedError
-
-    def moment(self, a: float) -> float:
-        """Absolute moment E|X|^a, or math.inf when divergent."""
-        raise NotImplementedError
-
-    def radius(self, tol: float) -> float:
-        """Radius r with tail_mass(r) <= tol."""
-        raise NotImplementedError
+        """log pdf, -inf off the support."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.pdf(x))
 
     def sample(self, n, rng):
-        raise NotImplementedError
+        """Inverse-cdf draws, ppf(u) for u uniform on [0, 1)."""
+        return self.ppf(rng.random(n))
 
 
-class Gaussian(UnivariateKernel):
+class Gaussian(Marginal):
     name = "gaussian"
 
     def pdf(self, x):
@@ -91,7 +84,7 @@ class Gaussian(UnivariateKernel):
         return rng.standard_normal(n)
 
 
-class Laplace(UnivariateKernel):
+class Laplace(Marginal):
     name = "laplace"
 
     def pdf(self, x):
@@ -119,24 +112,13 @@ class Laplace(UnivariateKernel):
         return rng.laplace(0.0, 1.0, size=n)
 
 
-class _CompactKernel(UnivariateKernel):
+class _CompactKernel(Marginal):
     """Base for marginals supported on [-half_width, half_width]."""
 
     half_width = 1.0
 
-    def log_pdf(self, x):
-        v = self.pdf(x)
-        with np.errstate(divide="ignore"):
-            return np.where(v > 0, np.log(np.maximum(v, 1e-300)), -np.inf)
-
     def radius(self, tol):
         return self.half_width
-
-    def sample(self, n, rng):
-        return self.ppf(rng.random(n))
-
-    def ppf(self, u):
-        raise NotImplementedError
 
 
 class UniformSymmetric(_CompactKernel):
@@ -231,7 +213,7 @@ class ProductKernel:
     """p-dimensional density formed as the product of one shared marginal."""
 
     dim: int
-    marginal: UnivariateKernel
+    marginal: Marginal
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -248,9 +230,6 @@ class ProductKernel:
     def radius(self, tol: float) -> float:
         # Union bound over axes keeps the mass outside the cube below tol.
         return self.marginal.radius(tol / self.dim)
-
-    def mass_outside(self, radius: float) -> float:
-        return float(self.dim * self.marginal.tail_mass(radius))
 
     def sample(self, n, rng):
         return self.marginal.sample((n, self.dim), rng)
@@ -299,9 +278,6 @@ class Dilation:
     def radius(self, tol: float) -> float:
         return self.base.radius(tol) / self.k
 
-    def mass_outside(self, radius: float) -> float:
-        return self.base.mass_outside(radius * self.k)
-
     def sample(self, n, rng):
         return self.base.sample(n, rng) / self.k
 
@@ -327,9 +303,6 @@ class SquaredDilation:
     def axis_pdf(self, offsets):
         return self._d.axis_pdf(offsets) ** 2
 
-    def mass_outside(self, radius: float) -> float:
-        return self._d.mass_outside(radius)
-
 
 def make_product_kernel(marginal_name: str, dim: int) -> ProductKernel:
     if marginal_name not in _MARGINALS:
@@ -341,7 +314,7 @@ def make_product_kernel(marginal_name: str, dim: int) -> ProductKernel:
     return ProductKernel(int(dim), _MARGINALS[marginal_name]())
 
 
-def _l1_inside_mass(marginal: UnivariateKernel, p: int, s: float) -> float:
+def _l1_inside_mass(marginal: Marginal, p: int, s: float) -> float:
     """P(|Z_1| + ... + |Z_p| <= s) for iid symmetric marginals."""
     if s <= 0:
         return 0.0
@@ -368,7 +341,7 @@ def l1_outside_mass(dilation: Dilation, delta: float) -> float:
     return float(min(max(1.0 - inside, 0.0), 1.0))
 
 
-def _axis_mass(marginal: UnivariateKernel, k: int) -> float:
+def _axis_mass(marginal: Marginal, k: int) -> float:
     """Measured per-axis mass of the dilated marginal.
 
     Compactly supported marginals are integrated by trapezoid on a padded

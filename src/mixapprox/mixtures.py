@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sp_fft
 
-from .grids import (TRUNCATION_TOL, GridFunction, TensorGrid, _widening, convolve,
-                    restrict, sample_on_grid)
+from .grids import (TRUNCATION_TOL, GridFunction, TensorGrid, _row_blocks, _widening,
+                    convolve, restrict, sample_on_grid)
 from .kernels import Dilation, ProductKernel, SquaredDilation
 
 __all__ = [
@@ -618,11 +618,14 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
             cand_obj = base + 2.0 * lam_cand * b + lam_cand ** 2 * c
             idx = int(np.argmin(cand_obj))
         elif step == 1:
-            # <log d, t>_W for every element, on one table logged in place.
-            log_table = dictionary.table()
-            np.log(np.maximum(log_table, 1e-300, out=log_table), out=log_table)
-            idx = int(np.argmax(log_table @ tW))
-            del log_table
+            # <log d, t>_W for every element, 16 table rows logged in place
+            # at a time: no second (M, G) table, and the bits of one GEMV.
+            scores = np.empty(dictionary.size)
+            for start, stop in _row_blocks(dictionary.size, 16):
+                block = dictionary.table(slice(start, stop))
+                np.log(np.maximum(block, 1e-300, out=block), out=block)
+                scores[start:stop] = block @ tW
+            idx = int(np.argmax(scores))
         else:
             idx = int(np.argmax(DW @ (t / np.maximum(v, 1e-300))))
 

@@ -1,6 +1,7 @@
 """Tests for the study harness, config parsing, reports, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,6 +153,19 @@ class TestEmitReport:
         assert len(payload["rows"]) == len(csv_rows)
         metrics = sorted((r["axis_value"], r["value"]) for r in payload["rows"])
         assert metrics == [(1, 1.0), (2, 0.5)]
+
+    def test_json_writes_non_finite_values_as_csv_tokens(self, tmp_path):
+        res = StudyResult("demo")
+        res.rows = [Row("demo", "n", n, "", 1, "kl", v)
+                    for n, v in enumerate((math.inf, -math.inf, math.nan, 0.25))]
+        path = tmp_path / "r.json"
+        emit_report(res, path, "json")
+
+        def reject(token):
+            raise ValueError(f"bare {token} in a JSON report")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert [r["value"] for r in payload["rows"]] == ["inf", "-inf", "nan", 0.25]
 
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -533,8 +547,13 @@ class TestCli:
         assert "error: line 2: bad value for 'strict'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
-        # The report's parent directory is a regular file.
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The report's parent directory is a regular file, and that is found
+        # before the study runs.
+        def no_study(cfg):
+            raise AssertionError("the study ran before the out path was checked")
+
+        monkeypatch.setattr("mixapprox.cli.run_study", no_study)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         cfg = self._write(tmp_path, "study = check-identity\nk.list = 1,2\n")
@@ -543,6 +562,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: cannot write report {str(out)!r}" in err
         assert "Traceback" not in err
+
+    def test_json_report_is_standard_json(self, tmp_path, capsys):
+        # A uniform-symmetric dictionary leaves the target's edges uncovered,
+        # so KL rows are infinite.  JSON carries the CSV's tokens as strings.
+        cfg = self._write(tmp_path, "study = mix-rate\ndensity.name = truncated-normal\n"
+                                    "kernel.name = uniform-symmetric\nk.list = 8\n"
+                                    "n.list = 1,2,4\ndictionary.means_per_axis = 65\n")
+        paths = {fmt: tmp_path / f"mix.{fmt}" for fmt in ("csv", "json")}
+        for fmt, path in paths.items():
+            assert cli_main(["mix-rate", "--config", str(cfg), "--out", str(path),
+                             "--format", fmt]) == 0
+
+        def reject(token):
+            raise ValueError(f"bare {token} in a JSON report")
+
+        payload = json.loads(paths["json"].read_text(), parse_constant=reject)
+        csv_values = [line.rsplit(",", 1)[1]
+                      for line in paths["csv"].read_text().splitlines()[1:]]
+        json_values = [r["value"] for r in payload["rows"]]
+        assert "inf" in json_values
+        assert csv_values == [v if isinstance(v, str) else repr(v) for v in json_values]
 
     def test_out_and_format_replace_the_file_values(self, tmp_path, capsys):
         in_file = tmp_path / "from-file.csv"
@@ -575,6 +615,8 @@ _THREAD_STUDIES = {
                  "grid.points_per_axis = 65\nk.list = 4\nN.list = 100\n"
                  "dictionary.means_per_axis = 5\n",
     "check-identity-1d": "kernel.name = gaussian\nk.list = 1,2,4,8,16\n",
+    "mix-rate-kl": "density.name = truncated-normal\nk.list = 16\nn.list = 1,2,4\n"
+                   "objective = kl\n",
 }
 
 

@@ -8,9 +8,11 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 from scipy.special import ndtr
 
+from mixapprox import densities, kernels
 from mixapprox.kernels import (
     MARGINAL_NAMES,
     Dilation,
+    Marginal,
     SquaredDilation,
     certify_approximate_identity,
     check_moment_condition,
@@ -19,6 +21,52 @@ from mixapprox.kernels import (
 )
 
 ALL = list(MARGINAL_NAMES)
+
+
+def _all_marginals():
+    """(label, instance, probe points) for every kernel and zoo marginal."""
+    out = [(name, cls(), np.linspace(-2.0, 2.0, 4001))
+           for name, cls in kernels._MARGINALS.items()]
+    out += [(name, cls(), np.linspace(-1.5, 1.5, 3001))
+            for name, cls in densities._ZOO.items()]
+    return out
+
+
+class TestMarginalBase:
+    """The defaults that every kernel and target-zoo marginal shares."""
+
+    def test_every_marginal_is_a_marginal(self):
+        assert len(kernels._MARGINALS) == len(densities._ZOO) == 5
+        for cls in (*kernels._MARGINALS.values(), *densities._ZOO.values()):
+            assert issubclass(cls, Marginal)
+
+    @pytest.mark.parametrize("label, m, xs", [
+        c for c in _all_marginals() if type(c[1]).log_pdf is Marginal.log_pdf])
+    def test_default_log_pdf_is_log_of_pdf(self, label, m, xs):
+        v = m.pdf(xs)
+        pos = v > 0
+        assert pos.any() and (~pos).any()
+        got = m.log_pdf(xs)
+        assert np.array_equal(got[pos], np.log(v[pos]))
+        assert np.all(got[~pos] == -np.inf)
+
+    @pytest.mark.parametrize("name", ["gaussian", "laplace"])
+    def test_closed_form_log_pdf_matches_log_of_pdf(self, name):
+        m = kernels._MARGINALS[name]()
+        xs = np.linspace(-60.0, 60.0, 12001)
+        v = m.pdf(xs)
+        ok = v > 1e-300
+        assert_allclose(m.log_pdf(xs)[ok], np.log(v[ok]), rtol=1e-12, atol=0)
+
+    def test_default_sample_is_ppf_of_uniforms(self):
+        defaults = [(label, m) for label, m, _ in _all_marginals()
+                    if type(m).sample is Marginal.sample]
+        assert {"uniform-symmetric", "triangular", "epanechnikov", "uniform-box",
+                "clipped-cosine", "tent", "truncated-normal"} <= {l for l, _ in defaults}
+        for label, m in defaults:
+            got = m.sample(500, np.random.default_rng(19))
+            want = m.ppf(np.random.default_rng(19).random(500))
+            assert np.array_equal(got, want), label
 
 
 class TestMarginals:

@@ -936,6 +936,26 @@ class TestGreedyMatchesTableOracle:
             tracemalloc.stop()
         assert peak < 1.3 * dictionary.size * grid.weight_tensor().size * 8
 
+    def test_kl_fit_scores_its_first_step_in_row_blocks(self):
+        # The first KL step logs 16 table rows at a time, so it holds no
+        # second (M, G) table beside the weighted one, and its blocked GEMVs
+        # pick what one product on the whole logged table picks.
+        f = make_target("truncated-normal", 2)
+        grid = make_grid(f.support, 129, "simpson")
+        kernel = make_product_kernel("gaussian", 2)
+        fbar = build_mixing_approximant(f, kernel, 8, grid).realized
+        tracemalloc.start()
+        try:
+            dictionary = build_dictionary(kernel, 8, MeanBox(-1.0, 1.0, 2), 17, grid)
+            fit = greedy_fit(fbar, dictionary, 8, objective="kl")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * dictionary.size * grid.weight_tensor().size * 8
+        ref, _, _ = _greedy_table_oracle(fbar, dictionary.values, dictionary, 8, "kl")
+        assert fit.selected == ref.selected
+        assert np.array_equal(fit.objectives, ref.objectives)
+
 
 class TestMixingApproximant:
     def test_realized_matches_direct_convolution(self):

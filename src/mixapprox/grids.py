@@ -42,12 +42,6 @@ TRUNCATION_TOL = 1e-9
 
 _BOX_TOL = 1e-12   # distance outside a box at which a point still counts as inside
 
-# Node cap of a study grid.  A 3-D mle-risk (N <= 200, fit.k_grid = 4,8;
-# x86-64, numpy 2.4, 1 BLAS thread) peaked at 79 MB RSS on 65^3 nodes and
-# 196 MB on 129^3, about 63 bytes a node between the two, so 2^23 nodes peak
-# near 0.6 GiB.
-MAX_GRID_NODES = 2 ** 23
-
 # Toeplitz rows the direct path copies and contracts at a time.  A multiple
 # of 4, because OpenBLAS's GEMV takes rows in fours, and large enough that
 # every shipped dim > 1 axis (at most 257 nodes) is one block, so its
@@ -287,14 +281,14 @@ def _kernel_axis_offsets(out_grid: TensorGrid, in_grid: TensorGrid) -> list:
     return offs
 
 
-def _widening(grid: TensorGrid, radius: float) -> int:
+def _widening(spacing, radius: float) -> int:
     """Nodes the default output grid adds on each side for a kernel radius."""
-    return max(max(int(math.ceil(radius / h - 1e-12)) for h in grid.spacing), 0)
+    return max(max(int(math.ceil(radius / h - 1e-12)) for h in spacing), 0)
 
 
 def _default_out_grid(f: GridFunction, radius: float) -> TensorGrid:
     grid = f.grid
-    ext = _widening(grid, radius)
+    ext = _widening(grid.spacing, radius)
     lo = tuple(a - ext * h for a, h in zip(grid.box.lower, grid.spacing))
     hi = tuple(b + ext * h for b, h in zip(grid.box.upper, grid.spacing))
     return make_grid(SupportBox(lo, hi), grid.points_per_axis + 2 * ext, grid.rule)
@@ -368,15 +362,6 @@ def check_resolution(grid: TensorGrid, k) -> None:
     if max(grid.spacing) > 0.25 / float(k):
         raise ValueError(
             "grid too coarse for the kernel bandwidth: need >= 4 nodes per 1/k"
-        )
-
-
-def check_grid_size(points_per_axis: int, dim: int) -> None:
-    """Size guard of a study grid, before any of its arrays exist."""
-    if points_per_axis ** dim > MAX_GRID_NODES:
-        raise ValueError(
-            f"a grid of {points_per_axis}^{dim} nodes would exceed the memory "
-            "guard of 2^23 nodes"
         )
 
 

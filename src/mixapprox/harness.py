@@ -16,21 +16,20 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
 from .densities import make_target
 from .divergences import AbsoluteContinuityError, kl_divergence, lq_norm
-from .grids import (GridFunction, check_grid_size, check_resolution, convolve, make_grid,
-                    sample_on_grid)
+from .grids import (TRUNCATION_TOL, GridFunction, _widening, check_resolution, convolve,
+                    make_grid, sample_on_grid)
 from .kernels import Dilation, certify_approximate_identity, make_product_kernel
 from .mixtures import (
     MeanBox,
     MixtureDictionary,
     build_dictionary,
     build_mixing_approximant,
-    check_approximant_size,
-    check_dictionary_size,
     greedy_fit,
     lattice_means,
     mle_fit,
@@ -126,10 +125,8 @@ def fit_loglog_slope(points) -> SlopeFit:
 _DEFAULT_POINTS = {1: 2049, 2: 257, 3: 65}     # study grid nodes per axis, by dimension
 
 
-def _study_grid(cfg: ExperimentConfig, support):
-    pts = cfg.grid_points_per_axis or _DEFAULT_POINTS[cfg.density_dim]
-    _config_guard(check_grid_size, pts, cfg.density_dim)
-    return make_grid(support, pts, cfg.grid_rule)
+def _grid_points(cfg: ExperimentConfig) -> int:
+    return cfg.grid_points_per_axis or _DEFAULT_POINTS[cfg.density_dim]
 
 
 def _mean_box(cfg: ExperimentConfig, support) -> MeanBox:
@@ -185,7 +182,7 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
             f"kernel {cfg.kernel_name!r} fails the moment hypothesis: the rate "
             f"bound needs a finite l1 moment of order {f.lipschitz_exponent}"
         )
-    grid = _study_grid(cfg, f.support)
+    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
     _config_guard(check_resolution, grid, max(cfg.k_list))
     f_gf = sample_on_grid(f, grid)
     interior = f.support.shrink_fraction(cfg.interior_margin)
@@ -233,10 +230,8 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
         )
     kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
     k = int(cfg.k_list[0])
-    grid = _study_grid(cfg, f.support)
+    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
     _config_guard(check_resolution, grid, k)
-    _config_guard(check_dictionary_size, cfg.means_per_axis, grid)
-    _config_guard(check_approximant_size, kernel, k, grid)
     mixing = build_mixing_approximant(f, kernel, k, grid)
     f_gf, fbar = mixing.target, mixing.realized
     beta = min(f.beta_lower, float(fbar.values.min()))
@@ -320,6 +315,15 @@ def _sqrt_log_schedule(N: int) -> int:
     return int(math.ceil(math.sqrt(N / math.log(N))))
 
 
+def _mle_cells(cfg: ExperimentConfig) -> list:
+    """The sorted (n, N) cells of an mle-risk sweep (see run_mle_risk)."""
+    return sorted(
+        {(n, N) for N in cfg.N_list for n in cfg.n_list}
+        | {(sched(N), N) for N in cfg.N_list for sched in (_sqrt_schedule, _sqrt_log_schedule)}
+        | {(cfg.heldout_n, cfg.heldout_N)}
+    )
+
+
 def _nnls_2col(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin |a x - b| over x >= 0 for a two-column a, by its active sets.
 
@@ -355,23 +359,19 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     if f.beta_lower <= 0:
         raise ConfigError("mle-risk needs a lower-bounded target density")
     kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
-    grid = _study_grid(cfg, f.support)
-    for k in cfg.fit_k_grid:
-        _config_guard(check_resolution, grid, k)
+    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
+    _config_guard(check_resolution, grid, max(cfg.fit_k_grid))
     f_gf = sample_on_grid(f, grid)
     box = _mean_box(cfg, f.support)
 
     N_max = max(cfg.N_list)
-    cell_list = sorted(
-        {(n, N) for N in cfg.N_list for n in cfg.n_list}
-        | {(sched(N), N) for N in cfg.N_list for sched in (_sqrt_schedule, _sqrt_log_schedule)}
-        | {(cfg.heldout_n, cfg.heldout_N)}
-    )
+    cell_list = _mle_cells(cfg)
 
     result = StudyResult("mle-risk")
     means: dict = {}
     errs: dict = {}
     chosen_k: dict = {}
+    unconverged = 0
     for ci, (n, N) in enumerate(cell_list):
         kls = []
         for r in range(cfg.replications):
@@ -382,6 +382,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
                              restarts=cfg.fit_restarts, seed=rep_seed,
                              max_iters=cfg.fit_max_iters, tol=cfg.fit_tol)
             chosen_k[fitted.k] = chosen_k.get(fitted.k, 0) + 1
+            unconverged += not fitted.fit.converged
             if fitted.fit.dropped:
                 result.notes.append(f"best fit at n={n}, N={N}, replication {r} dropped "
                                     f"{fitted.fit.dropped} starved mixture component(s)")
@@ -393,6 +394,11 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
         errs[(n, N)] = float(kls.std(ddof=1) / math.sqrt(len(kls))) if len(kls) > 1 else 0.0
         result.rows.append(Row("mle-risk", "N", N, "", cfg.seed, f"kl_mean@n{n}", means[(n, N)]))
         result.rows.append(Row("mle-risk", "N", N, "", cfg.seed, f"kl_stderr@n{n}", errs[(n, N)]))
+
+    if unconverged:
+        result.notes.append(
+            f"{unconverged} of {len(cell_list) * cfg.replications} reported best fits "
+            f"stopped at fit.max_iters = {cfg.fit_max_iters} without converging")
 
     # Series (a): risk versus N along both component schedules.
     for tag, sched in (("schedule-sqrt", _sqrt_schedule),
@@ -472,24 +478,25 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     return result
 
 
-# Budget of the covering numbers in `bounds`: their M x M distance matrix
-# takes M^2 N work over N <= 512 sample points.  At most 1089 = 33^2 means in
-# all and 129 per axis: 129, 33 and 10 per axis in 1-D, 2-D and 3-D.
-_BOUNDS_MEANS = 1089
+def _bounds_lattice(cfg: ExperimentConfig) -> tuple:
+    """Means per axis (at most 129, and 1089 = 33^2 in all) and samples (at most
+    512) of the covering numbers in `bounds`, whose distances take M^2 N work."""
+    return (min(cfg.means_per_axis, 129, int(1089 ** (1 / cfg.density_dim) + 1e-9)),
+            min(max(cfg.N_list), 512))
 
 
 def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     """Evaluate every bound constant and right-hand side for one setup.
 
-    The covering-number dictionary is capped by the budget above; it is a
+    The covering-number dictionary is capped by `_bounds_lattice`; it is a
     mean lattice only, with no value table on the grid.
     """
     f = make_target(cfg.density_name, cfg.density_dim)
     kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
     k = int(cfg.k_list[0])
-    grid = _study_grid(cfg, f.support)
+    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
     box = _mean_box(cfg, f.support)
-    per_axis = min(cfg.means_per_axis, 129, int(_BOUNDS_MEANS ** (1 / grid.dim) + 1e-9))
+    per_axis, n_samples = _bounds_lattice(cfg)
     means = lattice_means(box, per_axis, grid.dim)
     result = StudyResult("bounds")
 
@@ -497,7 +504,6 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     if math.isfinite(consts["A_logratio"]):
         consts["gamma"] = bnd.compute_gamma(consts["A_logratio"])
         _config_guard(check_resolution, grid, k)
-        _config_guard(check_approximant_size, kernel, k, grid)
         mixing = build_mixing_approximant(f, kernel, k, grid)
         consts["C_hull"] = bnd.hull_kl_constant(mixing)
         consts["C_target"] = bnd.target_kl_constant(mixing)
@@ -512,7 +518,7 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
         result.rows.append(Row("bounds", "run", "", "", cfg.seed, name, value))
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
-    xs = f.sample(min(max(cfg.N_list), 512), rng)
+    xs = f.sample(n_samples, rng)
     dictionary = MixtureDictionary(kernel, k, means, grid)
     dudley = bnd.dudley_entropy_integral(dictionary, xs, f.beta_upper)
     result.rows.append(Row("bounds", "run", "", "", cfg.seed, "dudley_integral", dudley))
@@ -558,8 +564,52 @@ _RUNNERS = {
 }
 
 
+MEMORY_BUDGET = 2 << 30     # bytes: a study predicted above it exits 2 up front
+
+
+def predicted_peak(cfg: ExperimentConfig) -> dict:
+    """Bytes of each large array family the study of a validated config holds,
+    by a label that names its shape.  Factors measured by tracemalloc (x86-64,
+    numpy 2.4): grid fields and quadrature temporaries, 57 B a node in 3-D and
+    more in 1-D, where convolution takes the FFT past 2^23 node pairs; the
+    widened FFT of the smoothed target, 28 B a padded point; greedy's weighted
+    table, 1.15 to 1.21 x M G doubles; EM's log-joint and the arrays shaped
+    like it, 3.1 to 5.1 x n N doubles at the largest cell."""
+    study, dim, pts = cfg.study, cfg.density_dim, _grid_points(cfg)
+    nodes = pts ** dim
+    terms = {} if study == "check-identity" else {
+        f"the grid fields on {pts}^{dim} nodes": (64 if dim > 1 else 192) * nodes}
+    if study in ("mix-rate", "bounds") and dim > 1:
+        # n nodes per axis against n_out + n - 1 kernel offsets, n_out = n + 2 ext
+        box = make_target(cfg.density_name, dim).support      # a cube
+        dil = Dilation(make_product_kernel(cfg.kernel_name, dim), cfg.k_list[0])
+        ext = _widening([(box.upper[0] - box.lower[0]) / (pts - 1)], dil.radius(TRUNCATION_TOL))
+        side = sp_fft.next_fast_len(3 * pts + 2 * ext - 2, True)
+        terms[f"the smoothed target's FFT lattice ({side}^{dim} points)"] = 28 * side ** dim
+    if study == "mix-rate":
+        size, n_max = cfg.means_per_axis ** dim, max(cfg.n_list)
+        terms[f"the greedy's weighted table ({size} means x {nodes} nodes)"] = 9.6 * size * nodes
+        terms[f"the greedy's {n_max} iterate fields"] = n_max * nodes * 8
+    elif study == "mle-risk":
+        cells = _mle_cells(cfg)
+        n, N = max(cells, key=lambda c: (c[0] * c[1], c[1]))
+        terms[f"EM's log-joint at n = {n}, N = {N}"] = 8 * N * (6 * n + 5 * dim + 5)
+        n = max(cells)[0]
+        terms[f"the factor tables of the {n}-component fits"] = 32 * n * pts * dim
+    elif study == "bounds":   # values, two temporaries and the distances
+        per_axis, n_samples = _bounds_lattice(cfg)
+        size = per_axis ** dim
+        terms[f"the covering matrices of {size} means"] = 8 * size * (size + 3 * n_samples)
+    return terms
+
+
 def run_study(cfg: ExperimentConfig) -> StudyResult:
-    cfg.validate()
+    terms = predicted_peak(cfg.validate())
+    if sum(terms.values()) > MEMORY_BUDGET:
+        name = max(terms, key=terms.get)
+        raise ConfigError(
+            f"a predicted peak of {sum(terms.values()) / 2 ** 30:.1f} GiB would exceed the "
+            f"memory guard of 2 GiB; its largest term is {name}, {terms[name] / 2 ** 30:.1f} GiB")
     return _RUNNERS[cfg.study](cfg)
 
 

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sp_fft
 
-from .grids import (TRUNCATION_TOL, GridFunction, TensorGrid, _row_blocks, _widening,
-                    convolve, restrict, sample_on_grid)
+from .grids import GridFunction, TensorGrid, _row_blocks, convolve, restrict, sample_on_grid
 from .kernels import Dilation, ProductKernel, SquaredDilation
 
 __all__ = [
@@ -474,16 +472,6 @@ class MixtureDictionary:
         return np.exp(_component_log_pdf(self.kernel, self.k, self.means, points))
 
 
-def check_dictionary_size(means_per_axis: int, grid: TensorGrid) -> None:
-    """Size guard of the one weighted table :func:`greedy_fit` builds for a
-    lattice dictionary: at most 10^4 means and 2e7 table entries."""
-    size = means_per_axis ** grid.dim
-    if size > 10_000:
-        raise ValueError("dictionary exceeds 10^4 mean points")
-    if size * np.prod(grid.shape) > 2e7:
-        raise ValueError("dictionary value table would exceed the memory guard")
-
-
 def lattice_means(box: MeanBox, means_per_axis: int, dim: int) -> np.ndarray:
     """Means on the box lattice with means_per_axis nodes per axis, (M, dim)."""
     axes = [np.linspace(box.m_lower, box.m_upper, means_per_axis)] * dim
@@ -492,8 +480,7 @@ def lattice_means(box: MeanBox, means_per_axis: int, dim: int) -> np.ndarray:
 
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,
                      means_per_axis: int, grid: TensorGrid) -> MixtureDictionary:
-    """Dictionary over a means lattice on the grid; capped at 10^4 elements."""
-    check_dictionary_size(means_per_axis, grid)
+    """Dictionary over a means lattice on the grid."""
     return MixtureDictionary(kernel, int(k), lattice_means(box, means_per_axis, kernel.dim),
                              grid)
 
@@ -686,29 +673,6 @@ class MixingApproximant:
                         out_grid=self.realized.grid)
 
 
-# Points of the padded FFT lattice build_mixing_approximant may take in dim > 1,
-# about 28 bytes each at the peak: a 400^3 lattice (3-D gaussian, k = 2, on
-# the default grid) peaks 1.7 GiB above the interpreter's own footprint.
-_APPROXIMANT_FFT_POINTS = 1 << 26
-
-
-def check_approximant_size(kernel: ProductKernel, k: int, grid: TensorGrid) -> None:
-    """Size guard of the widened FFT that :func:`build_mixing_approximant`
-    takes in dim > 1, with that convolution's arithmetic: n input nodes per
-    axis against the kernel on n_out + n - 1 offsets, n_out = n + 2 ext,
-    padded to the next fast length."""
-    if grid.dim == 1:
-        return
-    n = grid.points_per_axis
-    n_out = n + 2 * _widening(grid, Dilation(kernel, k).radius(TRUNCATION_TOL))
-    side = sp_fft.next_fast_len(n + (n_out + n - 1) - 1, True)
-    if side ** grid.dim > _APPROXIMANT_FFT_POINTS:
-        raise ValueError(
-            f"the smoothed target's FFT lattice ({side}^{grid.dim} points) would "
-            "exceed the memory guard of 2^26 points"
-        )
-
-
 def build_mixing_approximant(target, kernel: ProductKernel, k: int,
                              grid: TensorGrid) -> MixingApproximant:
     """Sample a target on the grid and convolve it with the dilated kernel onto it."""
@@ -719,7 +683,8 @@ def build_mixing_approximant(target, kernel: ProductKernel, k: int,
         # only in the last bits, but greedy_fit's golden-section L2 step settles
         # its weights only to rounding noise, so those bits move the KL of the
         # 2-D greedy iterates by ~1e-6 relative.  A closed-form L2 step would
-        # let this take the per-axis sum too, and check_approximant_size go.
+        # let this take the per-axis sum too, and the memory budget's FFT term
+        # (harness.predicted_peak) go.
         realized = restrict(convolve(f_gf, dil, method="fft"), grid.box)
     else:
         realized = convolve(f_gf, dil, out_grid=grid)

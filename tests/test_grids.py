@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from mixapprox.grids import (
     GridCompatibilityError,
@@ -461,11 +463,29 @@ class TestConvergenceRealization:
         # The 0.02 threshold at k = 64 holds for q = 1 on every zoo member,
         # but densities that jump at the support boundary keep an edge layer
         # of width ~1/k and height ~f(edge), whose L2 norm shrinks only like
-        # 1/sqrt(k): about 0.060 (uniform-box) and 0.021 (truncated-normal)
-        # at k = 64.  The check is kept as stated and fails for those two.
+        # 1/sqrt(k): exactly 0.0604275105 (uniform-box) and 0.0211902024
+        # (truncated-normal) at k = 64, by quadrature of the closed-form
+        # smoothings (test_k64_l2_errors_match_the_closed_form).  The check
+        # is kept as stated and fails for those two.
         errs = self._errors(name)
         assert errs[1][-1] < 0.02, (name, errs[1][-1])
         assert errs[2][-1] < 0.02, (name, errs[2][-1])
+
+    @pytest.mark.parametrize("name, exact", [
+        ("uniform-box", 0.0604275105), ("truncated-normal", 0.0211902024),
+    ])
+    def test_k64_l2_errors_match_the_closed_form(self, name, exact):
+        # The two red L2 errors above are the mathematics of the edge layer,
+        # not quadrature error: quad on the closed-form smoothing gives them
+        # to 1e-8 relative, and the 2049-node grid agrees to 1e-8 (measured
+        # 9.0e-10 and 5.3e-9; the grid's own Simpson error is 1.5e-8 and
+        # 2.5e-7 relative).
+        f = make_target(name, 1)
+        lo, hi = f.support.lower[0], f.support.upper[0]
+        sq = quad(lambda x: (_gaussian_smoothing(name, 64, x) - f.marginal.pdf(x)) ** 2,
+                  lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        assert np.sqrt(sq) == pytest.approx(exact, rel=1e-8)
+        assert self._errors(name)[2][-1] == pytest.approx(exact, rel=0, abs=1e-8)
 
     @pytest.mark.parametrize("name", ["tent", "clipped-cosine"])
     def test_sup_convergence_for_continuous_targets(self, name):
@@ -475,3 +495,37 @@ class TestConvergenceRealization:
         sups = errs["sup"]
         assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
         assert sups[-1] < 0.05, (name, sups[-1])
+
+
+def _gaussian_smoothing(name: str, k: int, x):
+    """Closed form of a 1-D zoo target convolved with the Gaussian of scale 1/k.
+
+    uniform-box on [0, 1]: Phi(k x) - Phi(k (x - 1)).  truncated-normal on
+    [-1, 1]: phi_s(x) / z [Phi((1 - m) / tau) - Phi((-1 - m) / tau)], with
+    s^2 = 1 + k^-2, m = x / s^2, tau = k^-1 / s and z = Phi(1) - Phi(-1).
+    """
+    x = np.asarray(x, dtype=float)
+    if name == "uniform-box":
+        return ndtr(k * x) - ndtr(k * (x - 1.0))
+    s2 = 1.0 + k ** -2.0
+    m, tau = x / s2, 1.0 / (k * np.sqrt(s2))
+    phi_s = np.exp(-0.5 * x * x / s2) / np.sqrt(2.0 * np.pi * s2)
+    return phi_s / (ndtr(1.0) - ndtr(-1.0)) * (ndtr((1.0 - m) / tau) - ndtr((-1.0 - m) / tau))
+
+
+@pytest.mark.parametrize("name, k, tol", [
+    # About 4x the measured max differences (4.2e-14, 1.1e-11, 2.9e-9 and
+    # 3.2e-13, 6.8e-11, 1.7e-8), which grow like k^4: Simpson's h^4 on a
+    # kernel of width 1/k.
+    ("uniform-box", 4, 2e-13), ("uniform-box", 16, 5e-11), ("uniform-box", 64, 1.2e-8),
+    ("truncated-normal", 4, 1.5e-12), ("truncated-normal", 16, 3e-10),
+    ("truncated-normal", 64, 7e-8),
+])
+def test_gaussian_smoothing_matches_its_closed_form(name, k, tol):
+    # A grid-free oracle: the smoothed field on 2049 Simpson nodes against
+    # the closed form at those nodes.
+    f = make_target(name, 1)
+    grid = make_grid(f.support, 2049, "simpson")
+    out = convolve(sample_on_grid(f, grid), Dilation(make_product_kernel("gaussian", 1), k),
+                   out_grid=grid)
+    assert np.max(np.abs(out.values - _gaussian_smoothing(name, k, grid.nodes[0]))) <= tol

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -342,8 +343,10 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("study, text, message", [
+        # 65^2 means on the 257^2 grid: greedy's weighted table alone would
+        # be about 2.7 GB.
         ("mix-rate", "density.name = truncated-normal\ndensity.dim = 2\n"
-                     "k.list = 16\ndictionary.means_per_axis = 33\n",
+                     "k.list = 16\ndictionary.means_per_axis = 65\n",
          "memory guard"),
         ("conv-rate", "density.name = tent\ndensity.dim = 3\n"
                       "grid.points_per_axis = 33\nk.list = 4,16\n",
@@ -715,6 +718,138 @@ class TestMleRiskStudySmall:
             f"best fit at n=2, N={N}, replication {r} dropped 1 starved mixture "
             "component(s)" for N in (100, 150) for r in (0, 1)
         ]
+
+
+    @pytest.mark.parametrize("max_iters, notes", [
+        (1, ["10 of 10 reported best fits stopped at fit.max_iters = 1 without converging"]),
+        (500, []),
+    ])
+    def test_unconverged_best_fits_are_a_note(self, tmp_path, max_iters, notes):
+        # Five cells of two replications: one note in all when a reported
+        # best fit ran out of EM iterations, and none when every fit converged.
+        cfg = ExperimentConfig(
+            study="mle-risk", density_name="two-truncated-normals",
+            n_list=(1, 2), N_list=(100,), replications=2,
+            fit_k_grid=(4,), fit_restarts=1, heldout_n=2, heldout_N=150,
+            grid_points_per_axis=1025, seed=11, fit_max_iters=max_iters,
+        ).validate()
+        result = run_study(cfg)
+        assert [note for note in result.notes if "converging" in note] == notes
+        emit_report(result, tmp_path / "res.json", "json")
+        emit_report(result, tmp_path / "res.csv", "csv")
+        assert json.loads((tmp_path / "res.json").read_text())["notes"] == result.notes
+        assert "converging" not in (tmp_path / "res.csv").read_text()
+
+
+_MLE = "n.list = 64\nN.list = 4000,20000\nfit.k_grid = 4\nheldout.n = 8\nheldout.N = 1000\n"
+
+# Studies in dims 1 to 3 whose predicted peaks span the budget's terms, each
+# at most 256 MiB: name -> config text (study, then its settings).
+_PEAK_CASES = {
+    "conv-rate-1d": "conv-rate\ndensity.name = tent\nk.list = 4,16\n",
+    "conv-rate-1d-fft": "conv-rate\ndensity.name = tent\ngrid.points_per_axis = 262145\n"
+                        "k.list = 4,16\n",
+    "conv-rate-2d": "conv-rate\ndensity.name = tent\ndensity.dim = 2\nk.list = 4,16\n",
+    "conv-rate-3d": "conv-rate\ndensity.name = tent\ndensity.dim = 3\n"
+                    "grid.points_per_axis = 129\nk.list = 8\n",
+    "mix-rate-1d-l2": "mix-rate\ndensity.name = truncated-normal\nk.list = 16\n"
+                      "n.list = 1,8,32\n",
+    "mix-rate-1d-kl": "mix-rate\ndensity.name = truncated-normal\nk.list = 16\nn.list = 1,8\n"
+                      "dictionary.means_per_axis = 129\nobjective = kl\n",
+    "mix-rate-2d-l2": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 2\n"
+                      "k.list = 16\nn.list = 1,4\ndictionary.means_per_axis = 17\n",
+    "mix-rate-2d-kl": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 2\n"
+                      "k.list = 16\nn.list = 1,4\ndictionary.means_per_axis = 17\n"
+                      "objective = kl\n",
+    "mix-rate-2d-iterates": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 2\n"
+                            "grid.points_per_axis = 129\nk.list = 8\nn.list = 1,200\n"
+                            "dictionary.means_per_axis = 5\n",
+    "mix-rate-3d": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 3\n"
+                   "grid.points_per_axis = 33\nk.list = 4\nn.list = 1,4\n"
+                   "dictionary.means_per_axis = 4\n",
+    "mle-risk-1d-gaussian": f"mle-risk\ndensity.name = truncated-normal\n{_MLE}"
+                            "fit.max_iters = 20\n",
+    "mle-risk-1d-laplace": f"mle-risk\ndensity.name = truncated-normal\n{_MLE}"
+                           "kernel.name = laplace\nfit.max_iters = 5\n",
+    "mle-risk-1d-heldout": "mle-risk\ndensity.name = truncated-normal\nn.list = 1\n"
+                           "N.list = 100\nfit.k_grid = 4\nfit.max_iters = 5\nheldout.n = 1\n"
+                           "heldout.N = 1000000\n",
+    "mle-risk-1d-fft": "mle-risk\ndensity.name = truncated-normal\n"
+                       "grid.points_per_axis = 262145\nn.list = 2\nN.list = 100\n"
+                       "fit.k_grid = 4\nfit.max_iters = 5\nheldout.n = 1\nheldout.N = 100\n",
+    "mle-risk-3d-gaussian": f"mle-risk\ndensity.name = truncated-normal\ndensity.dim = 3\n"
+                            f"grid.points_per_axis = 33\n{_MLE}fit.max_iters = 20\n",
+    "mle-risk-3d-laplace": "mle-risk\ndensity.name = truncated-normal\ndensity.dim = 3\n"
+                           "grid.points_per_axis = 33\nkernel.name = laplace\nn.list = 8\n"
+                           "N.list = 2000,8000\nfit.k_grid = 4\nfit.max_iters = 3\n",
+    "bounds-1d": "bounds\ndensity.name = truncated-normal\nk.list = 8\nn.list = 4\n"
+                 "N.list = 1000\n",
+    "bounds-2d": "bounds\ndensity.name = truncated-normal\ndensity.dim = 2\nk.list = 8\n"
+                 "n.list = 4\nN.list = 200\ndictionary.means_per_axis = 9\n",
+    "bounds-3d": "bounds\ndensity.name = truncated-normal\ndensity.dim = 3\n"
+                 "grid.points_per_axis = 33\nk.list = 4\nn.list = 4\nN.list = 200\n"
+                 "dictionary.means_per_axis = 5\n",
+}
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("name", _PEAK_CASES)
+    def test_prediction_bounds_the_measured_peak(self, name):
+        # The prediction covers the tracemalloc peak up to the interpreter's
+        # small arrays, and is not loose by more than 3x where it is large.
+        cfg = parse_config_text(f"study = {_PEAK_CASES[name]}replications = 1\nseed = 7\n")
+        predicted = sum(harness.predicted_peak(cfg.validate()).values())
+        assert predicted <= 256 * 2 ** 20
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            _, measured = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert measured <= predicted + 16 * 2 ** 20, (measured, predicted)
+        if predicted > 64 * 2 ** 20:
+            assert predicted <= 3 * measured, (measured, predicted)
+
+    @pytest.mark.parametrize("study, text, term", [
+        # EM's (n, N) log-joint alone would be 298 GiB.
+        ("mle-risk", "n.list = 4000\nN.list = 10000000\n",
+         "EM's log-joint at n = 4000, N = 10000000"),
+        # 16384 iterate fields of 257^2 doubles: 8.7 GB.
+        ("mix-rate", "density.dim = 2\nk.list = 16\nn.list = 1,16384\n"
+                     "dictionary.means_per_axis = 17\n",
+         "the greedy's 16384 iterate fields"),
+    ], ids=["mle-risk-em", "mix-rate-iterates"])
+    def test_unguarded_gaps_exit_2_at_once(self, tmp_path, capsys, study, text, term):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"study = {study}\ndensity.name = truncated-normal\n{text}")
+        out = tmp_path / "res.csv"
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = cli_main([study, "--config", str(cfg), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and peak < 2 ** 20 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"its largest term is {term}," in err and "memory guard" in err
+
+    def test_shipped_and_benchmark_configs_stay_well_inside(self):
+        # Every shipped config and benchmark study is predicted at most a
+        # quarter of the budget, so a change to a term's factor cannot
+        # silently refuse one of them.
+        import runpy
+
+        root = Path(__file__).resolve().parents[1]
+        bench = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+        texts = [path.read_text() for path in sorted((root / "configs").glob("*.cfg"))]
+        texts += [bench["config_text"](text, bench["DEFAULT_SEED"])
+                  for studies in bench["WORKLOADS"].values() for _, text in studies]
+        assert len(texts) >= 14
+        for text in texts:
+            cfg = parse_config_text(text).validate()
+            assert sum(harness.predicted_peak(cfg).values()) <= harness.MEMORY_BUDGET / 4, text
 
 
 class TestNnls2Col:

@@ -1,6 +1,7 @@
 """Tests for finite mixtures: evaluation, sampling, EM, MLE, and greedy fits."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from mixapprox import grids, harness, mixtures
 from mixapprox.bounds import hull_kl_constant, target_kl_constant
+from mixapprox.config import ConfigError, parse_config_text
 from mixapprox.densities import make_target
 from mixapprox.grids import GridFunction, convolve, cube, make_grid, sample_on_grid
 from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
@@ -743,9 +745,16 @@ class TestGreedyFit:
             greedy_fit(fbar, dictionary, 2, objective="entropy")
 
     def test_dictionary_size_guard(self):
-        grid = make_grid(cube(0.0, 1.0, 1), 1025, "simpson")
-        with pytest.raises(ValueError, match="10"):
-            build_dictionary(GAUSS, 8, MeanBox(0.0, 1.0, 1), 10_001, grid)
+        # The memory budget counts greedy's weighted table at 1.2 x M G
+        # doubles and refuses a 65^2 dictionary on the 257^2 grid (2.7 GB)
+        # before building anything.
+        cfg = parse_config_text("study = mix-rate\ndensity.name = truncated-normal\n"
+                                "density.dim = 2\nk.list = 16\n"
+                                "dictionary.means_per_axis = 65\n").validate()
+        name = "the greedy's weighted table (4225 means x 66049 nodes)"
+        assert harness.predicted_peak(cfg)[name] == 9.6 * 4225 * 66049
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            harness.run_study(cfg)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
@@ -984,42 +993,49 @@ class TestMixingApproximant:
         assert peak < 480 * 2 ** 20
         assert mixing.realized.grid.same_lattice(grid)
 
+    @staticmethod
+    def _fft_term(study, dim, kernel_name, k, points=0):
+        # The memory budget's terms for a config with this approximant, and
+        # the one that counts its widened FFT.
+        cfg = parse_config_text(
+            f"study = {study}\ndensity.name = truncated-normal\ndensity.dim = {dim}\n"
+            f"kernel.name = {kernel_name}\nk.list = {k}\ngrid.points_per_axis = {points}\n"
+            "n.list = 4\nN.list = 1000\ndictionary.means_per_axis = 4\n").validate()
+        terms = harness.predicted_peak(cfg)
+        (name,) = [name for name in terms if "FFT lattice" in name]
+        return cfg, terms, name
+
     @pytest.mark.parametrize("dim, kernel_name, k, points", [
         (2, "laplace", 4, 33), (2, "gaussian", 4, 65), (3, "gaussian", 2, 17),
     ])
     def test_size_guard_counts_the_fft_lattice(self, monkeypatch, dim, kernel_name, k, points):
-        # The guard's count is the padded lattice the widened FFT transforms:
-        # admitted at exactly that many points, refused one below.
+        # The budget's FFT term is 28 bytes a point of the padded lattice
+        # the widened FFT transforms.
         f = make_target("truncated-normal", dim)
         grid = make_grid(f.support, points, "simpson")
-        kernel = make_product_kernel(kernel_name, dim)
         shapes, irfftn = [], grids.sp_fft.irfftn
         monkeypatch.setattr(grids.sp_fft, "irfftn",
                             lambda x, s, **kw: shapes.append(s) or irfftn(x, s, **kw))
-        build_mixing_approximant(f, kernel, k, grid)
-        padded = math.prod(shapes[-1])
-        monkeypatch.setattr(mixtures, "_APPROXIMANT_FFT_POINTS", padded)
-        mixtures.check_approximant_size(kernel, k, grid)
-        monkeypatch.setattr(mixtures, "_APPROXIMANT_FFT_POINTS", padded - 1)
-        with pytest.raises(ValueError, match="memory guard"):
-            mixtures.check_approximant_size(kernel, k, grid)
+        build_mixing_approximant(f, make_product_kernel(kernel_name, dim), k, grid)
+        _, terms, name = self._fft_term("mix-rate", dim, kernel_name, k, points)
+        side = shapes[-1][0]
+        assert list(shapes[-1]) == [side] * dim
+        assert name == f"the smoothed target's FFT lattice ({side}^{dim} points)"
+        assert terms[name] == 28 * math.prod(shapes[-1])
 
     @pytest.mark.parametrize("dim, kernel_name, k, side, admitted", [
         (2, "gaussian", 16, 900, True),     # the 2-D mix-rate benchmark
         (2, "gaussian", 8, 972, True),      # the 2-D bounds benchmark
         (2, "laplace", 1, 6400, True),
-        (3, "gaussian", 2, 400, True),
+        (3, "gaussian", 2, 400, True),      # about 1.67 GiB
         (3, "laplace", 2, 900, False),
         (3, "laplace", 4, 576, False),
     ])
-    def test_size_guard_on_the_default_grid(self, monkeypatch, dim, kernel_name, k, side,
-                                            admitted):
-        # Arithmetic only: nothing the guard refuses is allocated.
-        f = make_target("truncated-normal", dim)
-        grid = make_grid(f.support, harness._DEFAULT_POINTS[dim], "simpson")
-        kernel = make_product_kernel(kernel_name, dim)
-        if admitted:
-            mixtures.check_approximant_size(kernel, k, grid)
-            monkeypatch.setattr(mixtures, "_APPROXIMANT_FFT_POINTS", 0)
-        with pytest.raises(ValueError, match=rf"\({side}\^{dim} points\)"):
-            mixtures.check_approximant_size(kernel, k, grid)
+    def test_size_guard_on_the_default_grid(self, dim, kernel_name, k, side, admitted):
+        # Arithmetic only: nothing the budget refuses is allocated.
+        cfg, terms, name = self._fft_term("bounds", dim, kernel_name, k)
+        assert name == f"the smoothed target's FFT lattice ({side}^{dim} points)"
+        assert (sum(terms.values()) <= harness.MEMORY_BUDGET) == admitted
+        if not admitted:
+            with pytest.raises(ConfigError, match=rf"memory guard.*\({side}\^{dim} points\)"):
+                harness.run_study(cfg)

@@ -572,9 +572,12 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
     by a label that names its shape.  Factors measured by tracemalloc (x86-64,
     numpy 2.4): grid fields and quadrature temporaries, 57 B a node in 3-D and
     more in 1-D, where convolution takes the FFT past 2^23 node pairs; the
-    widened FFT of the smoothed target, 28 B a padded point; greedy's weighted
-    table, 1.15 to 1.21 x M G doubles; EM's log-joint and the arrays shaped
-    like it, 3.1 to 5.1 x n N doubles at the largest cell."""
+    widened FFT of the smoothed target, 27.4 to 30.4 B a padded point; the
+    means lattice, its build copies and the greedy's score vectors, 70 to 106
+    B a mean where there are far more means than nodes; the greedy's table
+    row blocks and step vectors beside its iterate fields, 121 to 251 B a
+    node; EM's log-joint and the arrays shaped like it, 3.1 to 5.1 x n N
+    doubles at the largest cell."""
     study, dim, pts = cfg.study, cfg.density_dim, _grid_points(cfg)
     nodes = pts ** dim
     terms = {} if study == "check-identity" else {
@@ -585,10 +588,14 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
         dil = Dilation(make_product_kernel(cfg.kernel_name, dim), cfg.k_list[0])
         ext = _widening([(box.upper[0] - box.lower[0]) / (pts - 1)], dil.radius(TRUNCATION_TOL))
         side = sp_fft.next_fast_len(3 * pts + 2 * ext - 2, True)
-        terms[f"the smoothed target's FFT lattice ({side}^{dim} points)"] = 28 * side ** dim
+        terms[f"the smoothed target's FFT lattice ({side}^{dim} points)"] = 32 * side ** dim
     if study == "mix-rate":
-        size, n_max = cfg.means_per_axis ** dim, max(cfg.n_list)
-        terms[f"the greedy's weighted table ({size} means x {nodes} nodes)"] = 9.6 * size * nodes
+        m, n_max = cfg.means_per_axis, max(cfg.n_list)
+        terms[f"the {m ** dim} means and the greedy's score vectors"] = (
+            8 * (3 * dim + 10) * m ** dim)
+        terms[f"the greedy's factor tables ({m} means x {pts} nodes x {dim} axes)"] = (
+            8 * m * pts * dim)
+        terms[f"the greedy's table row blocks and step vectors on {nodes} nodes"] = 256 * nodes
         terms[f"the greedy's {n_max} iterate fields"] = n_max * nodes * 8
     elif study == "mle-risk":
         cells = _mle_cells(cfg)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -434,13 +434,15 @@ class MixtureDictionary:
     """Finite dictionary of dilated kernels with means on a lattice.
 
     Holds its elements only; rows of their values on the grid come from
-    :meth:`table`, and :func:`greedy_fit` builds its weighted table itself.
+    :meth:`table`.  :func:`greedy_fit` scores them per axis from `axes` and
+    builds table rows only for its candidates.
     """
 
     kernel: ProductKernel
     k: int
     means: np.ndarray           # (M, p)
     grid: TensorGrid
+    axes: tuple | None = None   # per-axis means whose C-order lattice is `means`
 
     @property
     def size(self) -> int:
@@ -472,37 +474,77 @@ class MixtureDictionary:
         return np.exp(_component_log_pdf(self.kernel, self.k, self.means, points))
 
 
+def _lattice(axes) -> np.ndarray:
+    """The product lattice of per-axis means, (prod of lengths, dim), C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def lattice_means(box: MeanBox, means_per_axis: int, dim: int) -> np.ndarray:
     """Means on the box lattice with means_per_axis nodes per axis, (M, dim)."""
-    axes = [np.linspace(box.m_lower, box.m_upper, means_per_axis)] * dim
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    return _lattice([np.linspace(box.m_lower, box.m_upper, means_per_axis)] * dim)
 
 
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,
                      means_per_axis: int, grid: TensorGrid) -> MixtureDictionary:
-    """Dictionary over a means lattice on the grid."""
-    return MixtureDictionary(kernel, int(k), lattice_means(box, means_per_axis, kernel.dim),
-                             grid)
+    """Dictionary over a means lattice on the grid, which keeps its axes."""
+    axes = (np.linspace(box.m_lower, box.m_upper, means_per_axis),) * kernel.dim
+    return MixtureDictionary(kernel, int(k), _lattice(axes), grid, axes)
 
 
-def _weighted_table(dictionary: MixtureDictionary, W: np.ndarray):
-    """The weighted table D·W, (M, G) in C order, and each element's squared
-    weighted norm <d, d>_W, (M,).
+def _weighted_factors(dictionary: MixtureDictionary, weights) -> list:
+    """Per axis a, (F_a w_a, the squared w_a-norms of F_a's rows), where
+    F_a[j, i] = g(k (x_a,i - mu_a,j)) is the factor table of the dictionary's
+    axis means (``Dilation.axis_factors``).  Filled 16 rows at a time, so F_a,
+    in 1-D the whole (M, G) table, is never held beside F_a w_a."""
+    dil = Dilation(dictionary.kernel, dictionary.k)
+    out = []
+    for x, mu, w in zip(dictionary.grid.nodes, dictionary.axes, weights):
+        fw, norms = np.empty((mu.size, x.size)), np.empty(mu.size)
+        for a, b in _row_blocks(mu.size, 16):
+            f = dil.axis_factors([x - mu[a:b, None]])[0]
+            np.multiply(f, w, out=fw[a:b])
+            norms[a:b] = np.einsum("ij,ij->i", fw[a:b], f)
+        out.append((fw, norms))
+    return out
 
-    Filled one slab of rows at a time, M^((p-1)/p) rows (on a lattice, the
-    means at one node of the first mean axis), so the unweighted values are
-    never held whole.
+
+def _axis_product(mats, x: np.ndarray) -> np.ndarray:
+    """(kron_a mats[a]) @ x.ravel() for a grid-shaped x, (M,), without the
+    Kronecker product: each (m_a, n_a) matrix contracts the leading axis,
+    and its new axis m_a goes last, so the result ends in C order."""
+    for mat in mats:
+        x = (mat @ x.reshape(mat.shape[1], -1)).T
+    return x.ravel()
+
+
+def _replay(dictionary: MixtureDictionary, W: np.ndarray, approx: np.ndarray,
+            tol: float, exact):
+    """The first index of the minimum of exact's scores over the dictionary,
+    and exact's outputs there, given approx, those scores to within tol/2.
+
+    Only the elements within tol of approx's minimum are scored exactly:
+    exact(weighted, values) on the rows of their `grids._row_blocks(M, 4)`
+    group, weighted as the whole table D·W would be.  The groups keep every
+    row's place in OpenBLAS's groups of four, so their GEMVs and einsum
+    norms have the bits of one product on the whole table at one BLAS
+    thread; unlike that product's, their bits stay the same at two.  Where
+    a rescored row's approx is further than tol/2 from its exact score, tol
+    becomes twice that distance and the candidates are taken again.
     """
-    p = dictionary.kernel.dim
-    weighted = np.empty((dictionary.size, W.size))
-    sqnorms = np.empty(dictionary.size)
-    slab = max(1, round(dictionary.size ** ((p - 1) / p)))
-    for start in range(0, dictionary.size, slab):
-        rows = slice(start, start + slab)
-        values = dictionary.table(rows)
-        np.multiply(values, W, out=weighted[rows])
-        sqnorms[rows] = np.einsum("ij,ij->i", weighted[rows], values)
-    return weighted, sqnorms
+    blocks, scored = _row_blocks(dictionary.size, 4), {}
+    while True:
+        cands = np.flatnonzero(approx <= approx.min() + tol).tolist()
+        for g in {min(i // 4, len(blocks) - 1) for i in cands if i not in scored}:
+            a, b = blocks[g]
+            values = dictionary.table(slice(a, b))
+            outs = exact(values * W, values)
+            scored.update((i, [out[i - a] for out in outs]) for i in range(a, b))
+        err = max(abs(out[0] - approx[i]) for i, out in scored.items())
+        if not err > tol / 2:
+            break
+        tol = 2.0 * err
+    idx = min(cands, key=lambda i: scored[i][0])    # the first, on a tie
+    return idx, scored[idx]
 
 
 def _golden_section(fn, lo: float, hi: float) -> float:
@@ -545,9 +587,19 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     line search on [0, 1].  For the squared-L2 objective the element is chosen
     by exact vectorized minimization over the dictionary; for KL the element
     maximizes the linearized gain, which keeps every step nonincreasing.
-    Both read one weighted table and the squared norms, built here by
-    :func:`_weighted_table`; the chosen element's values come from
-    ``dictionary.table``.
+
+    In dim > 1 no (M, G) table is built; in 1-D the one factor table is the
+    weighted table.  The dictionary's means are the lattice of its `axes`
+    (:func:`build_dictionary`), so the weighted table D·W is k^p times the
+    Kronecker product of the per-axis tables F_a w_a
+    (:func:`_weighted_factors`), and every element is scored by one
+    contraction per axis.  Those scores only name the candidates within
+    1e-9 of the best, relative to it or, for L2, to the current objective
+    if that is larger.  :func:`_replay` scores the candidates again from
+    their table rows with the whole-table expressions and picks as np.argmin
+    (np.argmax for KL) would on the whole table, so every iterate has its
+    bits.  The first KL step logs 16 table rows at a time, and the chosen
+    element's values come from ``dictionary.table``.
 
     Returns one mixture per iterate together with its field on the target
     grid (the running convex combination of dictionary rows, which callers
@@ -560,10 +612,19 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         raise ValueError("objective must be 'l2' or 'kl'")
     if not target.grid.same_lattice(dictionary.grid):
         raise ValueError("target and dictionary live on different grids")
+    if dictionary.axes is None:
+        raise ValueError("greedy_fit scores per axis: the dictionary needs its lattice "
+                         "axes, as build_dictionary gives them")
 
     t = target.values.ravel()
     W = target.grid.weight_tensor().ravel()
-    DW, dd = _weighted_table(dictionary, W)     # D·W and <d, d>_W per element
+    # <d, d>_W is k^2p times the outer product of the per-axis norms.
+    weighted, norms = zip(*_weighted_factors(dictionary, target.grid.weights))
+    scale = float(dictionary.k) ** target.grid.dim
+    dd = scale ** 2 * reduce(np.multiply.outer, norms).ravel()
+
+    def dw_dot(x):      # D·W @ x, per axis
+        return scale * _axis_product(weighted, x.reshape(target.grid.shape))
 
     weights: dict[int, float] = {}
     v = np.zeros_like(t)
@@ -593,20 +654,27 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     for step in range(1, n_max + 1):
         if objective == "l2":
             e = v - t
-            b = DW @ e - float(np.sum(W * e * v))        # <e, d - v>_W
-            if step == 1:
-                c = dd                                  # v = 0
-                lam_cand = np.ones_like(b)
-            else:
-                c = dd - 2.0 * (DW @ v) + float(np.sum(W * v * v))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    lam_cand = np.clip(np.where(c > 0, -b / c, 0.0), 0.0, 1.0)
+            ev, vv = float(np.sum(W * e * v)), float(np.sum(W * v * v))
             base = float(np.sum(W * e * e))
-            cand_obj = base + 2.0 * lam_cand * b + lam_cand ** 2 * c
-            idx = int(np.argmin(cand_obj))
+
+            def cand_obj(dw_e, dw_v, norms):
+                b = dw_e - ev                           # <e, d - v>_W
+                if step == 1:
+                    c = norms                           # v = 0
+                    lam_cand = np.ones_like(b)
+                else:
+                    c = norms - 2.0 * dw_v + vv
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        lam_cand = np.clip(np.where(c > 0, -b / c, 0.0), 0.0, 1.0)
+                return base + 2.0 * lam_cand * b + lam_cand ** 2 * c, lam_cand
+
+            approx, _ = cand_obj(dw_dot(e), dw_dot(v), dd)
+            idx, (_, lam_cand) = _replay(
+                dictionary, W, approx, 1e-9 * max(abs(approx.min()), base),
+                lambda dw, d: cand_obj(dw @ e, dw @ v, np.einsum("ij,ij->i", dw, d)))
         elif step == 1:
             # <log d, t>_W for every element, 16 table rows logged in place
-            # at a time: no second (M, G) table, and the bits of one GEMV.
+            # at a time: no (M, G) table, and the bits of one GEMV.
             scores = np.empty(dictionary.size)
             for start, stop in _row_blocks(dictionary.size, 16):
                 block = dictionary.table(slice(start, stop))
@@ -614,7 +682,10 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
                 scores[start:stop] = block @ tW
             idx = int(np.argmax(scores))
         else:
-            idx = int(np.argmax(DW @ (t / np.maximum(v, 1e-300))))
+            q = t / np.maximum(v, 1e-300)
+            approx = -dw_dot(q)
+            idx, _ = _replay(dictionary, W, approx, 1e-9 * abs(approx.min()),
+                             lambda dw, d: (-(dw @ q),))
 
         d = dictionary.table([idx])[0]
         if step == 1:
@@ -622,8 +693,8 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         elif objective == "l2":
             diff = d - v
             lam = _golden_section(lambda l: l2_obj(l, e, diff), 0.0, 1.0)
-            if l2_obj(lam, e, diff) > l2_obj(lam_cand[idx], e, diff):
-                lam = float(lam_cand[idx])
+            if l2_obj(lam, e, diff) > l2_obj(lam_cand, e, diff):
+                lam = float(lam_cand)
         else:
             lam = _golden_section(lambda l: kl_obj((1.0 - l) * v + l * d), 0.0, 1.0 - 1e-12)
 

@@ -343,10 +343,10 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("study, text, message", [
-        # 65^2 means on the 257^2 grid: greedy's weighted table alone would
-        # be about 2.7 GB.
-        ("mix-rate", "density.name = truncated-normal\ndensity.dim = 2\n"
-                     "k.list = 16\ndictionary.means_per_axis = 65\n",
+        # 2^18 means on the 2049 1-D nodes: greedy's factor table, in 1-D the
+        # whole weighted (M, G) table, would be 4.3 GB.
+        ("mix-rate", "density.name = truncated-normal\n"
+                     "k.list = 16\ndictionary.means_per_axis = 262144\n",
          "memory guard"),
         ("conv-rate", "density.name = tent\ndensity.dim = 3\n"
                       "grid.points_per_axis = 33\nk.list = 4,16\n",
@@ -358,7 +358,7 @@ class TestCli:
                      "heldout.n = 2\nheldout.N = 100\n",
          "too coarse"),
         # 3-D Laplace at k = 2 on the default 65^3 grid: the smoothed target's
-        # widened FFT would pad to 900^3 points, about 19 GiB.
+        # widened FFT would pad to 900^3 points, about 22 GiB.
         ("mix-rate", "density.name = truncated-normal\ndensity.dim = 3\n"
                      "kernel.name = laplace\nk.list = 2\ndictionary.means_per_axis = 4\n",
          "900^3 points"),
@@ -764,6 +764,13 @@ _PEAK_CASES = {
     "mix-rate-2d-iterates": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 2\n"
                             "grid.points_per_axis = 129\nk.list = 8\nn.list = 1,200\n"
                             "dictionary.means_per_axis = 5\n",
+    # Far more means than nodes: the means lattice and the score vectors.
+    "mix-rate-2d-means": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 2\n"
+                         "grid.points_per_axis = 33\nk.list = 4\nn.list = 1,8\n"
+                         "dictionary.means_per_axis = 600\n",
+    "mix-rate-3d-means": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 3\n"
+                         "grid.points_per_axis = 17\nk.list = 2\nn.list = 1,8\n"
+                         "dictionary.means_per_axis = 70\n",
     "mix-rate-3d": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 3\n"
                    "grid.points_per_axis = 33\nk.list = 4\nn.list = 1,4\n"
                    "dictionary.means_per_axis = 4\n",
@@ -818,7 +825,10 @@ class TestMemoryBudget:
         ("mix-rate", "density.dim = 2\nk.list = 16\nn.list = 1,16384\n"
                      "dictionary.means_per_axis = 17\n",
          "the greedy's 16384 iterate fields"),
-    ], ids=["mle-risk-em", "mix-rate-iterates"])
+        # 30000^2 means: the means lattice alone would be 14 GB.
+        ("mix-rate", "density.dim = 2\nk.list = 16\ndictionary.means_per_axis = 30000\n",
+         "the 900000000 means and the greedy's score vectors"),
+    ], ids=["mle-risk-em", "mix-rate-iterates", "mix-rate-means"])
     def test_unguarded_gaps_exit_2_at_once(self, tmp_path, capsys, study, text, term):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(f"study = {study}\ndensity.name = truncated-normal\n{text}")

@@ -202,10 +202,15 @@ def mle_risk_concentration(epsilon: float, beta_lower: float, beta_upper: float,
 
 
 def _rms_distances(vals: np.ndarray) -> np.ndarray:
-    """(M, M) empirical rms distances between the rows of an (M, N) table."""
+    """(M, M) empirical rms distances between the rows of an (M, N) table.
+
+    Each unordered pair once: row j against rows j and later, mirrored into
+    column j.  (a - b)^2 and (b - a)^2 are the same bits, and each row's mean
+    is its own reduction, so the matrix is the full loop's, bit for bit.
+    """
     dist = np.empty((vals.shape[0], vals.shape[0]))
     for j, row in enumerate(vals):
-        dist[j] = np.sqrt(np.mean((vals - row) ** 2, axis=1))
+        dist[j, j:] = dist[j:, j] = np.sqrt(np.mean((vals[j:] - row) ** 2, axis=1))
     return dist
 
 
@@ -214,11 +219,10 @@ def _greedy_cover(dist: np.ndarray, delta: float) -> int:
     taken in ascending index order and cover every element closer than delta."""
     uncovered = np.ones(dist.shape[0], dtype=bool)
     count = 0
-    while np.any(uncovered):
-        center = int(np.argmax(uncovered))
-        uncovered &= dist[center] >= delta
-        uncovered[center] = False
-        count += 1
+    for center in range(dist.shape[0]):
+        if uncovered[center]:
+            uncovered &= dist[center] >= delta
+            count += 1
     return count
 
 

@@ -547,23 +547,79 @@ def _replay(dictionary: MixtureDictionary, W: np.ndarray, approx: np.ndarray,
     return idx, scored[idx]
 
 
-def _golden_section(fn, lo: float, hi: float) -> float:
-    """Minimize a unimodal scalar function on [lo, hi], to a bracket of 1e-10."""
+def _golden_section(fn, lo: float, hi: float, estimate=None) -> float:
+    """Minimize a unimodal scalar function on [lo, hi], to a bracket of 1e-10.
+
+    Two points are compared by fn's values, each computed at most once.
+    With estimate(x) -> (value, radius), where fn(x) lies within radius of
+    value, two points whose intervals value ± radius are disjoint are
+    compared by those instead; they order the points as fn's values would,
+    so the bracket and the point returned keep their bits.
+    """
+    values = {}
+
+    def exact(x):
+        if x not in values:
+            values[x] = fn(x)
+        return values[x]
+
+    def less(x, y):
+        if estimate is not None:
+            (fx, rx), (fy, ry) = estimate(x), estimate(y)
+            if fx + rx < fy - ry:
+                return True
+            if fx - rx > fy + ry:
+                return False
+        return exact(x) < exact(y)
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
     while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
+        if less(c, d):
+            b, d = d, c
             c = b - invphi * (b - a)
-            fc = fn(c)
         else:
-            a, c, fc = c, d, fd
+            a, c = c, d
             d = a + invphi * (b - a)
-            fd = fn(d)
     return 0.5 * (a + b)
+
+
+def _l2_line(W: np.ndarray, e: np.ndarray, diff: np.ndarray, base: float,
+             res: np.ndarray, wres: np.ndarray):
+    """The squared L2 gap along a step, l -> sum(W (e + l diff)^2), as
+    (its grid sum, an estimate for :func:`_golden_section`).
+
+    The estimate is the exact quadratic Q(l) = base + 2 l B + l^2 C, with
+    B = <e, diff>_W and C = <diff, diff>_W two grid sums, and the radius
+    1e-12 (base + l^2 C).  Its bound: numpy's pairwise sum of G terms adds
+    in a tree of depth at most h = 18 + ceil(log2(G / 128)) (28 on 257^2
+    nodes), so with S = sum W |e| |diff| and u = 2^-53 the grid sum is
+    within (h + 6) u (base + 2 l S + l^2 C) of Q(l), counting the roundings
+    of r = e + l diff and of W r r; Q's floating evaluation from the sums
+    base, B and C is within the same.  For W >= 0, Cauchy-Schwarz gives
+    2 l S <= 2 l sqrt(base C) <= base + l^2 C, so the two differ by at most
+    4 (h + 6) u (base + l^2 C): 1.5e-14 (base + l^2 C) on 257^2 nodes and
+    2.5e-14 on 2^40, so the radius is about 40 times the bound or more.
+    Both work on the buffers res and wres, which they overwrite.
+    """
+    np.multiply(W, diff, out=wres)
+    b = float(np.sum(np.multiply(wres, e, out=res)))
+    c = float(np.sum(np.multiply(wres, diff, out=res)))
+
+    def grid_sum(l):
+        # sum(W * r * r) with r = e + l * diff, in that order, in place.
+        np.multiply(l, diff, out=res)
+        np.add(e, res, out=res)
+        np.multiply(W, res, out=wres)
+        np.multiply(wres, res, out=wres)
+        return float(np.sum(wres))
+
+    def estimate(l):
+        return base + 2.0 * l * b + l * l * c, 1e-12 * (base + l * l * c)
+
+    return grid_sum, estimate
 
 
 @dataclass
@@ -587,6 +643,11 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     line search on [0, 1].  For the squared-L2 objective the element is chosen
     by exact vectorized minimization over the dictionary; for KL the element
     maximizes the linearized gain, which keeps every step nonincreasing.
+    The L2 search compares two points by the step's exact quadratic where
+    their rounding intervals are apart, and by grid sums only where they
+    overlap (:func:`_l2_line`), so lambda has the bits of a search on grid
+    sums alone; the KL search evaluates the objective on the nodes where
+    the target is positive.
 
     In dim > 1 no (M, G) table is built; in 1-D the one factor table is the
     weighted table.  The dictionary's means are the lattice of its `axes`
@@ -635,21 +696,12 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         tW = t * W
         tW_mask, log_t = tW[mask], np.log(t[mask])
 
-        def kl_obj(vals):
-            vals = vals[mask]
+        def kl_obj(vals):       # vals on the nodes where t > 0
             if np.any(vals < 1e-300):
                 return math.inf
             return float(np.sum(tW_mask * (log_t - np.log(vals))))
     else:
         res, wres = np.empty_like(t), np.empty_like(t)
-
-        def l2_obj(l, e, diff):
-            # sum(W * r * r) with r = e + l * diff, in that order, in place.
-            np.multiply(l, diff, out=res)
-            np.add(e, res, out=res)
-            np.multiply(W, res, out=wres)
-            np.multiply(wres, res, out=wres)
-            return float(np.sum(wres))
 
     for step in range(1, n_max + 1):
         if objective == "l2":
@@ -691,12 +743,14 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         if step == 1:
             lam = 1.0
         elif objective == "l2":
-            diff = d - v
-            lam = _golden_section(lambda l: l2_obj(l, e, diff), 0.0, 1.0)
-            if l2_obj(lam, e, diff) > l2_obj(lam_cand, e, diff):
+            grid_sum, estimate = _l2_line(W, e, d - v, base, res, wres)
+            lam = _golden_section(grid_sum, 0.0, 1.0, estimate)
+            if grid_sum(lam) > grid_sum(lam_cand):
                 lam = float(lam_cand)
+            del grid_sum, estimate      # they hold e and d - v, two grid vectors
         else:
-            lam = _golden_section(lambda l: kl_obj((1.0 - l) * v + l * d), 0.0, 1.0 - 1e-12)
+            v_m, d_m = v[mask], d[mask]
+            lam = _golden_section(lambda l: kl_obj((1.0 - l) * v_m + l * d_m), 0.0, 1.0 - 1e-12)
 
         v = (1.0 - lam) * v + lam * d
         for key in list(weights):
@@ -715,7 +769,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
             r = v - t
             objs.append(float(np.sum(W * r * r)))
         else:
-            objs.append(kl_obj(v))
+            objs.append(kl_obj(v[mask]))
 
     return GreedyFit(mixtures, fields, np.asarray(objs), selected, lambdas, objective)
 
@@ -752,7 +806,8 @@ def build_mixing_approximant(target, kernel: ProductKernel, k: int,
     if grid.dim > 1:
         # Kept on the widened FFT sum.  The exact per-axis sum differs from it
         # only in the last bits, but greedy_fit's golden-section L2 step settles
-        # its weights only to rounding noise, so those bits move the KL of the
+        # its weights only to rounding noise (inside the rounding radius its
+        # path follows the grid sums), so those bits move the KL of the
         # 2-D greedy iterates by ~1e-6 relative.  A closed-form L2 step would
         # let this take the per-axis sum too, and the memory budget's FFT term
         # (harness.predicted_peak) go.

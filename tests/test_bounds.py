@@ -21,7 +21,7 @@ from mixapprox.bounds import (
     target_kl_constant,
 )
 from mixapprox.densities import make_target
-from mixapprox import mixtures
+from mixapprox import bounds, mixtures
 from mixapprox.grids import GridFunction, SupportBox, convolve, cube, make_grid
 from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
 from mixapprox.mixtures import (
@@ -417,6 +417,55 @@ class TestCoveringMatchesPerCenterOracle:
         integrand = np.sqrt(np.log(np.maximum(counts, 1)))
         oracle = float(np.trapezoid(integrand, radii)) + radii[0] * integrand[0]
         assert dudley_entropy_integral(d, xs, beta_upper) == oracle
+
+
+def _full_loop_distances(vals: np.ndarray) -> np.ndarray:
+    """The rms distance matrix over every ordered pair, as first written."""
+    dist = np.empty((vals.shape[0], vals.shape[0]))
+    for j, row in enumerate(vals):
+        dist[j] = np.sqrt(np.mean((vals - row) ** 2, axis=1))
+    return dist
+
+
+def _argmax_cover(dist: np.ndarray, delta: float) -> int:
+    """The greedy cover as first written: the next center is found by
+    np.any and np.argmax over the uncovered mask."""
+    uncovered = np.ones(dist.shape[0], dtype=bool)
+    count = 0
+    while np.any(uncovered):
+        center = int(np.argmax(uncovered))
+        uncovered &= dist[center] >= delta
+        uncovered[center] = False
+        count += 1
+    return count
+
+
+class TestDistancesAndCoverMatchTheirLoops:
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (2, 1), (40, 33), (289, 512)])
+    def test_distances_equal_the_full_loop(self, rows, cols):
+        # Each pair computed once and mirrored: the full loop's bits, also
+        # between duplicate rows, whose distance is an exact 0.
+        rng = np.random.default_rng(rows)
+        vals = rng.normal(size=(rows, cols)) * rng.uniform(0.1, 10.0, size=(rows, 1))
+        if rows > 2:
+            vals[rows // 2] = vals[0]
+            vals[-1] = vals[1]
+        dist = bounds._rms_distances(vals)
+        assert dist.tobytes() == _full_loop_distances(vals).tobytes()
+        if rows > 2:
+            assert dist[0, rows // 2] == dist[rows // 2, 0] == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cover_equals_the_argmax_loop(self, seed):
+        # Distances on a lattice of quarters, so many equal delta exactly:
+        # an element at exactly delta from a center stays uncovered.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 60))
+        dist = rng.integers(0, 6, size=(m, m)) / 4.0
+        dist = np.minimum(dist, dist.T)
+        np.fill_diagonal(dist, 0.0)
+        for delta in (0.25, 0.5, 0.75, 1.0, 1.25, 2.0):
+            assert bounds._greedy_cover(dist, delta) == _argmax_cover(dist, delta)
 
 
 class TestBoundConstants:

@@ -1045,6 +1045,138 @@ class TestGreedyMatchesTableOracle:
         assert fit.selected == ref.selected
         assert np.array_equal(fit.objectives, ref.objectives)
 
+    def test_kl_fit_on_a_target_with_zeros_equals_the_oracle(self):
+        # The KL line search runs on the nodes where the target is positive,
+        # which here are not all of them.
+        f = make_target("truncated-normal", 1)
+        grid = make_grid(f.support, 1025, "simpson")
+        fbar = build_mixing_approximant(f, GAUSS, 16, grid).realized
+        target = GridFunction(grid, np.where(np.abs(grid.nodes[0]) < 0.6, fbar.values, 0.0))
+        assert 0 < np.count_nonzero(target.values) < target.values.size
+        dictionary = build_dictionary(GAUSS, 16, MeanBox(-1.0, 1.0, 1), 129, grid)
+        fit = greedy_fit(target, dictionary, 12, objective="kl")
+        ref, _, _ = _greedy_table_oracle(target, dictionary.values, dictionary, 12, "kl")
+        assert fit.selected == ref.selected
+        assert np.array_equal(fit.lambdas, ref.lambdas)
+        assert np.array_equal(fit.objectives, ref.objectives)
+        for got, want in zip(fit.fields, ref.fields, strict=True):
+            assert np.array_equal(got, want)
+
+
+def _ints(lo, hi, scale):
+    # Floats on a lattice: no subnormal values, whose squares would lose
+    # the relative precision the screen's radius assumes.
+    return st.integers(lo, hi).map(lambda i: i * scale)
+
+
+@st.composite
+def _l2_lines(draw):
+    """W > 0, e and diff with the line's minimum at 0, at 1, inside, or
+    nowhere (diff = 0, so C = 0)."""
+    n = draw(st.integers(1, 40))
+    W = draw(arrays(float, n, elements=_ints(1, 10_000, 1e-3)))
+    diff = draw(arrays(float, n, elements=_ints(-10_000, 10_000, 1e-3)))
+    noise = draw(arrays(float, n, elements=_ints(-1000, 1000, 1e-6)))
+    where = draw(st.sampled_from(["0", "1", "inside", "flat"]))
+    if where == "flat":
+        diff[:] = 0.0
+    lo, hi = {"0": (-2.0, -0.01), "1": (1.01, 3.0), "inside": (0.05, 0.95),
+              "flat": (0.0, 1.0)}[where]
+    s = draw(st.floats(lo, hi))
+    return W, noise - s * diff, diff
+
+
+def _eager_golden_section(fn, lo, hi):
+    """The golden section as first written, which evaluates fn at every new
+    point as it is placed: the reference for the memoized search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > 1e-10:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_l2_lines())
+def test_screened_line_search_returns_the_plain_lambda(line):
+    W, e, diff = line
+    base = float(np.sum(W * e * e))
+    grid_sum, estimate = mixtures._l2_line(W, e, diff, base, np.empty_like(e), np.empty_like(e))
+    plain = mixtures._golden_section(grid_sum, 0.0, 1.0)
+    assert plain == _eager_golden_section(grid_sum, 0.0, 1.0)
+    assert mixtures._golden_section(grid_sum, 0.0, 1.0, estimate) == plain
+    assert mixtures._golden_section(grid_sum, 0.0, 1.0, lambda l: (0.0, math.inf)) == plain
+
+
+def _l2_calls(monkeypatch, fbar, dictionary, n_max):
+    """The fit, and (grid sum, estimate, radius) at every point where the
+    L2 line search evaluated its grid sum."""
+    calls, line = [], mixtures._l2_line
+
+    def recording(*args):
+        grid_sum, estimate = line(*args)
+
+        def recorded(l):
+            value = grid_sum(l)
+            calls.append((value, *estimate(l)))
+            return value
+
+        return recorded, estimate
+
+    monkeypatch.setattr(mixtures, "_l2_line", recording)
+    return greedy_fit(fbar, dictionary, n_max), calls
+
+
+class TestScreenedL2LineSearch:
+    """The golden section compares points by the line's exact quadratic and
+    sums the grid only where rounding could decide."""
+
+    @staticmethod
+    def _fit_inputs(kernel_name, dim, points, k, means):
+        f = make_target("truncated-normal", dim)
+        grid = make_grid(f.support, points, "simpson")
+        kernel = make_product_kernel(kernel_name, dim)
+        fbar = build_mixing_approximant(f, kernel, k, grid).realized
+        return fbar, build_dictionary(kernel, k, MeanBox(-1.0, 1.0, dim), means, grid)
+
+    def test_mix_rate_2d_sums_the_grid_less_and_keeps_its_bits(self, monkeypatch):
+        # The mix-rate-2d benchmark shape: 17^2 means on 257^2 nodes, k = 16,
+        # 32 steps.  Unscreened, the fit sums the grid 1581 times, 51 a step.
+        fbar, dictionary = self._fit_inputs("gaussian", 2, 257, 16, 17)
+        fit, calls = _l2_calls(monkeypatch, fbar, dictionary, 32)
+        assert len(calls) <= 800
+        plain = mixtures._golden_section
+        monkeypatch.setattr(mixtures, "_golden_section",
+                            lambda fn, lo, hi, estimate=None: plain(fn, lo, hi))
+        ref = greedy_fit(fbar, dictionary, 32)
+        assert fit.selected == ref.selected
+        assert np.array_equal(fit.lambdas, ref.lambdas)
+        assert np.array_equal(fit.objectives, ref.objectives)
+
+    @pytest.mark.parametrize("kernel_name, dim, points, k, means, n_max", [
+        ("gaussian", 2, 257, 16, 17, 32), ("gaussian", 2, 401, 48, 7, 64),
+        ("gaussian", 1, 2049, 16, 257, 32), ("laplace", 1, 2049, 16, 257, 32),
+    ])
+    def test_grid_sums_lie_well_inside_the_radius(self, monkeypatch, kernel_name, dim,
+                                                  points, k, means, n_max):
+        # The radius is 1e-12 (base + l^2 C), about 40 times the derived
+        # rounding bound; the grid sums come within a hundredth of it.
+        fbar, dictionary = self._fit_inputs(kernel_name, dim, points, k, means)
+        _, calls = _l2_calls(monkeypatch, fbar, dictionary, n_max)
+        assert len(calls) > 0
+        for value, estimate, radius in calls:
+            assert abs(value - estimate) <= radius / 100
+
 
 class TestMixingApproximant:
     def test_realized_matches_direct_convolution(self):

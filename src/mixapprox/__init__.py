@@ -6,15 +6,11 @@ from .grids import (
     GridFunction,
     SupportBox,
     TensorGrid,
-    YoungReport,
     convolve,
     cube,
-    grid_convolve,
     make_grid,
-    quadrature_integrate,
     restrict,
     sample_on_grid,
-    young_inequality_check,
 )
 from .kernels import (
     Dilation,
@@ -28,19 +24,13 @@ from .kernels import (
     make_product_kernel,
 )
 from .densities import (
-    F5MembershipReport,
     TargetDensity,
     ZOO_NAMES,
-    estimate_lipschitz,
     make_target,
-    truncated_normal_density,
-    verify_f5_membership,
 )
 from .divergences import (
     AbsoluteContinuityError,
-    Lemma13Report,
     kl_divergence,
-    kl_l2_bound_check,
     lq_norm,
 )
 from .mixtures import (
@@ -56,7 +46,6 @@ from .mixtures import (
     em_fit,
     greedy_fit,
     log_likelihood,
-    mixture_sample,
     mle_fit,
 )
 from .bounds import (

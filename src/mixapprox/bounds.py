@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CHECK_SLACK, SupportBox
+from .grids import SupportBox
 from .kernels import ProductKernel
 from .mixtures import MeanBox, MixingApproximant, MixtureDictionary
 
@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 GAMMA_AT_ZERO = 4.0 * (math.log(3.0) + 0.5)
+
+# Relative slack of every domination check, measured <= rhs (1 + CHECK_SLACK).
+CHECK_SLACK = 1e-6
 
 
 @dataclass(frozen=True)

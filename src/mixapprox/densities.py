@@ -2,7 +2,7 @@
 
 The zoo ships five marginals spanning flat, smooth, and kinked behaviour, each
 with an exact pdf and sampler and certified extremes and slope; a target's
-support bounds and Lipschitz certificate are derived from its marginal's.
+support and bounds are derived from its marginal's.
 """
 
 from __future__ import annotations
@@ -13,17 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .grids import SupportBox, TensorGrid, cube, quadrature_integrate, sample_on_grid
+from .grids import SupportBox, cube
 from .kernels import Gaussian, Marginal
 
 __all__ = [
     "TargetDensity",
-    "F5MembershipReport",
     "ZOO_NAMES",
     "make_target",
-    "truncated_normal_density",
-    "verify_f5_membership",
-    "estimate_lipschitz",
 ]
 
 _GAUSS = Gaussian()
@@ -207,19 +203,6 @@ class TargetDensity:
     def beta_upper(self) -> float:
         return self.marginal.max_value ** self.dim
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return self.dim * self.marginal.slope_bound * self.marginal.max_value ** (self.dim - 1)
-
-    def pdf(self, x):
-        """Density at points shaped (..., dim): the oracle of per-axis sampling."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-            x = x[..., None]
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"points must have last axis {self.dim}")
-        return np.prod(self.marginal.pdf(x), axis=-1)
-
     def sample(self, n: int, rng) -> np.ndarray:
         """n points shaped (n, dim): one marginal draw per axis, in axis order."""
         return np.stack([self.marginal.sample(int(n), rng) for _ in range(self.dim)], axis=-1)
@@ -232,72 +215,3 @@ def make_target(name: str, dim: int) -> TargetDensity:
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3 (tensor-grid cost guard)")
     return TargetDensity(_ZOO[name](), dim)
-
-
-def truncated_normal_density(lo: float, hi: float, mu: float = 0.0,
-                             sigma: float = 1.0, dim: int = 1) -> TargetDensity:
-    """General truncated-normal product density on [lo, hi]^dim."""
-    return TargetDensity(_TruncatedNormal(lo, hi, mu, sigma), dim)
-
-
-@dataclass(frozen=True)
-class F5MembershipReport:
-    """Measured lower bound and mass versus the declared certificates."""
-
-    name: str
-    measured_min: float
-    measured_mass: float
-    beta_declared: float
-    mass_ok: bool
-    lower_bound_ok: bool
-    in_class: bool
-    passed: bool
-
-
-def verify_f5_membership(f: TargetDensity, grid: TensorGrid) -> F5MembershipReport:
-    """Check the declared lower bound and unit mass of a target on a grid."""
-    if not grid.box.contains_box(f.support):
-        raise ValueError("grid does not cover the density support")
-    gf = sample_on_grid(f, grid)
-    mass = quadrature_integrate(gf)
-    inside = f.support.grid_mask(grid)
-    measured_min = float(gf.values[inside].min())
-    mass_ok = abs(mass - 1.0) <= 1e-6
-    lower_ok = measured_min >= f.beta_lower - 1e-12
-    return F5MembershipReport(
-        name=f.name,
-        measured_min=measured_min,
-        measured_mass=mass,
-        beta_declared=f.beta_lower,
-        mass_ok=mass_ok,
-        lower_bound_ok=lower_ok,
-        in_class=bool(f.beta_lower > 0 and mass_ok and lower_ok),
-        passed=bool(mass_ok and lower_ok),
-    )
-
-
-def estimate_lipschitz(f: TargetDensity, grid: TensorGrid, a: float) -> float:
-    """Max adjacent-pair quotient |f(x)-f(y)| / ||x-y||_inf^a over the grid.
-
-    Only pairs with both endpoints inside the support count; the zero
-    extension itself is not part of the on-support Lipschitz certificate.
-    """
-    if grid.points_per_axis < 64:
-        raise ValueError("need at least 64 points per axis")
-    if not 0.0 < a <= 1.0:
-        raise ValueError("exponent must lie in (0, 1]")
-    vals = sample_on_grid(f, grid).values
-    inside = f.support.grid_mask(grid)
-    best = 0.0
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_lo[axis] = slice(None, -1)
-        sl_hi[axis] = slice(1, None)
-        ok = inside[tuple(sl_lo)] & inside[tuple(sl_hi)]
-        if not np.any(ok):
-            continue
-        diffs = np.abs(vals[tuple(sl_hi)] - vals[tuple(sl_lo)])[ok]
-        best = max(best, float(diffs.max()) / h ** a)
-    return best

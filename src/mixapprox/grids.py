@@ -21,21 +21,14 @@ __all__ = [
     "TensorGrid",
     "GridFunction",
     "GridCompatibilityError",
-    "YoungReport",
     "cube",
     "make_grid",
     "sample_on_grid",
-    "quadrature_integrate",
     "restrict",
     "convolve",
-    "grid_convolve",
-    "young_inequality_check",
 ]
 
 _RULES = ("trapezoid", "simpson")
-
-# Relative slack used by every "lhs <= rhs" quadrature comparison.
-CHECK_SLACK = 1e-6
 
 # Kernel mass :func:`convolve` may drop outside its truncation radius.
 TRUNCATION_TOL = 1e-9
@@ -77,21 +70,6 @@ class SupportBox:
     @property
     def dim(self) -> int:
         return len(self.lower)
-
-    def contains_box(self, other: "SupportBox") -> bool:
-        return all(
-            a <= c + _BOX_TOL and d <= b + _BOX_TOL
-            for a, b, c, d in zip(self.lower, self.upper, other.lower, other.upper)
-        )
-
-    def contains_points(self, x: np.ndarray, tol: float = _BOX_TOL) -> np.ndarray:
-        """Boolean mask over points shaped (..., dim); the oracle of grid_mask."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"points have dimension {x.shape[-1]}, box has {self.dim}")
-        lo = np.asarray(self.lower) - tol
-        hi = np.asarray(self.upper) + tol
-        return np.all((x >= lo) & (x <= hi), axis=-1)
 
     def grid_mask(self, grid: "TensorGrid") -> np.ndarray:
         """Boolean mask over the nodes of a grid: the outer AND of one mask per axis."""
@@ -152,11 +130,6 @@ class TensorGrid:
     def spacing(self) -> tuple:
         return tuple(ax[1] - ax[0] for ax in self.nodes)
 
-    def mesh(self) -> np.ndarray:
-        """Node coordinates shaped (*shape, dim), the tests' oracle of per-axis forms."""
-        grids = np.meshgrid(*self.nodes, indexing="ij")
-        return np.stack(grids, axis=-1)
-
     def weight_tensor(self) -> np.ndarray:
         return reduce(np.multiply.outer, self.weights)
 
@@ -206,17 +179,6 @@ class GridFunction:
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}"
             )
 
-    @property
-    def mass(self) -> float:
-        return self.grid.integrate(self.values)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            if not self.grid.same_lattice(other.grid):
-                raise GridCompatibilityError("grid functions live on different lattices")
-            other = other.values
-        return GridFunction(self.grid, self.values - other)
-
 
 def sample_on_grid(f, grid: TensorGrid) -> GridFunction:
     """A product density (a target or kernel: one `marginal` over `dim` axes) on
@@ -224,23 +186,6 @@ def sample_on_grid(f, grid: TensorGrid) -> GridFunction:
     if f.dim != grid.dim:
         raise ValueError(f"grid has dimension {grid.dim}, target has {f.dim}")
     return GridFunction(grid, reduce(np.multiply.outer, map(f.marginal.pdf, grid.nodes)))
-
-
-def quadrature_integrate(h: GridFunction) -> float:
-    """Tensor-product quadrature of a grid function; rejects non-finite values."""
-    if not np.all(np.isfinite(h.values)):
-        raise ValueError("grid function contains non-finite values")
-    return h.grid.integrate(h.values)
-
-
-def _lq_norm_values(grid: TensorGrid, values: np.ndarray, q) -> float:
-    """Shared norm path used by the divergence module and the Young checks."""
-    if q == np.inf or q == math.inf:
-        return float(np.max(np.abs(values)))
-    q = float(q)
-    if q < 1:
-        raise ValueError("norm order must satisfy q >= 1")
-    return float(grid.integrate(np.abs(values) ** q) ** (1.0 / q))
 
 
 def restrict(gf: GridFunction, box: SupportBox) -> GridFunction:
@@ -424,64 +369,3 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
         raise ValueError(f"unknown convolution method {method!r}")
 
     return GridFunction(out_grid, _clip_tiny_negatives(vals))
-
-
-def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Lattice convolution of two grid functions with a shared spacing.
-
-    Both functions are treated as zero outside their boxes.  Boundary samples
-    of the second argument are halved: the zero extension jumps there, and the
-    midpoint value is the one that keeps trapezoid lattice sums exact.  The
-    result lives on the Minkowski-sum box with trapezoid weights.
-    """
-    for ha, hb in zip(f.grid.spacing, g.grid.spacing):
-        if abs(ha - hb) > 1e-9 * max(ha, hb):
-            raise GridCompatibilityError("grid spacings differ")
-    weighted = f.values * f.grid.weight_tensor()
-    gvals = g.values.copy()
-    for axis in range(g.grid.dim):
-        edge = [slice(None)] * g.grid.dim
-        edge[axis] = slice(0, 1)
-        gvals[tuple(edge)] *= 0.5
-        edge[axis] = slice(-1, None)
-        gvals[tuple(edge)] *= 0.5
-    vals = _fft_full(weighted, gvals)
-    lo = tuple(a + c for a, c in zip(f.grid.box.lower, g.grid.box.lower))
-    hi = tuple(b + d for b, d in zip(f.grid.box.upper, g.grid.box.upper))
-    n_out = f.grid.points_per_axis + g.grid.points_per_axis - 1
-    out = make_grid(SupportBox(lo, hi), n_out, "trapezoid")
-    return GridFunction(out, _clip_tiny_negatives(vals))
-
-
-@dataclass(frozen=True)
-class YoungReport:
-    """Measured convolution norm versus the product-of-norms bound."""
-
-    case: str
-    q: float
-    r: float
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def young_inequality_check(f: GridFunction, g: GridFunction, q, r) -> YoungReport:
-    """Check the convolution norm inequalities for orders (q, r).
-
-    Case "i" applies when q == 1 (any r); case "ii" when 1/q + 1/r == 1.
-    """
-    q = float(q)
-    r = float(r)
-    conv = grid_convolve(f, g)
-    if q == 1.0:
-        lhs = _lq_norm_values(conv.grid, conv.values, r)
-        rhs = _lq_norm_values(f.grid, f.values, 1) * _lq_norm_values(g.grid, g.values, r)
-        case = "i"
-    else:
-        inv = (0.0 if q == np.inf else 1.0 / q) + (0.0 if r == np.inf else 1.0 / r)
-        if abs(inv - 1.0) > 1e-12:
-            raise ValueError("orders must satisfy q == 1 or 1/q + 1/r == 1")
-        lhs = _lq_norm_values(conv.grid, conv.values, np.inf)
-        rhs = _lq_norm_values(f.grid, f.values, q) * _lq_norm_values(g.grid, g.values, r)
-        case = "ii"
-    return YoungReport(case, q, r, lhs, rhs, bool(lhs <= rhs * (1.0 + CHECK_SLACK)))

@@ -21,17 +21,16 @@ from scipy import fft as sp_fft
 from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
 from .densities import make_target
-from .divergences import AbsoluteContinuityError, kl_divergence, lq_norm
+from .divergences import AbsoluteContinuityError, _kl_sum, kl_divergence, lq_norm
 from .grids import (TRUNCATION_TOL, GridFunction, _widening, check_resolution, convolve,
                     make_grid, sample_on_grid)
 from .kernels import Dilation, certify_approximate_identity, make_product_kernel
 from .mixtures import (
+    FiniteMixture,
     MeanBox,
-    MixtureDictionary,
     build_dictionary,
     build_mixing_approximant,
     greedy_fit,
-    lattice_means,
     mle_fit,
 )
 
@@ -144,6 +143,13 @@ def _config_guard(check, *args) -> None:
         raise ConfigError(str(exc)) from exc
 
 
+def _note_first_k(result: StudyResult, cfg: ExperimentConfig) -> None:
+    """Note that a study smoothing at one scale uses only k.list's first entry."""
+    if len(cfg.k_list) > 1:
+        result.notes.append(f"{cfg.study} smooths at k = {cfg.k_list[0]}, the first "
+                            f"of k.list's {len(cfg.k_list)} entries; the others are unused")
+
+
 def _rate_report(study: str, axis: str, points) -> RateReport:
     """Rate report over (axis value, mean, stderr) points, with the log-log
     slope fitted when there are at least 2 points and every mean is positive."""
@@ -244,6 +250,7 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
     greedy = greedy_fit(fbar, dictionary, n_max, objective=cfg.objective)
 
     result = StudyResult("mix-rate")
+    _note_first_k(result, cfg)
     result.rows.append(Row("mix-rate", "run", "", "", cfg.seed, "eps_hat", eps_hat))
     result.rows.append(Row("mix-rate", "run", "", "", cfg.seed, "kl_smooth", kl_smooth))
     result.rows.append(Row("mix-rate", "run", "", "", cfg.seed, "beta", beta))
@@ -345,6 +352,30 @@ def _nnls_2col(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return best
 
 
+def _mixture_kl(f_gf: GridFunction, mixture: FiniteMixture) -> float:
+    """KL(f, mixture) on f's grid, from the mixture's grid values; where one
+    of them underflows (below KL's floor of 1e-300), see :func:`_log_pdf_kl`."""
+    g = mixture.on_grid(f_gf.grid)
+    try:
+        return kl_divergence(f_gf, g)
+    except AbsoluteContinuityError:
+        return _log_pdf_kl(f_gf, mixture, g)
+
+
+def _log_pdf_kl(f_gf: GridFunction, mixture: FiniteMixture, g: GridFunction) -> float:
+    """KL(f, mixture) with log g from the log of g, the mixture on the grid,
+    and, at the nodes of f's support where g is below 1e-300, from the
+    log-sum-exp of ``FiniteMixture.log_pdf``, at nodes gathered per axis
+    from np.nonzero (no mesh).  A Gaussian or Laplace mixture is positive
+    everywhere, so its log density is finite where its grid values underflow."""
+    grid, mask = f_gf.grid, f_gf.values > 0.0
+    with np.errstate(divide="ignore"):
+        log_g = np.log(g.values)
+    nodes = np.nonzero(mask & (g.values < 1e-300))
+    log_g[nodes] = mixture.log_pdf(np.stack([x[i] for x, i in zip(grid.nodes, nodes)], axis=-1))
+    return _kl_sum(f_gf, mask, log_g[mask])
+
+
 def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     """Replicated maximum-likelihood risk sweep.
 
@@ -386,7 +417,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
             if fitted.fit.dropped:
                 result.notes.append(f"best fit at n={n}, N={N}, replication {r} dropped "
                                     f"{fitted.fit.dropped} starved mixture component(s)")
-            kl = kl_divergence(f_gf, fitted.mixture.on_grid(grid))
+            kl = _mixture_kl(f_gf, fitted.mixture)
             kls.append(kl)
             result.rows.append(Row("mle-risk", "N", N, r, rep_seed, f"kl@n{n}", kl))
         kls = np.asarray(kls)
@@ -488,8 +519,8 @@ def _bounds_lattice(cfg: ExperimentConfig) -> tuple:
 def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     """Evaluate every bound constant and right-hand side for one setup.
 
-    The covering-number dictionary is capped by `_bounds_lattice`; it is a
-    mean lattice only, with no value table on the grid.
+    The covering-number dictionary is capped by `_bounds_lattice`; only its
+    values at the samples are evaluated, never a table on the grid.
     """
     f = make_target(cfg.density_name, cfg.density_dim)
     kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
@@ -497,8 +528,8 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
     box = _mean_box(cfg, f.support)
     per_axis, n_samples = _bounds_lattice(cfg)
-    means = lattice_means(box, per_axis, grid.dim)
     result = StudyResult("bounds")
+    _note_first_k(result, cfg)
 
     consts = {"A_logratio": bnd.compute_A_logratio(kernel, k, box, f.support)}
     if math.isfinite(consts["A_logratio"]):
@@ -519,7 +550,7 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     xs = f.sample(n_samples, rng)
-    dictionary = MixtureDictionary(kernel, k, means, grid)
+    dictionary = build_dictionary(kernel, k, box, per_axis, grid)
     dudley = bnd.dudley_entropy_integral(dictionary, xs, f.beta_upper)
     result.rows.append(Row("bounds", "run", "", "", cfg.seed, "dudley_integral", dudley))
 

@@ -215,24 +215,9 @@ class ProductKernel:
     dim: int
     marginal: Marginal
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"points must have last axis {self.dim}")
-        return np.prod(self.marginal.pdf(x), axis=-1)
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"points must have last axis {self.dim}")
-        return np.sum(self.marginal.log_pdf(x), axis=-1)
-
     def radius(self, tol: float) -> float:
         # Union bound over axes keeps the mass outside the cube below tol.
         return self.marginal.radius(tol / self.dim)
-
-    def sample(self, n, rng):
-        return self.marginal.sample((n, self.dim), rng)
 
 
 @dataclass(frozen=True)
@@ -251,35 +236,25 @@ class Dilation:
     def dim(self) -> int:
         return self.base.dim
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(self.k) ** self.dim * self.base.pdf(self.k * x)
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.dim * math.log(self.k) + self.base.log_pdf(self.k * x)
-
     def axis_pdf(self, offsets):
         return self.k * self.axis_factors([offsets])[0]
 
     def axis_factors(self, axis_offsets):
-        """pdf's per-axis factors g(k o), without k, one per offset array."""
+        """The density's per-axis factors g(k o), without k, one per offset array."""
         return [self.base.marginal.pdf(self.k * np.asarray(o, dtype=float))
                 for o in axis_offsets]
 
     def lattice_pdf(self, axis_offsets):
-        """pdf on the lattice of one broadcastable offset array per axis, with
-        pdf's operations (factors multiplied in axis order, then k^p) and so
-        its bits, without stacking the offset mesh."""
+        """The density k^p prod_a g(k o_a) on the lattice of one broadcastable
+        offset array per axis: the factors multiplied in axis order, then
+        k^p, as a point-wise product would, so with its bits, but without
+        stacking the offset mesh."""
         out = reduce(np.multiply, self.axis_factors(axis_offsets))
         out *= float(self.k) ** self.dim
         return out
 
     def radius(self, tol: float) -> float:
         return self.base.radius(tol) / self.k
-
-    def sample(self, n, rng):
-        return self.base.sample(n, rng) / self.k
 
 
 class SquaredDilation:

@@ -1,4 +1,4 @@
-"""Finite location-scale mixtures: evaluation, sampling, EM fitting, and
+"""Finite location-scale mixtures: evaluation, EM fitting, and
 greedy convex-hull approximation over a dictionary of shifted dilated kernels.
 
 A mixture holds simplex weights, means inside a box, and one shared integer
@@ -26,11 +26,9 @@ __all__ = [
     "EMFit",
     "MLEFit",
     "GreedyFit",
-    "mixture_sample",
     "log_likelihood",
     "em_fit",
     "mle_fit",
-    "lattice_means",
     "build_dictionary",
     "greedy_fit",
     "build_mixing_approximant",
@@ -91,8 +89,8 @@ def _component_log_pdf(kernel: ProductKernel, k: int, means: np.ndarray,
 
     x is (N, p) or, for p = 1, (N,); means is (n, p).  Returns (n, N),
     components by samples.  Every marginal, in every p, adds its log density
-    one (n, N) pass per axis, in axis order, and so matches a per-mean loop of
-    ``Dilation.log_pdf`` bit for bit.
+    one (n, N) pass per axis, in axis order, and so matches bit for bit a
+    per-mean loop that sums it over the axes and adds p log k.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -186,16 +184,6 @@ class FiniteMixture:
         values = np.einsum(self.weights, [0], *pairs, list(range(1, self.dim + 1)))
         values *= float(self.k) ** self.dim
         return GridFunction(grid, values)
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        comp = rng.choice(self.n, size=n, p=self.weights)
-        return self.means[comp] + Dilation(self.kernel, self.k).sample(n, rng)
-
-
-def mixture_sample(mix: FiniteMixture, seed, n: int) -> np.ndarray:
-    """Draw n points reproducibly from a seed or an existing Generator."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return mix.sample(n, rng)
 
 
 def log_likelihood(mix: FiniteMixture, xs) -> float:
@@ -477,11 +465,6 @@ class MixtureDictionary:
 def _lattice(axes) -> np.ndarray:
     """The product lattice of per-axis means, (prod of lengths, dim), C order."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
-def lattice_means(box: MeanBox, means_per_axis: int, dim: int) -> np.ndarray:
-    """Means on the box lattice with means_per_axis nodes per axis, (M, dim)."""
-    return _lattice([np.linspace(box.m_lower, box.m_upper, means_per_axis)] * dim)
 
 
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,

@@ -14,8 +14,7 @@ import numpy as np
 
 from mixapprox.bounds import compute_gamma
 from mixapprox.config import ExperimentConfig
-from mixapprox.densities import TargetDensity, make_target, truncated_normal_density
-from mixapprox.divergences import kl_l2_bound_check
+from mixapprox.densities import TargetDensity, make_target
 from mixapprox.grids import (
     GridFunction,
     SupportBox,
@@ -24,11 +23,16 @@ from mixapprox.grids import (
     make_grid,
     restrict,
     sample_on_grid,
-    young_inequality_check,
 )
 from mixapprox.harness import emit_report, run_conv_rate, run_mix_rate, run_study
 from mixapprox.kernels import Dilation, certify_approximate_identity, make_product_kernel
-from mixapprox.mixtures import MeanBox, em_fit, mixture_sample, FiniteMixture
+from mixapprox.mixtures import MeanBox, em_fit, FiniteMixture
+from oracles import (
+    kl_l2_bound_check,
+    mixture_sample,
+    truncated_normal_density,
+    young_inequality_check,
+)
 
 
 def _report(num, name, ok, detail=""):

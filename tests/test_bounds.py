@@ -32,6 +32,7 @@ from mixapprox.mixtures import (
     build_dictionary,
     build_mixing_approximant,
 )
+from oracles import grid_mesh
 
 GAUSS = make_product_kernel("gaussian", 1)
 UNIT_BOX = MeanBox(0.0, 1.0, 1)
@@ -281,7 +282,7 @@ class TestIntegralRatioConstants:
     def test_symmetric_mixing_gives_symmetric_ratio(self):
         mix = FiniteMixture(np.array([0.5, 0.5]), np.array([[0.3], [0.7]]), 8, GAUSS)
         grid = make_grid(cube(0.0, 1.0, 1), 513, "simpson")
-        pts = grid.mesh().reshape(-1, 1)
+        pts = grid_mesh(grid).reshape(-1, 1)
         z = 8.0 * (pts[None, :, :] - mix.means[:, None, :])
         comp = 8.0 * np.exp(-0.5 * z[..., 0] ** 2) / math.sqrt(2 * math.pi)
         ratio = (mix.weights @ comp ** 2) / (mix.weights @ comp)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import ndtr
 
 from mixapprox.grids import (
     GridCompatibilityError,
@@ -25,15 +24,27 @@ from mixapprox.grids import (
     SupportBox,
     convolve,
     cube,
-    grid_convolve,
     make_grid,
-    quadrature_integrate,
     restrict,
     sample_on_grid,
-    young_inequality_check,
 )
 from mixapprox.kernels import Dilation, SquaredDilation, make_product_kernel
-from mixapprox.densities import ZOO_NAMES, make_target, truncated_normal_density
+from mixapprox.densities import ZOO_NAMES, make_target
+from oracles import (
+    box_contains_box,
+    box_contains_points,
+    dilation_pdf,
+    gaussian_smoothing,
+    gaussian_smoothing_field,
+    grid_convolve,
+    grid_mass,
+    grid_mesh,
+    kernel_pdf,
+    quadrature_integrate,
+    target_pdf,
+    truncated_normal_density,
+    young_inequality_check,
+)
 
 
 class TestSupportBox:
@@ -43,13 +54,13 @@ class TestSupportBox:
         with pytest.raises(ValueError):
             SupportBox((0.0,), (np.inf,))
         box = cube(0.0, 1.0, 2)
-        assert box.contains_box(cube(0.2, 0.8, 2))
-        assert not box.contains_box(cube(-0.1, 0.5, 2))
+        assert box_contains_box(box, cube(0.2, 0.8, 2))
+        assert not box_contains_box(box, cube(-0.1, 0.5, 2))
 
     def test_contains_points(self):
         box = cube(0.0, 1.0, 2)
         pts = np.array([[0.5, 0.5], [1.5, 0.5]])
-        assert list(box.contains_points(pts)) == [True, False]
+        assert list(box_contains_points(box, pts)) == [True, False]
 
 
 _TARGETS = [*ZOO_NAMES, "custom-truncated-normal"]
@@ -78,11 +89,11 @@ class TestPerAxisForms:
     def test_sample_and_masks_match_the_mesh(self, name, dim, where, rule):
         f = _target(name, dim)
         grid = make_grid(_box_around(f.support, where), {1: 65, 2: 33, 3: 17}[dim], rule)
-        mesh = grid.mesh()
-        assert np.array_equal(sample_on_grid(f, grid).values, f.pdf(mesh))
+        mesh = grid_mesh(grid)
+        assert np.array_equal(sample_on_grid(f, grid).values, target_pdf(f, mesh))
         # The support, and the interior sub-box of conv-rate.
         for box in (f.support, f.support.shrink_fraction(0.1)):
-            assert np.array_equal(box.grid_mask(grid), box.contains_points(mesh))
+            assert np.array_equal(box.grid_mask(grid), box_contains_points(box, mesh))
 
     def test_grid_mask_rejects_a_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -117,17 +128,17 @@ class TestQuadrature:
 
     def test_linear_trapezoid(self):
         g = make_grid(cube(0.0, 1.0, 1), 1025, "trapezoid")
-        gf = GridFunction(g, g.mesh()[..., 0])
+        gf = GridFunction(g, grid_mesh(g)[..., 0])
         assert quadrature_integrate(gf) == pytest.approx(0.5, abs=1e-9)
 
     def test_quadratic_simpson_exact(self):
         g = make_grid(cube(0.0, 1.0, 1), 129, "simpson")
-        gf = GridFunction(g, g.mesh()[..., 0] ** 2)
+        gf = GridFunction(g, grid_mesh(g)[..., 0] ** 2)
         assert quadrature_integrate(gf) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_cubic_simpson_exact(self):
         g = make_grid(cube(0.0, 1.0, 1), 129, "simpson")
-        gf = GridFunction(g, g.mesh()[..., 0] ** 3)
+        gf = GridFunction(g, grid_mesh(g)[..., 0] ** 3)
         assert quadrature_integrate(gf) == pytest.approx(0.25, abs=1e-12)
 
     def test_weights_sum_to_edge_length(self):
@@ -149,14 +160,14 @@ class TestQuadrature:
 
     def test_2d_separable(self):
         g = make_grid(cube(0.0, 1.0, 2), 65, "simpson")
-        mesh = g.mesh()
+        mesh = grid_mesh(g)
         gf = GridFunction(g, mesh[..., 0] * mesh[..., 1] ** 2)
         assert quadrature_integrate(gf) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def _tilted(gf):
     """A grid function times the asymmetric factor prod_i (1 + x_i)."""
-    return GridFunction(gf.grid, gf.values * np.prod(1.0 + gf.grid.mesh(), axis=-1))
+    return GridFunction(gf.grid, gf.values * np.prod(1.0 + grid_mesh(gf.grid), axis=-1))
 
 
 def _one_shot_direct(fg, kernel, out_grid):
@@ -269,14 +280,14 @@ class TestConvolve:
         a = convolve(fg, d, method="direct")
         b = convolve(fg, d, method="fft")
         assert np.max(np.abs(a.values - b.values)) < 1e-9
-        assert a.mass == pytest.approx(1.0, abs=1e-6)
+        assert grid_mass(a) == pytest.approx(1.0, abs=1e-6)
         # Every zoo target is mirror-symmetric, which would hide a flipped
         # lattice offset; a tilted field is not.
         tilted = _tilted(fg)
         a = convolve(tilted, d, method="direct")
         b = convolve(tilted, d, method="fft")
         assert np.max(np.abs(a.values - b.values)) < 1e-9
-        assert a.mass == pytest.approx(tilted.mass, abs=1e-6)
+        assert grid_mass(a) == pytest.approx(grid_mass(tilted), abs=1e-6)
 
     @pytest.mark.parametrize("shape_a,shape_b", [
         ((513,), (97,)), ((65, 40), (31, 129)), ((17, 9, 12), (21, 5, 33)),
@@ -310,7 +321,7 @@ class TestConvolve:
         kernel = make_product_kernel("gaussian", 1)
         d = Dilation(kernel, 1)
         xs = np.linspace(-3, 3, 101)[:, None]
-        assert_allclose(d.pdf(xs), kernel.pdf(xs))
+        assert_allclose(dilation_pdf(d, xs), kernel_pdf(kernel, xs))
 
     def test_mass_conservation_with_truncation_budget(self):
         f = make_target("two-truncated-normals", 1)
@@ -319,7 +330,7 @@ class TestConvolve:
         for k in (4, 16, 64):
             out = convolve(fg, Dilation(make_product_kernel("gaussian", 1), k))
             # The widened output drops at most TRUNCATION_TOL of kernel mass.
-            assert 1.0 - TRUNCATION_TOL - 1e-6 <= out.mass <= 1.0 + 1e-6
+            assert 1.0 - TRUNCATION_TOL - 1e-6 <= grid_mass(out) <= 1.0 + 1e-6
 
     def test_nonnegative_output(self):
         f = make_target("tent", 1)
@@ -482,7 +493,7 @@ class TestConvergenceRealization:
         # 2.5e-7 relative).
         f = make_target(name, 1)
         lo, hi = f.support.lower[0], f.support.upper[0]
-        sq = quad(lambda x: (_gaussian_smoothing(name, 64, x) - f.marginal.pdf(x)) ** 2,
+        sq = quad(lambda x: (gaussian_smoothing(name, 64, x) - f.marginal.pdf(x)) ** 2,
                   lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
         assert np.sqrt(sq) == pytest.approx(exact, rel=1e-8)
         assert self._errors(name)[2][-1] == pytest.approx(exact, rel=0, abs=1e-8)
@@ -497,35 +508,26 @@ class TestConvergenceRealization:
         assert sups[-1] < 0.05, (name, sups[-1])
 
 
-def _gaussian_smoothing(name: str, k: int, x):
-    """Closed form of a 1-D zoo target convolved with the Gaussian of scale 1/k.
-
-    uniform-box on [0, 1]: Phi(k x) - Phi(k (x - 1)).  truncated-normal on
-    [-1, 1]: phi_s(x) / z [Phi((1 - m) / tau) - Phi((-1 - m) / tau)], with
-    s^2 = 1 + k^-2, m = x / s^2, tau = k^-1 / s and z = Phi(1) - Phi(-1).
-    """
-    x = np.asarray(x, dtype=float)
-    if name == "uniform-box":
-        return ndtr(k * x) - ndtr(k * (x - 1.0))
-    s2 = 1.0 + k ** -2.0
-    m, tau = x / s2, 1.0 / (k * np.sqrt(s2))
-    phi_s = np.exp(-0.5 * x * x / s2) / np.sqrt(2.0 * np.pi * s2)
-    return phi_s / (ndtr(1.0) - ndtr(-1.0)) * (ndtr((1.0 - m) / tau) - ndtr((-1.0 - m) / tau))
-
-
-@pytest.mark.parametrize("name, k, tol", [
-    # About 4x the measured max differences (4.2e-14, 1.1e-11, 2.9e-9 and
-    # 3.2e-13, 6.8e-11, 1.7e-8), which grow like k^4: Simpson's h^4 on a
-    # kernel of width 1/k.
-    ("uniform-box", 4, 2e-13), ("uniform-box", 16, 5e-11), ("uniform-box", 64, 1.2e-8),
-    ("truncated-normal", 4, 1.5e-12), ("truncated-normal", 16, 3e-10),
-    ("truncated-normal", 64, 7e-8),
+@pytest.mark.parametrize("name, dim, k, tol", [
+    # About 4x the measured max differences, which grow like k^4: Simpson's
+    # h^4 on a kernel of width 1/k.  In 1-D on 2049 nodes 4.2e-14, 1.1e-11,
+    # 2.9e-9 and 3.2e-13, 6.8e-11, 1.7e-8; in 2-D on 257^2 nodes 2.6e-10,
+    # 7.3e-8 and 8.6e-10, 1.6e-7; in 3-D on 65^3 nodes 7.8e-8, 1.4e-6 and
+    # 1.2e-7, 1.7e-6 (x86-64, numpy 2).
+    ("uniform-box", 1, 4, 2e-13), ("uniform-box", 1, 16, 5e-11),
+    ("uniform-box", 1, 64, 1.2e-8),
+    ("truncated-normal", 1, 4, 1.5e-12), ("truncated-normal", 1, 16, 3e-10),
+    ("truncated-normal", 1, 64, 7e-8),
+    ("uniform-box", 2, 4, 1e-9), ("uniform-box", 2, 16, 3e-7),
+    ("truncated-normal", 2, 4, 3.5e-9), ("truncated-normal", 2, 16, 6.5e-7),
+    ("uniform-box", 3, 4, 3e-7), ("uniform-box", 3, 8, 6e-6),
+    ("truncated-normal", 3, 4, 5e-7), ("truncated-normal", 3, 8, 7e-6),
 ])
-def test_gaussian_smoothing_matches_its_closed_form(name, k, tol):
-    # A grid-free oracle: the smoothed field on 2049 Simpson nodes against
-    # the closed form at those nodes.
-    f = make_target(name, 1)
-    grid = make_grid(f.support, 2049, "simpson")
-    out = convolve(sample_on_grid(f, grid), Dilation(make_product_kernel("gaussian", 1), k),
+def test_gaussian_smoothing_matches_its_closed_form(name, dim, k, tol):
+    # A grid-free oracle: the smoothed field on the default Simpson grid
+    # against the closed form at its nodes, a product over axes of the 1-D one.
+    f = make_target(name, dim)
+    grid = make_grid(f.support, {1: 2049, 2: 257, 3: 65}[dim], "simpson")
+    out = convolve(sample_on_grid(f, grid), Dilation(make_product_kernel("gaussian", dim), k),
                    out_grid=grid)
-    assert np.max(np.abs(out.values - _gaussian_smoothing(name, k, grid.nodes[0]))) <= tol
+    assert np.max(np.abs(out.values - gaussian_smoothing_field(name, k, grid))) <= tol

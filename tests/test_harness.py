@@ -20,7 +20,8 @@ from mixapprox import harness
 from mixapprox.cli import main as cli_main
 from mixapprox.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from mixapprox.densities import make_target
-from mixapprox.grids import convolve, make_grid, sample_on_grid
+from mixapprox.divergences import kl_divergence
+from mixapprox.grids import GridFunction, convolve, make_grid, sample_on_grid
 from mixapprox.harness import (
     CSV_HEADER,
     Row,
@@ -34,6 +35,7 @@ from mixapprox.harness import (
     run_study,
 )
 from mixapprox.kernels import Dilation, make_product_kernel
+from mixapprox.mixtures import FiniteMixture
 
 
 class TestSlopeFit:
@@ -299,6 +301,20 @@ class TestMixRateStudy:
         with pytest.raises(ConfigError, match="bounded below"):
             run_mix_rate(cfg)
 
+    @pytest.mark.parametrize("study", ["mix-rate", "bounds"])
+    @pytest.mark.parametrize("k_list, notes", [
+        ((8, 16), ["{} smooths at k = 8, the first of k.list's 2 entries; "
+                   "the others are unused"]),
+        ((16,), []),
+    ])
+    def test_unused_scales_are_a_note(self, study, k_list, notes):
+        # Both studies smooth at k.list[0] alone; a longer list says so once.
+        cfg = ExperimentConfig(study=study, density_name="truncated-normal", k_list=k_list,
+                               n_list=(2,), N_list=(100,), means_per_axis=33,
+                               grid_points_per_axis=513).validate()
+        assert [n for n in run_study(cfg).notes if "k.list" in n] == \
+            [n.format(study) for n in notes]
+
 
 class TestCheckIdentityStudy:
     def test_rows_and_pass_flag(self):
@@ -493,6 +509,20 @@ class TestCli:
         # C_star is fitted for the likelihood form only, so it is left out too.
         assert ",C_star," not in text
         assert ",C1," in text
+
+    def test_fit_that_underflows_on_the_grid_has_a_finite_kl(self, tmp_path, capsys):
+        # At k = 128 a one-component Gaussian fit is below 1e-300 on part of
+        # the target's support; its log density there comes from the
+        # mixture's log-sum-exp, so the KL is large but finite.
+        cfg = self._write(tmp_path, "study = mle-risk\ndensity.name = two-truncated-normals\n"
+                                    "kernel.name = gaussian\nn.list = 1\nN.list = 50,100\n"
+                                    "replications = 2\nfit.k_grid = 128\nheldout.n = 1\n"
+                                    "heldout.N = 60\n")
+        out = tmp_path / "res.csv"
+        assert cli_main(["mle-risk", "--config", str(cfg), "--out", str(out)]) == 0
+        kls = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()
+               if ",kl@n1," in line]
+        assert len(kls) == 6 and all(100.0 < v < 1000.0 for v in kls)
 
     def test_2d_bounds_on_the_default_dictionary(self, tmp_path):
         # The covering-number budget caps the default 257 means per axis at
@@ -695,6 +725,23 @@ class TestMleRiskStudySmall:
         emit_report(run_study(cfg), a, "csv")
         emit_report(run_study(cfg), b, "csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("p, points", [(1, 1025), (2, 65)])
+    def test_log_pdf_kl_equals_kl_divergence(self, p, points):
+        # Where no grid value underflows, both apply: log g from the mixture's
+        # log-sum-exp at every support node (given grid values of 0 there)
+        # against the log of its grid values.
+        f = make_target("two-truncated-normals", p)
+        grid = make_grid(f.support, points, "simpson")
+        f_gf = sample_on_grid(f, grid)
+        rng = np.random.default_rng(p)
+        mix = FiniteMixture(rng.dirichlet(np.ones(5)), rng.uniform(0.0, 1.0, size=(5, p)), 4,
+                            make_product_kernel("gaussian", p))
+        g = mix.on_grid(grid)
+        ref = kl_divergence(f_gf, g)
+        got = harness._log_pdf_kl(f_gf, mix, GridFunction(grid, np.zeros(grid.shape)))
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert harness._mixture_kl(f_gf, mix) == ref
 
     def test_dropped_component_is_a_note(self, monkeypatch):
         # EM only counts a dropped starved component (EMFit.dropped); the

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
 
 from mixapprox import grids, harness, mixtures
 from mixapprox.bounds import hull_kl_constant, target_kl_constant
 from mixapprox.config import ConfigError, parse_config_text
 from mixapprox.densities import make_target
+from mixapprox.divergences import lq_norm
 from mixapprox.grids import GridFunction, convolve, cube, make_grid, sample_on_grid
 from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
 from mixapprox.mixtures import (
@@ -29,8 +29,15 @@ from mixapprox.mixtures import (
     em_fit,
     greedy_fit,
     log_likelihood,
-    mixture_sample,
     mle_fit,
+)
+from oracles import (
+    dilation_log_pdf,
+    dilation_pdf,
+    gaussian_gram,
+    grid_mass,
+    grid_mesh,
+    mixture_sample,
 )
 
 GAUSS = make_product_kernel("gaussian", 1)
@@ -69,7 +76,7 @@ class TestFiniteMixture:
         m = _mix([0.3, 0.7], [[0.2], [0.8]], 8)
         radius = GAUSS.radius(1e-9) / 8
         grid = make_grid(cube(0.2 - radius, 0.8 + radius, 1), 4097, "simpson")
-        assert abs(m.on_grid(grid).mass - 1.0) <= 1e-5
+        assert abs(grid_mass(m.on_grid(grid)) - 1.0) <= 1e-5
 
     def test_grid_shaped_pdf(self):
         m = _mix([1.0], [[0.5, 0.5]], 2, make_product_kernel("gaussian", 2))
@@ -92,7 +99,7 @@ def test_on_grid_equals_pdf_at_the_grid_points(name, p):
     grid = make_grid(cube(-1.0, 1.0, p), {1: 129, 2: 33, 3: 17}[p], "simpson")
     mix = FiniteMixture(weights, means, 4, kernel)
     got = mix.on_grid(grid).values
-    ref = mix.pdf(grid.mesh().reshape(-1, p)).reshape(grid.shape)
+    ref = mix.pdf(grid_mesh(grid).reshape(-1, p)).reshape(grid.shape)
     live = ref >= 1e-300
     assert_allclose(got[live], ref[live], rtol=1e-12, atol=0.0)
     if name not in mixtures.EM_MARGINALS:
@@ -122,7 +129,7 @@ def test_on_grid_holds_no_mesh_or_component_table():
 @pytest.mark.parametrize("name", MARGINAL_NAMES)
 class TestComponentEvaluator:
     """Every caller of the one component evaluator against a per-mean loop of
-    Dilation.log_pdf, bit for bit for every marginal and p.  The integral-ratio
+    dilation_log_pdf, bit for bit for every marginal and p.  The integral-ratio
     constants, which read convolutions, meet the same loop within 1e-10."""
 
     @staticmethod
@@ -132,7 +139,7 @@ class TestComponentEvaluator:
         means = rng.uniform(-1.0, 1.0, size=(6, p))
         x = rng.uniform(-1.5, 1.5, size=(200, p))
         dil = Dilation(kernel, k)
-        ref = np.stack([dil.log_pdf(x - m) for m in means], axis=1)
+        ref = np.stack([dilation_log_pdf(dil, x - m) for m in means], axis=1)
         return kernel, means, x, ref
 
     def test_finite_mixture_component_log_pdf(self, name, p, k):
@@ -162,9 +169,9 @@ class TestComponentEvaluator:
         grid = make_grid(cube(-0.125, 0.125, p), 9, "simpson")
         f_gf = sample_on_grid(make_target("truncated-normal", p), grid)
         mixing = MixingApproximant(f_gf, kernel, k, convolve(f_gf, dil, out_grid=grid))
-        pts = grid.mesh().reshape(-1, p)
+        pts = grid_mesh(grid).reshape(-1, p)
         weights = (f_gf.values * grid.weight_tensor()).ravel()
-        comp = np.exp(np.stack([dil.log_pdf(pts - m) for m in pts], axis=1))
+        comp = np.exp(np.stack([dilation_log_pdf(dil, pts - m) for m in pts], axis=1))
         numer, denom = comp ** 2 @ weights, comp @ weights
         ratio = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
         hull = grid.integrate(ratio.reshape(grid.shape))
@@ -177,7 +184,7 @@ class TestComponentEvaluator:
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("name", MARGINAL_NAMES)
 def test_log_pdf_equals_the_per_mean_oracle(name, p):
-    # Oracle: a per-mean Dilation.log_pdf stack and a plain log-sum-exp.  The
+    # Oracle: a per-mean dilation_log_pdf stack and a plain log-sum-exp.  The
     # points reach well past every compact component, where the mixture
     # log density is -inf.
     rng = np.random.default_rng([p, 7])
@@ -186,7 +193,7 @@ def test_log_pdf_equals_the_per_mean_oracle(name, p):
     weights = rng.dirichlet(np.ones(5))
     x = rng.uniform(-3.0, 3.0, size=(300, p))
     dil = Dilation(kernel, 4)
-    joint = np.stack([dil.log_pdf(x - m) for m in means]) + np.log(weights)[:, None]
+    joint = np.stack([dilation_log_pdf(dil, x - m) for m in means]) + np.log(weights)[:, None]
     with np.errstate(divide="ignore"):
         ref = np.log(np.exp(joint).sum(axis=0))
     got = FiniteMixture(weights, means, 4, kernel).log_pdf(x)
@@ -706,7 +713,7 @@ class TestGreedyFit:
             assert abs(mix.weights.sum() - 1.0) <= 1e-12
             radius = GAUSS.radius(1e-9) / 16
             gm = make_grid(cube(-1 - radius, 1 + radius, 1), 4097, "simpson")
-            assert abs(mix.on_grid(gm).mass - 1.0) <= 1e-5
+            assert abs(grid_mass(mix.on_grid(gm)) - 1.0) <= 1e-5
 
     @pytest.mark.parametrize("kernel_name, dim, objective", [
         ("gaussian", 1, "l2"), ("gaussian", 1, "kl"), ("gaussian", 2, "l2"),
@@ -725,7 +732,7 @@ class TestGreedyFit:
         fit = greedy_fit(fbar, dictionary, 12, objective=objective)
         assert len(fit.fields) == len(fit.mixtures) == 12
         for field, mix in zip(fit.fields, fit.mixtures):
-            ref = mix.pdf(grid.mesh().reshape(-1, dim)).reshape(grid.shape)
+            ref = mix.pdf(grid_mesh(grid).reshape(-1, dim)).reshape(grid.shape)
             assert field.shape == grid.shape
             assert_allclose(field, ref, rtol=1e-12, atol=0.0)
             assert np.array_equal(field == 0, ref == 0)
@@ -789,27 +796,16 @@ class TestGreedyFit:
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("name", MARGINAL_NAMES)
 def test_dictionary_table_equals_the_per_mean_loop(name, p, k):
-    # The per-axis table against Dilation.pdf on the grid mesh shifted by
+    # The per-axis table against dilation_pdf on the grid mesh shifted by
     # each mean, the loop it replaces, bit for bit.
     kernel = make_product_kernel(name, p)
     grid = make_grid(cube(-1.0, 1.0, p), {1: 33, 2: 17, 3: 9}[p], "simpson")
     dictionary = build_dictionary(kernel, k, MeanBox(-0.8, 0.7, p), 7 - p, grid)
-    mesh = grid.mesh().reshape(-1, p)
+    mesh = grid_mesh(grid).reshape(-1, p)
     dil = Dilation(kernel, k)
-    ref = np.stack([dil.pdf(mesh - m) for m in dictionary.means])
+    ref = np.stack([dilation_pdf(dil, mesh - m) for m in dictionary.means])
     assert dictionary.values.shape == ref.shape
     assert np.array_equal(dictionary.values, ref)
-
-
-def _gaussian_gram(mu, lo, hi, s):
-    """int_lo^hi phi_s(x - a) phi_s(x - b) dx for every pair of means a, b:
-    phi_{sqrt2 s}(a - b) [Phi((hi - c) sqrt2 / s) - Phi((lo - c) sqrt2 / s)],
-    c = (a + b) / 2, since the product is phi_{sqrt2 s}(a - b) times the
-    N(c, s^2 / 2) density."""
-    a, b = mu[:, None], mu[None, :]
-    c, r = 0.5 * (a + b), math.sqrt(2.0) / s
-    phi = np.exp(-0.25 * ((a - b) / s) ** 2) / (2.0 * math.sqrt(math.pi) * s)
-    return phi * (ndtr((hi - c) * r) - ndtr((lo - c) * r))
 
 
 @pytest.mark.parametrize("dim, points, k, tol", [
@@ -823,12 +819,12 @@ def _gaussian_gram(mu, lo, hi, s):
 def test_gaussian_dictionary_inner_products_match_the_closed_form(dim, points, k, tol):
     # Grid-free oracle: the components k^p g(k (x - mu)) are products of
     # phi_s, s = 1/k, so their inner products over the box are products over
-    # axes of _gaussian_gram.  Checked: the fit's per-axis squared norms
+    # axes of gaussian_gram.  Checked: the fit's per-axis squared norms
     # <d, d>_W, and the table rows' Gram matrix under the quadrature weights.
     grid = make_grid(cube(-1.0, 1.0, dim), points, "simpson")
     dictionary = build_dictionary(make_product_kernel("gaussian", dim), k,
                                   MeanBox(-1.0, 1.0, dim), 9, grid)
-    axis = _gaussian_gram(np.linspace(-1.0, 1.0, 9), -1.0, 1.0, 1.0 / k)
+    axis = gaussian_gram(np.linspace(-1.0, 1.0, 9), -1.0, 1.0, 1.0 / k)
     ref = axis if dim == 1 else np.kron(axis, axis)
     scale = np.abs(ref).max()
     norms = [n for _, n in mixtures._weighted_factors(dictionary, grid.weights)]
@@ -837,6 +833,30 @@ def test_gaussian_dictionary_inner_products_match_the_closed_form(dim, points, k
     D = dictionary.values
     gram = (D * grid.weight_tensor().ravel()) @ D.T
     assert np.max(np.abs(gram - ref)) <= tol * scale
+
+
+@pytest.mark.parametrize("dim, points, k, tol", [
+    # Relative tolerances about 4x the measured Simpson error (x86-64,
+    # numpy 2): 3.2e-12, 2.8e-10, 1.8e-10; 1.0e-7, 2.8e-7, 6.3e-9; 8.1e-7
+    # and 5.8e-5 (65^3 nodes at k = 8 is 4 nodes per 1/k, the coarsest the
+    # resolution guard admits).
+    (1, 1025, 4, 1.3e-11), (1, 1025, 16, 1.1e-9), (1, 1025, 64, 7e-10),
+    (2, 129, 4, 4e-7), (2, 129, 8, 1.1e-6), (2, 257, 16, 2.5e-8),
+    (3, 65, 4, 3.2e-6), (3, 65, 8, 2.3e-4),
+])
+def test_gaussian_mixture_l2_norm_matches_the_closed_form(dim, points, k, tol):
+    # Grid-free oracle: ||sum_j w_j k^p g(k (x - m_j))||_2^2 over the box is
+    # w^T G w, G the product over axes of gaussian_gram at the means' axis
+    # values; against lq_norm of FiniteMixture.on_grid.
+    rng = np.random.default_rng([dim, k])
+    means = rng.uniform(-1.0, 1.0, size=(7, dim))
+    weights = rng.dirichlet(np.ones(7))
+    grid = make_grid(cube(-1.0, 1.0, dim), points, "simpson")
+    mix = FiniteMixture(weights, means, k, make_product_kernel("gaussian", dim))
+    gram = np.prod([gaussian_gram(means[:, a], -1.0, 1.0, 1.0 / k) for a in range(dim)],
+                   axis=0)
+    ref = weights @ gram @ weights
+    assert abs(lq_norm(mix.on_grid(grid), 2) ** 2 - ref) <= tol * ref
 
 
 @st.composite

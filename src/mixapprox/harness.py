@@ -352,22 +352,13 @@ def _nnls_2col(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return best
 
 
-def _mixture_kl(f_gf: GridFunction, mixture: FiniteMixture) -> float:
-    """KL(f, mixture) on f's grid, from the mixture's grid values; where one
-    of them underflows (below KL's floor of 1e-300), see :func:`_log_pdf_kl`."""
-    g = mixture.on_grid(f_gf.grid)
-    try:
-        return kl_divergence(f_gf, g)
-    except AbsoluteContinuityError:
-        return _log_pdf_kl(f_gf, mixture, g)
-
-
 def _log_pdf_kl(f_gf: GridFunction, mixture: FiniteMixture, g: GridFunction) -> float:
     """KL(f, mixture) with log g from the log of g, the mixture on the grid,
     and, at the nodes of f's support where g is below 1e-300, from the
     log-sum-exp of ``FiniteMixture.log_pdf``, at nodes gathered per axis
     from np.nonzero (no mesh).  A Gaussian or Laplace mixture is positive
-    everywhere, so its log density is finite where its grid values underflow."""
+    everywhere, so its log density is finite where its grid values underflow.
+    Where none underflows this is ``kl_divergence(f, g)``, bit for bit."""
     grid, mask = f_gf.grid, f_gf.values > 0.0
     with np.errstate(divide="ignore"):
         log_g = np.log(g.values)
@@ -417,7 +408,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
             if fitted.fit.dropped:
                 result.notes.append(f"best fit at n={n}, N={N}, replication {r} dropped "
                                     f"{fitted.fit.dropped} starved mixture component(s)")
-            kl = _mixture_kl(f_gf, fitted.mixture)
+            kl = _log_pdf_kl(f_gf, fitted.mixture, fitted.mixture.on_grid(grid))
             kls.append(kl)
             result.rows.append(Row("mle-risk", "N", N, r, rep_seed, f"kl@n{n}", kl))
         kls = np.asarray(kls)

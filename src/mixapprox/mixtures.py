@@ -430,7 +430,7 @@ class MixtureDictionary:
     k: int
     means: np.ndarray           # (M, p)
     grid: TensorGrid
-    axes: tuple | None = None   # per-axis means whose C-order lattice is `means`
+    axes: tuple                 # per-axis means whose C-order lattice is `means`
 
     @property
     def size(self) -> int:
@@ -656,9 +656,6 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         raise ValueError("objective must be 'l2' or 'kl'")
     if not target.grid.same_lattice(dictionary.grid):
         raise ValueError("target and dictionary live on different grids")
-    if dictionary.axes is None:
-        raise ValueError("greedy_fit scores per axis: the dictionary needs its lattice "
-                         "axes, as build_dictionary gives them")
 
     t = target.values.ravel()
     W = target.grid.weight_tensor().ravel()

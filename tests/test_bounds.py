@@ -406,8 +406,9 @@ class TestCoveringMatchesPerCenterOracle:
         rng = np.random.default_rng(11 + dim)
         kernel = make_product_kernel("gaussian", dim)
         means = rng.uniform(0.0, 1.0, size=(size, dim))
-        # A mean lattice only: the covering numbers need no value table.
-        d = MixtureDictionary(kernel, 8, means, make_grid(cube(0.0, 1.0, dim), 3))
+        # Means off a lattice, so no axes: the covering numbers need no value
+        # table and read no axes.
+        d = MixtureDictionary(kernel, 8, means, make_grid(cube(0.0, 1.0, dim), 3), axes=None)
         xs = rng.uniform(0.0, 1.0, size=(120, dim))
         vals = d.evaluate_at(xs)
         beta_upper = float(np.max(vals))

@@ -741,7 +741,7 @@ class TestMleRiskStudySmall:
         ref = kl_divergence(f_gf, g)
         got = harness._log_pdf_kl(f_gf, mix, GridFunction(grid, np.zeros(grid.shape)))
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
-        assert harness._mixture_kl(f_gf, mix) == ref
+        assert harness._log_pdf_kl(f_gf, mix, g) == ref
 
     def test_dropped_component_is_a_note(self, monkeypatch):
         # EM only counts a dropped starved component (EMFit.dropped); the

@@ -152,7 +152,7 @@ class TestComponentEvaluator:
     def test_dictionary_evaluate_at(self, name, p, k):
         kernel, means, x, ref = self._case(name, p, k)
         grid = make_grid(cube(-1.0, 1.0, p), 3, "simpson")
-        dictionary = MixtureDictionary(kernel, k, means, grid)
+        dictionary = MixtureDictionary(kernel, k, means, grid, axes=None)  # means off a lattice
         got = dictionary.evaluate_at(x)
         assert got.shape == (6, 200)
         assert np.array_equal(got, np.exp(ref).T)
@@ -743,7 +743,7 @@ class TestGreedyFit:
         from mixapprox.mixtures import MixtureDictionary
 
         _, grid, fbar, dictionary = self._setup(means=65, n_pts=1025)
-        empty = MixtureDictionary(GAUSS, 16, np.empty((0, 1)), grid)
+        empty = MixtureDictionary(GAUSS, 16, np.empty((0, 1)), grid, (np.empty(0),))
         with pytest.raises(ValueError, match="empty"):
             greedy_fit(fbar, empty, 4)
 
@@ -768,14 +768,6 @@ class TestGreedyFit:
         assert harness.predicted_peak(cfg)[name] == 8 * 262144 * 2049
         with pytest.raises(ConfigError, match=re.escape(name)):
             harness.run_study(cfg)
-
-    def test_dictionary_without_axes_rejected(self):
-        # The fit scores per axis, so it takes only a dictionary that keeps
-        # the axes of its means lattice.
-        _, grid, fbar, dictionary = self._setup(means=65, n_pts=1025)
-        bare = MixtureDictionary(GAUSS, 16, dictionary.means, grid)
-        with pytest.raises(ValueError, match="lattice axes"):
-            greedy_fit(fbar, bare, 4)
 
     def test_replay_widens_past_a_wrong_score(self):
         # A per-axis score far from the exact one is seen on its rescored

@@ -1,7 +1,7 @@
 """Target densities on compact boxes: one univariate marginal over `dim` axes.
 
 The zoo ships five marginals spanning flat, smooth, and kinked behaviour, each
-with an exact pdf and sampler and certified extremes and slope; a target's
+with an exact pdf and sampler and certified extremes; a target's
 support and bounds are derived from its marginal's.
 """
 
@@ -29,7 +29,6 @@ class _Uniform01(Marginal):
     name = "uniform-box"
     lo, hi = 0.0, 1.0
     min_value = max_value = 1.0
-    slope_bound = 0.0
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -49,7 +48,6 @@ class _ClippedCosine(Marginal):
     lo, hi = 0.0, 1.0
     min_value = 0.0
     max_value = 2.0
-    slope_bound = 2.0 * math.pi
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -80,7 +78,6 @@ class _Tent(Marginal):
     lo, hi = 0.0, 1.0
     min_value = 0.0
     max_value = 2.0
-    slope_bound = 4.0
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -110,14 +107,6 @@ class _TruncatedNormal(Marginal):
         self.min_value = float(ends.min())
         peak = min(max(0.0, self.a), self.b)  # clamp of the mode into [a, b]
         self.max_value = float(_GAUSS.pdf(peak) / (self.sigma * self.z))
-        # sup |f'| = max |u| phi(u) / (sigma^2 z) over u in [a, b]; |u| phi(|u|)
-        # increases to u = 1 and decreases beyond, so check the clamp and ends.
-        cands = [abs(self.a), abs(self.b)]
-        if self.a <= -1.0 <= self.b or self.a <= 1.0 <= self.b:
-            cands.append(1.0)
-        self.slope_bound = float(
-            max(t * _GAUSS.pdf(t) for t in cands) / (self.sigma ** 2 * self.z)
-        )
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -150,9 +139,6 @@ class _TwoTruncatedNormals(Marginal):
         self.min_value = float(edge.min())
         self.max_value = float(
             0.5 * sum(c.max_value for c in self.components)
-        )
-        self.slope_bound = float(
-            0.5 * sum(c.slope_bound for c in self.components)
         )
 
     def pdf(self, x):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import fft as sp_fft
 
 __all__ = [
     "SupportBox",
@@ -287,19 +286,89 @@ def _contract_rows(mat: np.ndarray, vals: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _fft_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real arrays of equal rank by FFT.
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n, the transform size of a real FFT of
+    length n (scipy's next_fast_len(n, True))."""
+    best = 1 << max(n - 1, 0).bit_length()      # a power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    Makes the same rfftn/irfftn calls on the same next_fast_len padded shape
-    as scipy.signal.fftconvolve(a, b, mode="full"), so the result is
-    bit-identical to it, without importing scipy.signal.
+
+# Bytes of one block of kernel rows, spectrum columns or inverted rows that
+# :func:`_fft_lattice_sum` transforms at a time.
+_FFT_BLOCK_BYTES = 1 << 20
+
+
+def _fft_lattice_sum(weighted: np.ndarray, kernel, axis_offsets: list) -> np.ndarray:
+    """The lattice sum of :func:`convolve` by FFT, on the output nodes.
+
+    The full linear convolution of `weighted` (n_a nodes on axis a) with the
+    kernel's lattice_pdf on `axis_offsets` (L_a offsets), at the L_a - n_a + 1
+    output nodes per axis that start at n_a - 1.  It has the bits of
+    scipy's irfftn(rfftn(a) * rfftn(b)) on the next 5-smooth padded
+    shape (scipy.signal.fftconvolve): numpy.fft makes the same per-axis
+    transforms in the same order, an rfft on the last axis, then ffts on the
+    leading axes in axis order, inverted by iffts on the leading axes in
+    axis order and an irfft on the last axis, both unscaled, then times
+    1 / (the product of the padded lengths), rounded as pocketfft rounds it.
+
+    A transform along one axis acts line by line, so neither the spectra nor
+    the kernel lattice is held whole.  The kernel is built and transformed
+    along its last axis in row blocks.  Each block of spectrum columns then
+    runs the leading-axis transforms, the product and the leading-axis
+    inverses, which keep only the output's rows, and writes them over the
+    kernel's columns it has used.  A 1-D sum is one line.
     """
-    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
-    fshape = [sp_fft.next_fast_len(s, True) for s in shape]
-    axes = list(range(a.ndim))
-    spec = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(b, fshape, axes=axes)
-    full = sp_fft.irfftn(spec, fshape, axes=axes)
-    return full[tuple(slice(s) for s in shape)]
+    p = weighted.ndim
+    fs = [_next_fast_len(n + off.size - 1) for n, off in zip(weighted.shape, axis_offsets)]
+    keep = [slice(n - 1, off.size) for n, off in zip(weighted.shape, axis_offsets)]
+    scale = float(1 / np.longdouble(math.prod(fs)))
+    if p == 1:
+        spec = np.fft.rfft(weighted, fs[0])
+        spec *= np.fft.rfft(kernel.lattice_pdf(axis_offsets), fs[0])
+        out = np.fft.irfft(spec, fs[0], norm="forward")[keep[0]]
+        out *= scale
+        return out
+
+    half = fs[-1] // 2 + 1
+    target = np.fft.rfft(weighted, fs[-1], axis=-1)
+    kern = np.empty([off.size for off in axis_offsets[:-1]] + [half], dtype=complex)
+    row = 8 * math.prod(off.size for off in axis_offsets[1:])     # bytes of a kernel row
+    for a, b in _row_blocks(kern.shape[0], max(_FFT_BLOCK_BYTES // row, 1)):
+        block = kernel.lattice_pdf(np.ix_(axis_offsets[0][a:b], *axis_offsets[1:]))
+        kern[a:b] = np.fft.rfft(block, fs[-1], axis=-1)
+    del block
+
+    inner = kern[tuple(slice(k.stop - k.start) for k in keep[:-1])]
+    cols = max(_FFT_BLOCK_BYTES // (16 * math.prod(fs[:-1])), 1)
+    for c0 in range(0, half, cols):
+        c = slice(c0, c0 + cols)
+        spec, kspec = target[..., c], kern[..., c]
+        for axis in range(p - 1):
+            spec = np.fft.fft(spec, fs[axis], axis=axis)
+            kspec = np.fft.fft(kspec, fs[axis], axis=axis)
+        spec *= kspec
+        for axis in range(p - 1):
+            spec = np.fft.ifft(spec, axis=axis, norm="forward")
+            spec = spec[(slice(None),) * axis + (keep[axis],)]
+        inner[..., c] = spec
+    del spec, kspec, target
+
+    out = np.empty(inner.shape[:-1] + (keep[-1].stop - keep[-1].start,))
+    row = 8 * math.prod(out.shape[1:-1]) * fs[-1]     # bytes of an inverted row
+    for a, b in _row_blocks(out.shape[0], max(_FFT_BLOCK_BYTES // row, 1)):
+        out[a:b] = np.fft.irfft(inner[a:b], fs[-1], axis=-1, norm="forward")[..., keep[-1]]
+    out *= scale
+    return out
 
 
 def check_resolution(grid: TensorGrid, k) -> None:
@@ -324,7 +393,9 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
     offsets, viewed by index as the (n_out, n_in) Toeplitz matrix and
     contracted one axis at a time, one block of its rows at a time, so the
     matrix is never stored whole.  The fft path computes the same lattice
-    sum by FFT, on the kernel's ``lattice_pdf`` over the offset lattice.
+    sum by FFT, on the kernel's ``lattice_pdf`` over the offset lattice, with
+    the bits of scipy's whole-lattice transforms but by per-axis
+    numpy.fft transforms a block at a time (:func:`_fft_lattice_sum`).
     "auto" takes fft only in dim 1 beyond 2^23 (output, input) pairs.
     """
     grid = f.grid
@@ -362,9 +433,7 @@ def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
             mat = _toeplitz(kernel.axis_pdf(axis_offsets[axis]), n_out, n_in)
             vals = _contract_rows(mat, vals, axis)
     elif method == "fft":
-        full = _fft_full(weighted, kernel.lattice_pdf(np.ix_(*axis_offsets)))
-        sl = tuple(slice(n_in - 1, n_in - 1 + n_out) for _ in range(p))
-        vals = full[sl]
+        vals = _fft_lattice_sum(weighted, kernel, axis_offsets)
     else:
         raise ValueError(f"unknown convolution method {method!r}")
 

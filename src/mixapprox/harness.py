@@ -16,14 +16,13 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
 from .densities import make_target
 from .divergences import AbsoluteContinuityError, _kl_sum, kl_divergence, lq_norm
-from .grids import (TRUNCATION_TOL, GridFunction, _widening, check_resolution, convolve,
-                    make_grid, sample_on_grid)
+from .grids import (TRUNCATION_TOL, GridFunction, _next_fast_len, _widening,
+                    check_resolution, convolve, make_grid, sample_on_grid)
 from .kernels import Dilation, certify_approximate_identity, make_product_kernel
 from .mixtures import (
     FiniteMixture,
@@ -246,8 +245,7 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
 
     box = _mean_box(cfg, f.support)
     dictionary = build_dictionary(kernel, k, box, cfg.means_per_axis, grid)
-    n_max = max(cfg.n_list)
-    greedy = greedy_fit(fbar, dictionary, n_max, objective=cfg.objective)
+    greedy = greedy_fit(fbar, dictionary, cfg.n_list, objective=cfg.objective)
 
     result = StudyResult("mix-rate")
     _note_first_k(result, cfg)
@@ -255,12 +253,8 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
     result.rows.append(Row("mix-rate", "run", "", "", cfg.seed, "kl_smooth", kl_smooth))
     result.rows.append(Row("mix-rate", "run", "", "", cfg.seed, "beta", beta))
 
-    ns = np.arange(1, n_max + 1)
-    gaps = np.array([
-        lq_norm(GridFunction(grid, field - fbar.values), 2) ** 2
-        for field in greedy.fields
-    ])
-    C_hat = float(np.max(ns * gaps))
+    gaps = greedy.gaps
+    C_hat = float(np.max(np.arange(1, gaps.size + 1) * gaps))
     result.rows.append(Row("mix-rate", "run", "", "", cfg.seed, "C_hat", C_hat))
 
     a_log = bnd.compute_A_logratio(kernel, k, box, f.support)
@@ -279,7 +273,7 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
 
     gap_points = []
     for n in cfg.n_list:
-        mix_gf = GridFunction(grid, greedy.fields[n - 1])
+        mix_gf = GridFunction(grid, greedy.fields[n])
         gap2 = float(gaps[n - 1])
         try:
             kl_hull = kl_divergence(fbar, mix_gf)
@@ -594,7 +588,8 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
     by a label that names its shape.  Factors measured by tracemalloc (x86-64,
     numpy 2.4): grid fields and quadrature temporaries, 57 B a node in 3-D and
     more in 1-D, where convolution takes the FFT past 2^23 node pairs; the
-    widened FFT of the smoothed target, 27.4 to 30.4 B a padded point; the
+    widened FFT of the smoothed target, 5.4 to 8.6 B a padded point in 3-D
+    and 14.1 to 15.1 B in 2-D on 257^2 nodes or more; the
     means lattice, its build copies and the greedy's score vectors, 70 to 106
     B a mean where there are far more means than nodes; the greedy's table
     row blocks and step vectors beside its iterate fields, 121 to 251 B a
@@ -609,8 +604,8 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
         box = make_target(cfg.density_name, dim).support      # a cube
         dil = Dilation(make_product_kernel(cfg.kernel_name, dim), cfg.k_list[0])
         ext = _widening([(box.upper[0] - box.lower[0]) / (pts - 1)], dil.radius(TRUNCATION_TOL))
-        side = sp_fft.next_fast_len(3 * pts + 2 * ext - 2, True)
-        terms[f"the smoothed target's FFT lattice ({side}^{dim} points)"] = 32 * side ** dim
+        side = _next_fast_len(3 * pts + 2 * ext - 2)
+        terms[f"the smoothed target's FFT lattice ({side}^{dim} points)"] = 16 * side ** dim
     if study == "mix-rate":
         m, n_max = cfg.means_per_axis, max(cfg.n_list)
         terms[f"the {m ** dim} means and the greedy's score vectors"] = (
@@ -618,6 +613,7 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
         terms[f"the greedy's factor tables ({m} means x {pts} nodes x {dim} axes)"] = (
             8 * m * pts * dim)
         terms[f"the greedy's table row blocks and step vectors on {nodes} nodes"] = 256 * nodes
+        # An upper bound: the fit keeps the fields of the n.list iterates only.
         terms[f"the greedy's {n_max} iterate fields"] = n_max * nodes * 8
     elif study == "mle-risk":
         cells = _mle_cells(cfg)

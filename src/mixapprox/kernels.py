@@ -40,8 +40,8 @@ class Marginal:
     and the target-zoo marginals.
 
     A subclass defines `pdf`, and `ppf` when it keeps the default sampler.
-    A kernel marginal, symmetric about 0, also has `cdf`, `tail_mass(delta)`
-    (the mass outside [-delta, delta]), `moment(a)` (E|X|^a, math.inf when
+    A kernel marginal, symmetric about 0, also has `tail_mass(delta)` (the
+    mass outside [-delta, delta]), `moment(a)` (E|X|^a, math.inf when
     divergent) and `radius(tol)` (an r with tail_mass(r) <= tol).
     """
 
@@ -68,9 +68,6 @@ class Gaussian(Marginal):
         x = np.asarray(x, dtype=float)
         return -0.5 * x * x - _LOG_SQRT_2PI
 
-    def cdf(self, x):
-        return ndtr(np.asarray(x, dtype=float))
-
     def tail_mass(self, delta):
         return 2.0 * ndtr(-np.asarray(delta, dtype=float))
 
@@ -94,10 +91,6 @@ class Laplace(Marginal):
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
         return -np.abs(x) - math.log(2.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
 
     def tail_mass(self, delta):
         return np.exp(-np.asarray(delta, dtype=float))
@@ -135,10 +128,6 @@ class UniformSymmetric(_CompactKernel):
         x = np.abs(np.asarray(x, dtype=float))
         return np.where(x < 0.5, 1.0, np.where(x == 0.5, 0.5, 0.0))
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip(x + 0.5, 0.0, 1.0)
-
     def tail_mass(self, delta):
         delta = np.asarray(delta, dtype=float)
         return np.clip(1.0 - 2.0 * delta, 0.0, 1.0)
@@ -157,11 +146,6 @@ class Triangular(_CompactKernel):
     def pdf(self, x):
         x = np.abs(np.asarray(x, dtype=float))
         return np.maximum(1.0 - x, 0.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.clip(x, -1.0, 1.0)
-        return np.where(y < 0, 0.5 * (1.0 + y) ** 2, 1.0 - 0.5 * (1.0 - y) ** 2)
 
     def tail_mass(self, delta):
         delta = np.asarray(delta, dtype=float)
@@ -182,11 +166,6 @@ class Epanechnikov(_CompactKernel):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.maximum(0.75 * (1.0 - x * x), 0.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.clip(x, -1.0, 1.0)
-        return 0.25 * (2.0 + 3.0 * y - y ** 3)
 
     def tail_mass(self, delta):
         delta = np.asarray(delta, dtype=float)

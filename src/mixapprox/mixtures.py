@@ -15,6 +15,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .divergences import lq_norm
 from .grids import GridFunction, TensorGrid, _row_blocks, convolve, restrict, sample_on_grid
 from .kernels import Dilation, ProductKernel, SquaredDilation
 
@@ -609,16 +610,16 @@ def _l2_line(W: np.ndarray, e: np.ndarray, diff: np.ndarray, base: float,
 class GreedyFit:
     """Iterate sequence of a greedy convex-combination fit."""
 
-    mixtures: list              # FiniteMixture per iterate, 1..n_max
-    fields: list                # grid values of each iterate, shaped like the grid
-    objectives: np.ndarray      # objective value per iterate
+    mixtures: list              # FiniteMixture per iterate, 1..max(keep)
+    fields: dict                # kept iterate count -> its grid values, shaped like the grid
+    gaps: np.ndarray            # squared quadrature L2 gap to the target per iterate
     selected: list              # dictionary index added per iterate
     lambdas: list               # convex step size per iterate
     objective: str
 
 
 def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
-               n_max: int, objective: str = "l2") -> GreedyFit:
+               keep, objective: str = "l2") -> GreedyFit:
     """Greedy convex-hull approximation of a grid density.
 
     Each iterate adds one dictionary element with a convex step
@@ -645,11 +646,15 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     bits.  The first KL step logs 16 table rows at a time, and the chosen
     element's values come from ``dictionary.table``.
 
-    Returns one mixture per iterate together with its field on the target
-    grid (the running convex combination of dictionary rows, which callers
-    use instead of evaluating the mixture again) and the objective values
-    (squared L2 gap, or KL divergence, against the target).
+    The fit runs to the largest of the iterate counts `keep`.  It returns
+    one mixture and one squared L2 gap (``lq_norm`` of the field minus the
+    target, squared) per iterate, and the field on the target grid (the
+    running convex combination of dictionary rows, which callers use instead
+    of evaluating the mixture again) of the kept iterates only.
     """
+    keep = {int(n) for n in keep}
+    if not keep or min(keep) < 1:
+        raise ValueError("keep must name iterate counts >= 1")
     if dictionary.size == 0:
         raise ValueError("empty dictionary")
     if objective not in ("l2", "kl"):
@@ -669,7 +674,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
 
     weights: dict[int, float] = {}
     v = np.zeros_like(t)
-    mixtures, fields, objs, selected, lambdas = [], [], [], [], []
+    mixtures, fields, gaps, selected, lambdas = [], {}, [], [], []
 
     if objective == "kl":
         mask = t > 0
@@ -683,7 +688,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     else:
         res, wres = np.empty_like(t), np.empty_like(t)
 
-    for step in range(1, n_max + 1):
+    for step in range(1, max(keep) + 1):
         if objective == "l2":
             e = v - t
             ev, vv = float(np.sum(W * e * v)), float(np.sum(W * v * v))
@@ -742,16 +747,14 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         mix = FiniteMixture(w / w.sum(), dictionary.means[idxs],
                             dictionary.k, dictionary.kernel)
         mixtures.append(mix)
-        fields.append(v.reshape(target.grid.shape))
+        field = v.reshape(target.grid.shape)
+        if step in keep:
+            fields[step] = field
+        gaps.append(lq_norm(GridFunction(target.grid, field - target.values), 2) ** 2)
         selected.append(idx)
         lambdas.append(float(lam))
-        if objective == "l2":
-            r = v - t
-            objs.append(float(np.sum(W * r * r)))
-        else:
-            objs.append(kl_obj(v[mask]))
 
-    return GreedyFit(mixtures, fields, np.asarray(objs), selected, lambdas, objective)
+    return GreedyFit(mixtures, fields, np.asarray(gaps), selected, lambdas, objective)
 
 
 @dataclass(frozen=True, eq=False)
@@ -784,12 +787,14 @@ def build_mixing_approximant(target, kernel: ProductKernel, k: int,
     f_gf = sample_on_grid(target, grid)
     dil = Dilation(kernel, int(k))
     if grid.dim > 1:
-        # Kept on the widened FFT sum.  The exact per-axis sum differs from it
-        # only in the last bits, but greedy_fit's golden-section L2 step settles
-        # its weights only to rounding noise (inside the rounding radius its
-        # path follows the grid sums), so those bits move the KL of the
-        # 2-D greedy iterates by ~1e-6 relative.  A closed-form L2 step would
-        # let this take the per-axis sum too, and the memory budget's FFT term
+        # Kept on the widened FFT sum, whose per-axis numpy.fft transforms
+        # keep the bits of scipy's on the whole padded lattice.  The
+        # exact per-axis sum differs from it only in the last bits, but
+        # greedy_fit's golden-section L2 step settles its weights only to
+        # rounding noise (inside the rounding radius its path follows the
+        # grid sums), so those bits move the KL of the 2-D greedy iterates by
+        # ~1e-6 relative.  A closed-form L2 step would let this take the
+        # per-axis sum too, and the memory budget's FFT term
         # (harness.predicted_peak) go.
         realized = restrict(convolve(f_gf, dil, method="fft"), grid.box)
     else:

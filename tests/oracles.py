@@ -2,11 +2,12 @@
 study runs.
 
 Point-wise densities on stacked points, the node mesh, box membership,
-quadrature mass, the difference of two grid functions, their lattice
-convolution with the Young inequality checks, the KL-versus-L2 check for
-lower-bounded densities, class membership and Lipschitz estimates of
-targets, a seedable mixture sampler, and grid-free closed forms for the
-Gaussian kernel.  A method of a package class appears here as a function
+quadrature mass, the difference of two grid functions, the full linear
+convolution by scipy.fft that the FFT path keeps the bits of, lattice
+convolution with the Young inequality checks, the kernel marginals' cdfs,
+the KL-versus-L2 check for lower-bounded densities, class membership and
+Lipschitz estimates of targets, a seedable mixture sampler, and grid-free
+closed forms for the Gaussian kernel.  A method of a package class appears here as a function
 of the instance.
 """
 
@@ -15,10 +16,18 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.special import ndtr
 
 from mixapprox.bounds import CHECK_SLACK
-from mixapprox.densities import TargetDensity, _TruncatedNormal
+from mixapprox.densities import (
+    TargetDensity,
+    _ClippedCosine,
+    _Tent,
+    _TruncatedNormal,
+    _TwoTruncatedNormals,
+    _Uniform01,
+)
 from mixapprox.divergences import kl_divergence, lq_norm
 from mixapprox.grids import (
     _BOX_TOL,
@@ -26,7 +35,6 @@ from mixapprox.grids import (
     GridFunction,
     SupportBox,
     _clip_tiny_negatives,
-    _fft_full,
     make_grid,
     sample_on_grid,
 )
@@ -77,6 +85,21 @@ def quadrature_integrate(h: GridFunction) -> float:
     return h.grid.integrate(h.values)
 
 
+def fft_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays of equal rank by FFT.
+
+    Makes the same rfftn/irfftn calls on the same next_fast_len padded shape
+    as scipy.signal.fftconvolve(a, b, mode="full"), so the result is
+    bit-identical to it, without importing scipy.signal.
+    """
+    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
+    fshape = [sp_fft.next_fast_len(s, True) for s in shape]
+    axes = list(range(a.ndim))
+    spec = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(b, fshape, axes=axes)
+    full = sp_fft.irfftn(spec, fshape, axes=axes)
+    return full[tuple(slice(s) for s in shape)]
+
+
 def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """Lattice convolution of two grid functions with a shared spacing.
 
@@ -96,7 +119,7 @@ def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         gvals[tuple(edge)] *= 0.5
         edge[axis] = slice(-1, None)
         gvals[tuple(edge)] *= 0.5
-    vals = _fft_full(weighted, gvals)
+    vals = fft_full(weighted, gvals)
     lo = tuple(a + c for a, c in zip(f.grid.box.lower, g.grid.box.lower))
     hi = tuple(b + d for b, d in zip(f.grid.box.upper, g.grid.box.upper))
     n_out = f.grid.points_per_axis + g.grid.points_per_axis - 1
@@ -166,6 +189,24 @@ def dilation_log_pdf(dilation, x):
     return dilation.dim * math.log(dilation.k) + kernel_log_pdf(dilation.base, dilation.k * x)
 
 
+def marginal_cdf(marginal, x):
+    """The cdf of a kernel marginal, in closed form."""
+    x = np.asarray(x, dtype=float)
+    name = marginal.name
+    if name == "gaussian":
+        return ndtr(x)
+    if name == "laplace":
+        return np.where(x < 0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
+    if name == "uniform-symmetric":
+        return np.clip(x + 0.5, 0.0, 1.0)
+    y = np.clip(x, -1.0, 1.0)
+    if name == "triangular":
+        return np.where(y < 0, 0.5 * (1.0 + y) ** 2, 1.0 - 0.5 * (1.0 - y) ** 2)
+    if name == "epanechnikov":
+        return 0.25 * (2.0 + 3.0 * y - y ** 3)
+    raise ValueError(f"no cdf for marginal {name!r}")
+
+
 # --- densities --------------------------------------------------------------
 
 def target_pdf(f: TargetDensity, x):
@@ -178,9 +219,30 @@ def target_pdf(f: TargetDensity, x):
     return np.prod(f.marginal.pdf(x), axis=-1)
 
 
+def marginal_slope_bound(m) -> float:
+    """sup |g'| of a zoo marginal over its support, from its parameters."""
+    if isinstance(m, _Uniform01):
+        return 0.0
+    if isinstance(m, _ClippedCosine):
+        return 2.0 * math.pi
+    if isinstance(m, _Tent):
+        return 4.0
+    if isinstance(m, _TwoTruncatedNormals):
+        return 0.5 * sum(marginal_slope_bound(c) for c in m.components)
+    if isinstance(m, _TruncatedNormal):
+        # sup |g'| = max |u| phi(u) / (sigma^2 z) over u in [a, b]; |u| phi(|u|)
+        # increases to u = 1 and decreases beyond, so check the clamp and ends.
+        cands = [abs(m.a), abs(m.b)]
+        if m.a <= -1.0 <= m.b or m.a <= 1.0 <= m.b:
+            cands.append(1.0)
+        return float(max(t * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+                         for t in cands) / (m.sigma ** 2 * m.z))
+    raise ValueError(f"no slope bound for marginal {m.name!r}")
+
+
 def target_lipschitz_constant(f: TargetDensity) -> float:
     """Certified Lipschitz constant of the product density in the l1 norm."""
-    return f.dim * f.marginal.slope_bound * f.marginal.max_value ** (f.dim - 1)
+    return f.dim * marginal_slope_bound(f.marginal) * f.marginal.max_value ** (f.dim - 1)
 
 
 def truncated_normal_density(lo: float, hi: float, mu: float = 0.0,

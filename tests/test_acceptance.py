@@ -166,7 +166,6 @@ class _RandomTrig:
         self.coefs = coefs
         self.min_value = 1.0 - float(np.sum(np.abs(coefs)))
         self.max_value = 2.0 - self.min_value
-        self.slope_bound = float(2 * np.pi * np.abs(coefs) @ np.arange(1, 4))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -16,8 +16,9 @@ from mixapprox.grids import (
     GridCompatibilityError,
     _clip_tiny_negatives,
     _default_out_grid,
-    _fft_full,
+    _fft_lattice_sum,
     _kernel_axis_offsets,
+    _next_fast_len,
     _toeplitz,
     TRUNCATION_TOL,
     GridFunction,
@@ -34,6 +35,7 @@ from oracles import (
     box_contains_box,
     box_contains_points,
     dilation_pdf,
+    fft_full,
     gaussian_smoothing,
     gaussian_smoothing_field,
     grid_convolve,
@@ -298,7 +300,51 @@ class TestConvolve:
 
         rng = np.random.default_rng(7)
         a, b = rng.random(shape_a), rng.standard_normal(shape_b)
-        assert np.array_equal(_fft_full(a, b), fftconvolve(a, b, mode="full"))
+        assert np.array_equal(fft_full(a, b), fftconvolve(a, b, mode="full"))
+
+    @pytest.mark.parametrize("dim, points, k, widened", [
+        (1, 2049, 16, False), (1, 2049, 16, True),
+        (2, 257, 16, True), (2, 257, 8, True),      # the two benchmark kernels
+        (3, 33, 4, True),
+    ], ids=["1d", "1d-widened", "2d-k16", "2d-k8", "3d"])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_fft_path_has_the_scipy_bits(self, dim, points, k, widened, squared):
+        # The per-axis numpy.fft path against scipy.fft's rfftn/irfftn on the
+        # whole padded lattice, bit for bit.
+        f = make_target("truncated-normal", dim)
+        grid = make_grid(f.support, points, "simpson")
+        fg = _tilted(sample_on_grid(f, grid))
+        d = Dilation(make_product_kernel("gaussian", dim), k)
+        kernel = SquaredDilation(d) if squared else d
+        out_grid = _default_out_grid(fg, d.radius(TRUNCATION_TOL)) if widened else grid
+        offsets = _kernel_axis_offsets(out_grid, grid)
+        full = fft_full(fg.values * grid.weight_tensor(), kernel.lattice_pdf(np.ix_(*offsets)))
+        n_in, n_out = grid.points_per_axis, out_grid.points_per_axis
+        want = full[(slice(n_in - 1, n_in - 1 + n_out),) * dim]
+        got = convolve(fg, kernel, out_grid=None if widened else grid, method="fft")
+        assert got.values.shape == (n_out,) * dim
+        assert np.array_equal(got.values, _clip_tiny_negatives(want))
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_fft_lattice_sum_on_a_non_cubic_lattice(self, squared):
+        # Three axes of different lengths, so different padded lengths: each
+        # axis's transform and its output rows follow its own shape.
+        rng = np.random.default_rng(3)
+        weighted = rng.random((17, 20, 23))
+        d = Dilation(make_product_kernel("gaussian", 3), 4)
+        kernel = SquaredDilation(d) if squared else d
+        offsets = [0.02 * np.arange(n) - 0.01 * n for n in (41, 30, 57)]
+        full = fft_full(weighted, kernel.lattice_pdf(np.ix_(*offsets)))
+        want = full[tuple(slice(n - 1, off.size) for n, off in zip(weighted.shape, offsets))]
+        got = _fft_lattice_sum(weighted, kernel, offsets)
+        assert got.shape == (25, 11, 35)
+        assert np.array_equal(got, want)
+
+    def test_next_fast_len_is_scipys(self):
+        from scipy.fft import next_fast_len
+
+        assert [_next_fast_len(n) for n in range(1, 20001)] == \
+            [next_fast_len(n, True) for n in range(1, 20001)]
 
     @pytest.mark.parametrize("dim,points", [(1, 513), (2, 65), (3, 33)])
     @pytest.mark.parametrize("squared", [False, True])

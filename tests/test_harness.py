@@ -1035,7 +1035,7 @@ def test_benchmark_counters_read_real_results():
     kernel = make_product_kernel("gaussian", 1)
     fbar = build_mixing_approximant(f, kernel, 8, grid).realized
     dictionary = build_dictionary(kernel, 8, MeanBox(-1.0, 1.0, 1), 17, grid)
-    fit = greedy_fit(fbar, dictionary, 3)
+    fit = greedy_fit(fbar, dictionary, [3])
     counts = {}
     spans["_count_dictionary"](counts, (), {}, dictionary)
     spans["_count_greedy"](counts, (), {}, fit)

@@ -1,22 +1,21 @@
 """Source hygiene: every top-level import of a module or test file is used,
 the package neither evaluates on a stacked mesh nor warns, every function,
-class and method it defines is named elsewhere in the package, and every
-config field is read by a study or the CLI.
+class, method and data attribute it defines is read by its own code, and
+every config field is read by a study or the CLI.
 
 No linter ships with the package, so these scans stand in for one.  The
 package ``__init__`` is left out of the import scan: its imports are
 re-exports.  The package holds what the studies and the CLI run: the
 point-wise oracles, the node mesh and box membership among them, live in
-``tests/oracles.py``, so a definition that only tests would call fails the
-name scan, unless the benchmark traces it (``perfbench/spans.py``).  The
+``tests/oracles.py``, so a definition that only tests would read fails the
+reference scan, unless the benchmark traces or reads it
+(``perfbench/spans.py``).  The
 package evaluates on grids one axis at a time, and reports what it would
 warn about as a note.
 """
 
 import ast
-import re
 import runpy
-from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -84,59 +83,150 @@ def test_scan_flags_a_mesh_and_a_warning():
     assert _banned_calls(tree) == [(1, "mesh"), (2, "contains_points"), (3, "warnings.warn")]
 
 
-def _unnamed_definitions(trees: list, texts: list) -> list:
-    """Function, class and method names defined in `trees` (dunders aside)
-    that occur in `texts` no more often than they are defined."""
-    defined = Counter(
-        node.name for tree in trees for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__")))
-    words = Counter(word for text in texts for word in re.findall(r"\w+", text))
-    return sorted(name for name, count in defined.items() if words[name] <= count)
+class _References(ast.NodeVisitor):
+    """Definitions and references of a set of modules.
+
+    Definitions: functions, classes, methods, and data attributes (names
+    assigned in a class body or as ``self.<name>`` in its methods), each
+    with its class.  References: every name and attribute read, except a
+    ``self.<name>`` read inside class C, which refers only to the name's
+    definitions in C, its bases and its subclasses, and a read of
+    ``<x>.<name>`` inside an assignment to ``self.<name>``, which builds
+    that attribute from others of the same name and reads nothing.
+    """
+
+    def __init__(self):
+        self.defined = []           # (class or None, name)
+        self.bases = {}             # class -> names of its bases
+        self.read = set()
+        self.self_read = set()      # (class, name)
+        self._cls, self._own = None, set()
+
+    def visit_ClassDef(self, node):
+        self.defined.append((self._cls, node.name))
+        self.bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+        outer, self._cls = self._cls, node.name
+        for stmt in node.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            self.defined += [(node.name, t.id) for t in targets if isinstance(t, ast.Name)]
+        self.generic_visit(node)
+        self._cls = outer
+
+    def visit_FunctionDef(self, node):
+        self.defined.append((self._cls, node.name))
+        self.generic_visit(node)
+
+    def visit_Assign(self, node):
+        own = {t.attr for t in node.targets if isinstance(t, ast.Attribute)
+               and isinstance(t.value, ast.Name) and t.value.id == "self"}
+        self.defined += [(self._cls, name) for name in own]
+        outer, self._own = self._own, self._own | own
+        self.generic_visit(node)
+        self._own = outer
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.read.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load) and node.attr not in self._own:
+            if isinstance(node.value, ast.Name) and node.value.id == "self" and self._cls:
+                self.self_read.add((self._cls, node.attr))
+            else:
+                self.read.add(node.attr)
+        self.generic_visit(node)
+
+    def family(self, cls) -> set:
+        """A class with its bases and its subclasses, transitively."""
+        def up(c):
+            out = set()
+            for b in self.bases.get(c, ()):
+                out |= {b} | up(b)
+            return out
+        return {cls} | up(cls) | {c for c in self.bases if cls in up(c)}
 
 
-def _without_all(text: str) -> str:
-    """A module's text without its ``__all__`` list."""
-    lines = text.splitlines(keepends=True)
-    for node in ast.parse(text).body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
-    return "".join(lines)
+def _unreferenced_definitions(trees: list) -> list:
+    """Definitions in `trees` (dunders aside) that no code in them reads, as
+    ``name`` or ``Class.name``."""
+    refs = _References()
+    for tree in trees:
+        refs.visit(tree)
+    unread = set()
+    for cls, name in refs.defined:
+        if name.startswith("__") and name.endswith("__") or name in refs.read:
+            continue
+        if cls and any((c, name) in refs.self_read for c in refs.family(cls)):
+            continue
+        unread.add(f"{cls}.{name}" if cls else name)
+    return sorted(unread)
 
 
-def _traced_names() -> set:
-    """The last part of each name the benchmark traces, e.g. ``covering_number``."""
-    spans = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))
-    return {name.rsplit(".", 1)[-1] for name in spans["TRACED"]}
+def _benchmark_names() -> set:
+    """The last part of each name the benchmark traces, e.g.
+    ``covering_number``, and the attributes its counters read."""
+    path = ROOT / "perfbench" / "spans.py"
+    traced = {name.rsplit(".", 1)[-1] for name in runpy.run_path(str(path))["TRACED"]}
+    return traced | {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute)}
 
 
 def test_every_definition_is_named_elsewhere():
-    # Only the package's own text counts, without its __all__ lists and its
-    # __init__ re-exports: a name that tests alone call belongs in
-    # tests/oracles.py.
-    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SRC]
-    texts = [_without_all(p.read_text()) for p in SRC if p.name != "__init__.py"]
-    unnamed = sorted(set(_unnamed_definitions(trees, texts)) - _traced_names())
-    assert not unnamed, "defined under src/mixapprox/ and named nowhere else in it: " + \
-        ", ".join(unnamed)
+    # Only the package's own code counts, without its __init__ re-exports:
+    # a definition that tests alone read belongs in tests/oracles.py.
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SRC if p.name != "__init__.py"]
+    unread = [name for name in _unreferenced_definitions(trees)
+              if name.rsplit(".", 1)[-1] not in _benchmark_names()]
+    assert not unread, "defined under src/mixapprox/ and read nowhere else in it: " + \
+        ", ".join(unread)
 
 
 def test_scan_flags_an_unnamed_definition():
     src = ("class Used:\n    def method(self): pass\n    def __init__(self): pass\n"
            "def orphan(): pass\ndef twice(): pass\ndef twice(): pass\n")
     tree = ast.parse(src)
-    assert _unnamed_definitions([tree], [src, "Used().method()\n"]) == ["orphan", "twice"]
-    assert _unnamed_definitions([tree], [src, "Used().method()\ntwice()\n"]) == ["orphan"]
+    assert _unreferenced_definitions([tree, ast.parse("Used().method()\n")]) == \
+        ["orphan", "twice"]
+    assert _unreferenced_definitions([tree, ast.parse("Used().method()\ntwice()\n")]) == \
+        ["orphan"]
 
 
 def test_scan_flags_a_check_only_definition():
     # A planted orphan that only __all__ names, beside one a study calls.
     src = ('__all__ = [\n    "oracle",\n    "study",\n]\n\n'
            "def oracle(): pass\ndef study(): pass\ndef run(): study()\n")
-    assert "__all__" not in _without_all(src)
-    assert _unnamed_definitions([ast.parse(src)], [_without_all(src)]) == ["oracle", "run"]
-    assert {"covering_number", "component_log_pdf"} <= _traced_names()
+    assert _unreferenced_definitions([ast.parse(src)]) == ["oracle", "run"]
+    assert {"covering_number", "component_log_pdf", "iterations"} <= _benchmark_names()
+
+
+def test_scan_flags_a_method_named_only_in_words_or_another_class():
+    # `cdf` occurs in a docstring, a string and a comment, and is called
+    # through self in a class outside Kernel's family: all of that read it
+    # as a word, none of it calls Kernel.cdf.  Sub.ppf's self.tail does
+    # call the tail its base defines.
+    src = (
+        'class Kernel:\n    """Has a cdf."""\n    def cdf(self, x): return x\n'
+        "    def tail(self): return 0\n"
+        'class Sub(Kernel):\n    def ppf(self, u): return self.tail()  # not the cdf\n'
+        'class Target:\n    def cdf(self, x): return "cdf"\n'
+        "    def ppf(self, u): return self.cdf(u)\n"
+        "Sub().ppf(Target().ppf(0))\n")
+    assert _unreferenced_definitions([ast.parse(src)]) == ["Kernel.cdf"]
+
+
+def test_scan_flags_an_unread_data_attribute():
+    # slope is set in a class body and in __init__, and a composite builds
+    # its own from its parts' slopes; nothing else reads it.  peak is read.
+    src = ("class Flat:\n    slope = 0.0\n    peak = 1.0\n"
+           "class Bump:\n    def __init__(self, s):\n        self.slope = s\n"
+           "        self.peak = 2.0\n"
+           "class Pair:\n    def __init__(self, parts):\n        self.parts = parts\n"
+           "        self.slope = sum(c.slope for c in self.parts)\n"
+           "def top(m): return m.peak\n"
+           "top(Pair([Flat(), Bump(1.0)]))\n")
+    assert _unreferenced_definitions([ast.parse(src)]) == \
+        ["Bump.slope", "Flat.slope", "Pair.slope"]
 
 
 def _unread_fields(names, trees: list) -> list:

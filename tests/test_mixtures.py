@@ -649,6 +649,26 @@ class TestMleFit:
         assert np.array_equal(a.mixture.means, b.mixture.means)
 
 
+def _objectives(target, fit):
+    """Each iterate's objective from its kept field, as the fit's steps
+    evaluate it: sum W (v - t)^2 for L2; for KL, the sum of t W (log t -
+    log v) over the nodes where t > 0, inf where v < 1e-300 there."""
+    t = target.values.ravel()
+    W = target.grid.weight_tensor().ravel()
+    mask = t > 0
+    tW, log_t = (t * W)[mask], np.log(t[mask])
+    out = []
+    for n in range(1, len(fit.mixtures) + 1):
+        v = fit.fields[n].ravel()
+        if fit.objective == "l2":
+            out.append(float(np.sum(W * (v - t) * (v - t))))
+        elif np.any(v[mask] < 1e-300):
+            out.append(math.inf)
+        else:
+            out.append(float(np.sum(tW * (log_t - np.log(v[mask])))))
+    return np.asarray(out)
+
+
 class TestGreedyFit:
     def _setup(self, k=16, means=257, n_pts=2049):
         f = make_target("truncated-normal", 1)
@@ -661,14 +681,14 @@ class TestGreedyFit:
     def test_single_element_recovery(self):
         _, grid, _, dictionary = self._setup(means=65, n_pts=1025)
         target = GridFunction(grid, dictionary.values[32].reshape(grid.shape))
-        fit = greedy_fit(target, dictionary, 1)
-        assert fit.objectives[0] <= 1e-10
+        fit = greedy_fit(target, dictionary, [1])
+        assert _objectives(target, fit)[0] <= 1e-10
 
     def test_two_element_recovery(self):
         _, grid, _, dictionary = self._setup(means=65, n_pts=1025)
         blend = 0.5 * dictionary.values[16] + 0.5 * dictionary.values[48]
         target = GridFunction(grid, blend.reshape(grid.shape))
-        fit = greedy_fit(target, dictionary, 2)
+        fit = greedy_fit(target, dictionary, [1, 2])
         # Brute-force oracle over all two-element convex combinations with
         # the closed-form optimal step.
         W = grid.weight_tensor().ravel()
@@ -684,30 +704,32 @@ class TestGreedyFit:
                 np.sum(W * (t - d1) * diff) / denom, 0.0, 1.0))
             r = d1 + lam * diff - t
             best = min(best, float(np.sum(W * r * r)))
-        assert np.sqrt(fit.objectives[1]) <= 1e-6
-        assert fit.objectives[1] <= best + 1e-12
+        objectives = _objectives(target, fit)
+        assert np.sqrt(objectives[1]) <= 1e-6
+        assert objectives[1] <= best + 1e-12
 
     def test_objective_monotone(self):
         _, _, fbar, dictionary = self._setup(means=129, n_pts=1025)
-        fit = greedy_fit(fbar, dictionary, 24)
-        assert np.all(np.diff(fit.objectives) <= 1e-12)
+        fit = greedy_fit(fbar, dictionary, range(1, 25))
+        assert np.all(np.diff(_objectives(fbar, fit)) <= 1e-12)
 
     def test_rate_certificate(self):
         _, _, fbar, dictionary = self._setup()
-        fit = greedy_fit(fbar, dictionary, 32)
+        fit = greedy_fit(fbar, dictionary, range(1, 33))
         ns = np.arange(1, 33)
-        scaled = ns * fit.objectives
+        scaled = ns * _objectives(fbar, fit)
         assert np.max(scaled[3:]) <= 2.0 * scaled[3]
 
     def test_kl_objective_decreases(self):
         _, _, fbar, dictionary = self._setup(means=129, n_pts=1025)
-        fit = greedy_fit(fbar, dictionary, 12, objective="kl")
-        assert np.all(np.diff(fit.objectives) <= 1e-12)
-        assert fit.objectives[-1] < fit.objectives[0]
+        fit = greedy_fit(fbar, dictionary, range(1, 13), objective="kl")
+        objectives = _objectives(fbar, fit)
+        assert np.all(np.diff(objectives) <= 1e-12)
+        assert objectives[-1] < objectives[0]
 
     def test_iterate_mixtures_are_valid(self):
         _, grid, fbar, dictionary = self._setup(means=129, n_pts=1025)
-        fit = greedy_fit(fbar, dictionary, 8)
+        fit = greedy_fit(fbar, dictionary, [8])
         for i, mix in enumerate(fit.mixtures, start=1):
             assert mix.n <= i
             assert abs(mix.weights.sum() - 1.0) <= 1e-12
@@ -729,15 +751,39 @@ class TestGreedyFit:
             f, make_product_kernel("gaussian", dim), k, grid).realized
         kernel = make_product_kernel(kernel_name, dim)
         dictionary = build_dictionary(kernel, k, MeanBox(-1.0, 1.0, dim), means, grid)
-        fit = greedy_fit(fbar, dictionary, 12, objective=objective)
-        assert len(fit.fields) == len(fit.mixtures) == 12
-        for field, mix in zip(fit.fields, fit.mixtures):
+        fit = greedy_fit(fbar, dictionary, range(1, 13), objective=objective)
+        assert sorted(fit.fields) == list(range(1, 13)) and len(fit.mixtures) == 12
+        for n, mix in enumerate(fit.mixtures, start=1):
+            field = fit.fields[n]
             ref = mix.pdf(grid_mesh(grid).reshape(-1, dim)).reshape(grid.shape)
             assert field.shape == grid.shape
             assert_allclose(field, ref, rtol=1e-12, atol=0.0)
             assert np.array_equal(field == 0, ref == 0)
         if kernel_name == "epanechnikov":
-            assert np.any(fit.fields[0] == 0)
+            assert np.any(fit.fields[1] == 0)
+
+    @pytest.mark.parametrize("objective", ["l2", "kl"])
+    def test_keeps_the_named_fields_and_every_gap(self, objective):
+        # The fit runs to the largest kept count and holds only the kept
+        # fields; every iterate's gap is lq_norm of its field minus the
+        # target, squared, as the mix-rate rows read it.
+        _, grid, fbar, dictionary = self._setup(means=65, n_pts=1025)
+        every = greedy_fit(fbar, dictionary, range(1, 9), objective=objective)
+        fit = greedy_fit(fbar, dictionary, [4, 1, 8, 4], objective=objective)
+        assert sorted(fit.fields) == [1, 4, 8]
+        assert len(fit.mixtures) == fit.gaps.size == 8
+        for n in (1, 4, 8):
+            assert np.array_equal(fit.fields[n], every.fields[n])
+        assert np.array_equal(fit.gaps, every.gaps)
+        for n, field in every.fields.items():
+            gap = lq_norm(GridFunction(grid, field - fbar.values), 2) ** 2
+            assert every.gaps[n - 1] == gap
+
+    @pytest.mark.parametrize("keep", [[], [0, 2]])
+    def test_keep_without_a_positive_count_rejected(self, keep):
+        _, _, fbar, dictionary = self._setup(means=65, n_pts=1025)
+        with pytest.raises(ValueError, match="keep"):
+            greedy_fit(fbar, dictionary, keep)
 
     def test_empty_dictionary_rejected(self):
         from mixapprox.mixtures import MixtureDictionary
@@ -745,12 +791,12 @@ class TestGreedyFit:
         _, grid, fbar, dictionary = self._setup(means=65, n_pts=1025)
         empty = MixtureDictionary(GAUSS, 16, np.empty((0, 1)), grid, (np.empty(0),))
         with pytest.raises(ValueError, match="empty"):
-            greedy_fit(fbar, empty, 4)
+            greedy_fit(fbar, empty, [4])
 
     def test_unknown_objective_rejected(self):
         _, _, fbar, dictionary = self._setup(means=65, n_pts=1025)
         with pytest.raises(ValueError, match="objective"):
-            greedy_fit(fbar, dictionary, 2, objective="entropy")
+            greedy_fit(fbar, dictionary, [2], objective="entropy")
 
     def test_dictionary_size_guard(self):
         # The fit holds no (M, G) table, so 65^2 means on the 257^2 grid,
@@ -870,8 +916,9 @@ def test_greedy_objective_never_increases(inputs):
     grid = make_grid(cube(-1.0, 1.0, dim), values.shape[0], "simpson")
     dictionary = build_dictionary(make_product_kernel(kernel_name, dim), k,
                                   MeanBox(-1.0, 1.0, dim), means_per_axis, grid)
-    fit = greedy_fit(GridFunction(grid, values), dictionary, 6, objective=objective)
-    assert np.all(np.diff(fit.objectives) <= 1e-12)
+    target = GridFunction(grid, values)
+    fit = greedy_fit(target, dictionary, range(1, 7), objective=objective)
+    assert np.all(np.diff(_objectives(target, fit)) <= 1e-12)
 
 
 def _lattice_table(kernel, k, box, means_per_axis, grid):
@@ -893,7 +940,7 @@ def _greedy_table_oracle(target, D, dictionary, n_max, objective):
     DW = D * W[None, :]
     dd = np.einsum("ij,ij->i", DW, D)
     weights, v = {}, np.zeros_like(t)
-    mixes, fields, objs, selected, lambdas = [], [], [], [], []
+    mixes, fields, gaps, selected, lambdas = [], {}, [], [], []
     ties = fallbacks = 0
     mask = t > 0
     tW = t * W
@@ -951,15 +998,11 @@ def _greedy_table_oracle(target, D, dictionary, n_max, objective):
         w = np.array([weights[i] for i in idxs])
         mixes.append(FiniteMixture(w / w.sum(), dictionary.means[idxs],
                                    dictionary.k, dictionary.kernel))
-        fields.append(v.reshape(target.grid.shape))
+        fields[step] = v.reshape(target.grid.shape)
+        gaps.append(lq_norm(GridFunction(target.grid, fields[step] - target.values), 2) ** 2)
         selected.append(idx)
         lambdas.append(float(lam))
-        if objective == "l2":
-            r = v - t
-            objs.append(float(np.sum(W * r * r)))
-        else:
-            objs.append(kl_obj(v))
-    fit = mixtures.GreedyFit(mixes, fields, np.asarray(objs), selected, lambdas, objective)
+    fit = mixtures.GreedyFit(mixes, fields, np.asarray(gaps), selected, lambdas, objective)
     return fit, ties, fallbacks
 
 
@@ -985,19 +1028,20 @@ class TestGreedyMatchesTableOracle:
         D = _lattice_table(kernel, k, box, means, grid)
         assert np.array_equal(dictionary.values, D)
 
-        fit = greedy_fit(fbar, dictionary, n_max, objective=objective)
+        fit = greedy_fit(fbar, dictionary, range(1, n_max + 1), objective=objective)
         ref, ties, fallbacks = _greedy_table_oracle(fbar, D, dictionary, n_max, objective)
         assert fit.selected == ref.selected
         assert np.array_equal(fit.lambdas, ref.lambdas)
-        assert np.array_equal(fit.objectives, ref.objectives)
+        assert np.array_equal(fit.gaps, ref.gaps)
         assert fit.objective == ref.objective
         assert len(fit.mixtures) == len(ref.mixtures) == n_max
         for got, want in zip(fit.mixtures, ref.mixtures):
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.means, want.means)
             assert (got.k, got.kernel) == (want.k, want.kernel)
-        for got, want in zip(fit.fields, ref.fields, strict=True):
-            assert np.array_equal(got, want)
+        assert fit.fields.keys() == ref.fields.keys()
+        for n, want in ref.fields.items():
+            assert np.array_equal(fit.fields[n], want)
         if dim == 2:
             # The symmetric target on a symmetric mean lattice: the argmin
             # is tied between mirror images, and the golden section loses to
@@ -1013,11 +1057,11 @@ class TestGreedyMatchesTableOracle:
         kernel = make_product_kernel("gaussian", 2)
         fbar = build_mixing_approximant(f, kernel, 48, grid).realized
         dictionary = build_dictionary(kernel, 48, MeanBox(-1.0, 1.0, 2), 7, grid)
-        fit = greedy_fit(fbar, dictionary, 64)
+        fit = greedy_fit(fbar, dictionary, [64])
         ref, _, _ = _greedy_table_oracle(fbar, dictionary.values, dictionary, 64, "l2")
         assert fit.selected == ref.selected
         assert np.array_equal(fit.lambdas, ref.lambdas)
-        assert np.array_equal(fit.objectives, ref.objectives)
+        assert np.array_equal(fit.gaps, ref.gaps)
 
     @pytest.mark.parametrize("objective", ["l2", "kl"])
     def test_fit_allocates_no_table(self, objective):
@@ -1031,7 +1075,7 @@ class TestGreedyMatchesTableOracle:
         try:
             dictionary = build_dictionary(make_product_kernel("gaussian", 2), 8,
                                           MeanBox(-1.0, 1.0, 2), 17, grid)
-            greedy_fit(fbar, dictionary, 8, objective=objective)
+            greedy_fit(fbar, dictionary, [8], objective=objective)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1048,14 +1092,14 @@ class TestGreedyMatchesTableOracle:
         tracemalloc.start()
         try:
             dictionary = build_dictionary(kernel, 8, MeanBox(-1.0, 1.0, 2), 17, grid)
-            fit = greedy_fit(fbar, dictionary, 8, objective="kl")
+            fit = greedy_fit(fbar, dictionary, [8], objective="kl")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * dictionary.size * grid.weight_tensor().size * 8
         ref, _, _ = _greedy_table_oracle(fbar, dictionary.values, dictionary, 8, "kl")
         assert fit.selected == ref.selected
-        assert np.array_equal(fit.objectives, ref.objectives)
+        assert np.array_equal(fit.gaps, ref.gaps)
 
     def test_kl_fit_on_a_target_with_zeros_equals_the_oracle(self):
         # The KL line search runs on the nodes where the target is positive,
@@ -1066,13 +1110,14 @@ class TestGreedyMatchesTableOracle:
         target = GridFunction(grid, np.where(np.abs(grid.nodes[0]) < 0.6, fbar.values, 0.0))
         assert 0 < np.count_nonzero(target.values) < target.values.size
         dictionary = build_dictionary(GAUSS, 16, MeanBox(-1.0, 1.0, 1), 129, grid)
-        fit = greedy_fit(target, dictionary, 12, objective="kl")
+        fit = greedy_fit(target, dictionary, range(1, 13), objective="kl")
         ref, _, _ = _greedy_table_oracle(target, dictionary.values, dictionary, 12, "kl")
         assert fit.selected == ref.selected
         assert np.array_equal(fit.lambdas, ref.lambdas)
-        assert np.array_equal(fit.objectives, ref.objectives)
-        for got, want in zip(fit.fields, ref.fields, strict=True):
-            assert np.array_equal(got, want)
+        assert np.array_equal(fit.gaps, ref.gaps)
+        assert fit.fields.keys() == ref.fields.keys()
+        for n, want in ref.fields.items():
+            assert np.array_equal(fit.fields[n], want)
 
 
 def _ints(lo, hi, scale):
@@ -1146,7 +1191,7 @@ def _l2_calls(monkeypatch, fbar, dictionary, n_max):
         return recorded, estimate
 
     monkeypatch.setattr(mixtures, "_l2_line", recording)
-    return greedy_fit(fbar, dictionary, n_max), calls
+    return greedy_fit(fbar, dictionary, [n_max]), calls
 
 
 class TestScreenedL2LineSearch:
@@ -1170,10 +1215,10 @@ class TestScreenedL2LineSearch:
         plain = mixtures._golden_section
         monkeypatch.setattr(mixtures, "_golden_section",
                             lambda fn, lo, hi, estimate=None: plain(fn, lo, hi))
-        ref = greedy_fit(fbar, dictionary, 32)
+        ref = greedy_fit(fbar, dictionary, [32])
         assert fit.selected == ref.selected
         assert np.array_equal(fit.lambdas, ref.lambdas)
-        assert np.array_equal(fit.objectives, ref.objectives)
+        assert np.array_equal(fit.gaps, ref.gaps)
 
     @pytest.mark.parametrize("kernel_name, dim, points, k, means, n_max", [
         ("gaussian", 2, 257, 16, 17, 32), ("gaussian", 2, 401, 48, 7, 64),
@@ -1217,6 +1262,20 @@ class TestMixingApproximant:
         assert peak < 480 * 2 ** 20
         assert mixing.realized.grid.same_lattice(grid)
 
+    def test_2d_approximant_memory(self):
+        # The 2-D bounds benchmark's approximant (257^2 nodes, Gaussian
+        # k = 8, a 972^2 padded lattice): scipy's whole-lattice transforms
+        # peaked at 26.6 MiB here, the per-axis numpy.fft path at 12.7 MiB.
+        f = make_target("truncated-normal", 2)
+        grid = make_grid(f.support, 257, "simpson")
+        tracemalloc.start()
+        try:
+            build_mixing_approximant(f, make_product_kernel("gaussian", 2), 8, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     @staticmethod
     def _fft_term(study, dim, kernel_name, k, points=0):
         # The memory budget's terms for a config with this approximant, and
@@ -1233,19 +1292,20 @@ class TestMixingApproximant:
         (2, "laplace", 4, 33), (2, "gaussian", 4, 65), (3, "gaussian", 2, 17),
     ])
     def test_size_guard_counts_the_fft_lattice(self, monkeypatch, dim, kernel_name, k, points):
-        # The budget's FFT term is 32 bytes a point of the padded lattice
-        # the widened FFT transforms (tracemalloc read 27.4 to 30.4).
+        # The budget's FFT term is 16 bytes a point of the padded lattice
+        # the widened FFT transforms (tracemalloc read 5.4 to 8.6 in 3-D and
+        # 14.1 to 15.1 on 257^2 nodes in 2-D).
         f = make_target("truncated-normal", dim)
         grid = make_grid(f.support, points, "simpson")
-        shapes, irfftn = [], grids.sp_fft.irfftn
-        monkeypatch.setattr(grids.sp_fft, "irfftn",
-                            lambda x, s, **kw: shapes.append(s) or irfftn(x, s, **kw))
+        lengths, fast_len = [], grids._next_fast_len
+        monkeypatch.setattr(grids, "_next_fast_len",
+                            lambda n: lengths.append(fast_len(n)) or lengths[-1])
         build_mixing_approximant(f, make_product_kernel(kernel_name, dim), k, grid)
         _, terms, name = self._fft_term("mix-rate", dim, kernel_name, k, points)
-        side = shapes[-1][0]
-        assert list(shapes[-1]) == [side] * dim
-        assert name == f"the smoothed target's FFT lattice ({side}^{dim} points)"
-        assert terms[name] == 32 * math.prod(shapes[-1])
+        shape = lengths[-dim:]
+        assert len(lengths) == dim and shape == [shape[0]] * dim
+        assert name == f"the smoothed target's FFT lattice ({shape[0]}^{dim} points)"
+        assert terms[name] == 16 * math.prod(shape)
 
     @pytest.mark.parametrize("dim, kernel_name, k, side, admitted", [
         (2, "gaussian", 16, 900, True),     # the 2-D mix-rate benchmark

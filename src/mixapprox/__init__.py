@@ -11,6 +11,7 @@ from .grids import (
     make_grid,
     restrict,
     sample_on_grid,
+    smooth,
 )
 from .kernels import (
     Dilation,

@@ -1,10 +1,13 @@
 """Tensor-product grids, quadrature, and discrete convolution on aligned lattices.
 
 Every integral in the package is realized as a tensor-product quadrature sum
-over a :class:`TensorGrid`.  Convolution is computed either by the direct
-quadrature sum (a Toeplitz contraction per axis, one block of rows at a time)
-or by FFT over the shared lattice; the two paths must agree to 1e-9 and are
-tested against each other.
+over a :class:`TensorGrid`.  Every field a study smooths on its own grid is
+a product target convolved with a product kernel, so :func:`smooth` builds
+it as the outer product of one 1-D lattice sum per axis: a Toeplitz
+contraction, one block of rows at a time, or one FFT line where that is
+faster.  :func:`convolve` keeps the n-D FFT over a widened lattice, the one
+path whose bits the dim > 1 mixing approximant is pinned to.  Both are
+tested against the n-D direct quadrature sum of the tests' oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "make_grid",
     "sample_on_grid",
     "restrict",
+    "smooth",
     "convolve",
 ]
 
@@ -34,11 +38,9 @@ TRUNCATION_TOL = 1e-9
 
 _BOX_TOL = 1e-12   # distance outside a box at which a point still counts as inside
 
-# Toeplitz rows the direct path copies and contracts at a time.  A multiple
-# of 4, because OpenBLAS's GEMV takes rows in fours, and large enough that
-# every shipped dim > 1 axis (at most 257 nodes) is one block, so its
-# contraction stays one GEMM: either way the result keeps the bits of one
-# product on the whole matrix.
+# Toeplitz rows a direct 1-D sum copies and contracts at a time.  A multiple
+# of 4, because OpenBLAS's GEMV takes rows in fours, so the result keeps the
+# bits of one product on the whole matrix.
 _BLOCK_ROWS = 256
 
 
@@ -271,19 +273,16 @@ def _row_blocks(n: int, size: int) -> list:
     return list(zip(edges, edges[1:]))
 
 
-def _contract_rows(mat: np.ndarray, vals: np.ndarray, axis: int) -> np.ndarray:
-    """Contract `axis` of `vals` with the (n_out, n_in) Toeplitz view `mat`.
+def _contract_rows(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for the (n_out, n_in) Toeplitz view `mat`.
 
     Rows are copied and multiplied one block of _BLOCK_ROWS at a time
     (:func:`_row_blocks`), so no dense (n_out, n_in) matrix exists.
     """
-    n_out, n_in = mat.shape
-    src = np.moveaxis(vals, axis, 0)
-    out = np.empty((n_out,) + src.shape[1:])
-    src, flat = src.reshape(n_in, -1), out.reshape(n_out, -1)
-    for a, b in _row_blocks(n_out, _BLOCK_ROWS):
-        np.dot(np.ascontiguousarray(mat[a:b]), src, out=flat[a:b])
-    return np.moveaxis(out, 0, axis)
+    out = np.empty(mat.shape[0])
+    for a, b in _row_blocks(mat.shape[0], _BLOCK_ROWS):
+        np.dot(np.ascontiguousarray(mat[a:b]), vec, out=out[a:b])
+    return out
 
 
 def _next_fast_len(n: int) -> int:
@@ -308,13 +307,26 @@ def _next_fast_len(n: int) -> int:
 _FFT_BLOCK_BYTES = 1 << 20
 
 
+def _fft_line(weighted: np.ndarray, kernel_axis: np.ndarray) -> np.ndarray:
+    """The 1-D lattice sum by FFT: the full linear convolution of `weighted`
+    (n nodes) with `kernel_axis` (L offsets) at the L - n + 1 output nodes
+    that start at n - 1, with the bits of scipy.signal.fftconvolve
+    (see :func:`_fft_lattice_sum`)."""
+    n, size = weighted.size, _next_fast_len(weighted.size + kernel_axis.size - 1)
+    spec = np.fft.rfft(weighted, size)
+    spec *= np.fft.rfft(kernel_axis, size)
+    out = np.fft.irfft(spec, size, norm="forward")[n - 1:kernel_axis.size]
+    out *= float(1 / np.longdouble(size))
+    return out
+
+
 def _fft_lattice_sum(weighted: np.ndarray, kernel, axis_offsets: list) -> np.ndarray:
     """The lattice sum of :func:`convolve` by FFT, on the output nodes.
 
     The full linear convolution of `weighted` (n_a nodes on axis a) with the
-    kernel's lattice_pdf on `axis_offsets` (L_a offsets), at the L_a - n_a + 1
-    output nodes per axis that start at n_a - 1.  It has the bits of
-    scipy's irfftn(rfftn(a) * rfftn(b)) on the next 5-smooth padded
+    Dilation's lattice_pdf on `axis_offsets` (L_a offsets), at the
+    L_a - n_a + 1 output nodes per axis that start at n_a - 1.  It has the
+    bits of scipy's irfftn(rfftn(a) * rfftn(b)) on the next 5-smooth padded
     shape (scipy.signal.fftconvolve): numpy.fft makes the same per-axis
     transforms in the same order, an rfft on the last axis, then ffts on the
     leading axes in axis order, inverted by iffts on the leading axes in
@@ -326,18 +338,14 @@ def _fft_lattice_sum(weighted: np.ndarray, kernel, axis_offsets: list) -> np.nda
     along its last axis in row blocks.  Each block of spectrum columns then
     runs the leading-axis transforms, the product and the leading-axis
     inverses, which keep only the output's rows, and writes them over the
-    kernel's columns it has used.  A 1-D sum is one line.
+    kernel's columns it has used.  A 1-D sum is one line (:func:`_fft_line`).
     """
     p = weighted.ndim
+    if p == 1:
+        return _fft_line(weighted, kernel.axis_pdf(axis_offsets[0]))
     fs = [_next_fast_len(n + off.size - 1) for n, off in zip(weighted.shape, axis_offsets)]
     keep = [slice(n - 1, off.size) for n, off in zip(weighted.shape, axis_offsets)]
     scale = float(1 / np.longdouble(math.prod(fs)))
-    if p == 1:
-        spec = np.fft.rfft(weighted, fs[0])
-        spec *= np.fft.rfft(kernel.lattice_pdf(axis_offsets), fs[0])
-        out = np.fft.irfft(spec, fs[0], norm="forward")[keep[0]]
-        out *= scale
-        return out
 
     half = fs[-1] // 2 + 1
     target = np.fft.rfft(weighted, fs[-1], axis=-1)
@@ -379,62 +387,52 @@ def check_resolution(grid: TensorGrid, k) -> None:
         )
 
 
-def convolve(f: GridFunction, kernel, out_grid: TensorGrid | None = None,
-             method: str = "auto") -> GridFunction:
-    """Convolve a grid density with a Dilation or SquaredDilation kernel.
+def smooth(f, kernel, grid: TensorGrid) -> GridFunction:
+    """A product density smoothed by a separable kernel, at the grid's nodes.
 
-    The kernel is truncated where its outside mass is TRUNCATION_TOL.  The
-    output grid defaults to the input grid widened by that radius, on the same
-    lattice; a caller that needs only part of it (usually the input grid
-    itself) passes that grid as `out_grid` and nothing else is computed.
+    f (a target or kernel: one `marginal` over `dim` axes) and the kernel (a
+    Dilation or SquaredDilation, a product of its ``axis_pdf``) both factor
+    over the axes, so the lattice sum over the grid's nodes is the outer
+    product of one 1-D sum per axis: the marginal times the quadrature
+    weights at the axis's nodes, against ``axis_pdf`` on the 2n - 1 offsets
+    between them.  Up to 2^23 (output, input) node pairs that sum contracts
+    the Toeplitz view of the offsets (:func:`_contract_rows`), which takes
+    n^2 multiply-adds; beyond, it is one FFT line (:func:`_fft_line`), which
+    is faster there.  No n-D array but the result is built.
+    """
+    if not f.dim == kernel.dim == grid.dim:
+        raise ValueError(f"target ({f.dim}), kernel ({kernel.dim}) and grid ({grid.dim}) "
+                         "dimensions differ")
+    check_resolution(grid, kernel.k)
+    n = grid.points_per_axis
+    sums = []
+    for x, w, offsets in zip(grid.nodes, grid.weights, _kernel_axis_offsets(grid, grid)):
+        weighted = f.marginal.pdf(x) * w
+        kernel_axis = kernel.axis_pdf(offsets)
+        if n * n <= 1 << 23:
+            sums.append(_contract_rows(_toeplitz(kernel_axis, n, n), weighted))
+        else:
+            sums.append(_fft_line(weighted, kernel_axis))
+    return GridFunction(grid, _clip_tiny_negatives(reduce(np.multiply.outer, sums)))
 
-    method: "auto" | "fft" | "direct".  The direct path is the quadrature-sum
-    oracle: one ``axis_pdf`` call per axis on the n_out + n_in - 1 lattice
-    offsets, viewed by index as the (n_out, n_in) Toeplitz matrix and
-    contracted one axis at a time, one block of its rows at a time, so the
-    matrix is never stored whole.  The fft path computes the same lattice
-    sum by FFT, on the kernel's ``lattice_pdf`` over the offset lattice, with
-    the bits of scipy's whole-lattice transforms but by per-axis
-    numpy.fft transforms a block at a time (:func:`_fft_lattice_sum`).
-    "auto" takes fft only in dim 1 beyond 2^23 (output, input) pairs.
+
+def convolve(f: GridFunction, kernel) -> GridFunction:
+    """Convolve a grid density with a Dilation, onto its grid widened by the
+    kernel's truncation radius, by FFT.
+
+    The kernel is truncated where its outside mass is TRUNCATION_TOL; the
+    output grid is the input grid widened by that radius on the same
+    lattice.  The lattice sum is :func:`_fft_lattice_sum`'s, with the bits
+    of scipy's whole-lattice transforms.  The studies smooth by
+    :func:`smooth`; this path is kept for the dim > 1 mixing approximant,
+    restricted back to its grid, whose greedy fit is pinned to these bits
+    (see ``mixtures.build_mixing_approximant``).
     """
     grid = f.grid
-    p = grid.dim
-    if kernel.dim != p:
+    if kernel.dim != grid.dim:
         raise ValueError("kernel dimension does not match the grid")
     check_resolution(grid, kernel.k)
-
-    if out_grid is None:
-        out_grid = _default_out_grid(f, float(kernel.radius(TRUNCATION_TOL)))
-    else:
-        for h_in, h_out in zip(grid.spacing, out_grid.spacing):
-            if abs(h_in - h_out) > 1e-9 * h_in:
-                raise GridCompatibilityError("output grid spacing mismatch")
-        for ax_in, ax_out in zip(grid.nodes, out_grid.nodes):
-            off = (ax_out[0] - ax_in[0]) / (ax_in[1] - ax_in[0])
-            if abs(off - round(off)) > 1e-6:
-                raise GridCompatibilityError("output grid is not lattice-aligned")
-
-    weighted = f.values * grid.weight_tensor()
-    axis_offsets = _kernel_axis_offsets(out_grid, grid)
-    n_in, n_out = grid.points_per_axis, out_grid.points_per_axis
-
-    if method == "auto":
-        # Each direct pass takes n_out * n_in multiply-adds but holds only a
-        # block of rows.  In dim 1 the fft kernel is a vector too, and faster
-        # once a widened output makes that product large, so the cap there
-        # bounds time, not memory; in dim > 1 the fft kernel is a full
-        # lattice, which the direct path never builds.
-        method = "direct" if p > 1 or n_out * n_in <= 1 << 23 else "fft"
-
-    if method == "direct":
-        vals = weighted
-        for axis in range(p):
-            mat = _toeplitz(kernel.axis_pdf(axis_offsets[axis]), n_out, n_in)
-            vals = _contract_rows(mat, vals, axis)
-    elif method == "fft":
-        vals = _fft_lattice_sum(weighted, kernel, axis_offsets)
-    else:
-        raise ValueError(f"unknown convolution method {method!r}")
-
+    out_grid = _default_out_grid(f, float(kernel.radius(TRUNCATION_TOL)))
+    vals = _fft_lattice_sum(f.values * grid.weight_tensor(), kernel,
+                            _kernel_axis_offsets(out_grid, grid))
     return GridFunction(out_grid, _clip_tiny_negatives(vals))

@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig
 from .densities import make_target
 from .divergences import AbsoluteContinuityError, _kl_sum, kl_divergence, lq_norm
 from .grids import (TRUNCATION_TOL, GridFunction, _next_fast_len, _widening,
-                    check_resolution, convolve, make_grid, sample_on_grid)
+                    check_resolution, make_grid, sample_on_grid, smooth)
 from .kernels import Dilation, certify_approximate_identity, make_product_kernel
 from .mixtures import (
     FiniteMixture,
@@ -198,8 +198,7 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
     result = StudyResult("conv-rate")
     sup_int_points = []
     for k in cfg.k_list:
-        out = convolve(f_gf, Dilation(kernel, k), out_grid=grid)
-        diff = out.values - f_gf.values
+        diff = smooth(f, Dilation(kernel, k), grid).values - f_gf.values
         metrics = {
             "sup": float(np.max(np.abs(diff))),
             "sup_interior": float(np.max(np.abs(diff[inner]))),
@@ -434,8 +433,7 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     # constants dominating every training cell, checked on the held-out cell.
     kl_by_k = {}
     for k in cfg.fit_k_grid:
-        fbar = convolve(f_gf, Dilation(kernel, k), out_grid=grid)
-        kl_by_k[k] = kl_divergence(f_gf, fbar)
+        kl_by_k[k] = kl_divergence(f_gf, smooth(f, Dilation(kernel, k), grid))
     beta = f.beta_lower
     eps_hat = beta * min(kl_by_k.values())
     result.rows.append(Row("mle-risk", "run", "", "", cfg.seed, "eps_hat", eps_hat))
@@ -593,8 +591,9 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
     means lattice, its build copies and the greedy's score vectors, 70 to 106
     B a mean where there are far more means than nodes; the greedy's table
     row blocks and step vectors beside its iterate fields, 121 to 251 B a
-    node; EM's log-joint and the arrays shaped like it, 3.1 to 5.1 x n N
-    doubles at the largest cell."""
+    node; its iterate mixtures, 8 (p + 1) B a component (of at most
+    min(s, M) at step s) and 364 to 382 B an iterate; EM's log-joint and the
+    arrays shaped like it, 3.1 to 5.1 x n N doubles at the largest cell."""
     study, dim, pts = cfg.study, cfg.density_dim, _grid_points(cfg)
     nodes = pts ** dim
     terms = {} if study == "check-identity" else {
@@ -607,14 +606,19 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
         side = _next_fast_len(3 * pts + 2 * ext - 2)
         terms[f"the smoothed target's FFT lattice ({side}^{dim} points)"] = 16 * side ** dim
     if study == "mix-rate":
-        m, n_max = cfg.means_per_axis, max(cfg.n_list)
+        m, n_max, kept = cfg.means_per_axis, max(cfg.n_list), len(set(cfg.n_list))
         terms[f"the {m ** dim} means and the greedy's score vectors"] = (
             8 * (3 * dim + 10) * m ** dim)
         terms[f"the greedy's factor tables ({m} means x {pts} nodes x {dim} axes)"] = (
             8 * m * pts * dim)
         terms[f"the greedy's table row blocks and step vectors on {nodes} nodes"] = 256 * nodes
-        # An upper bound: the fit keeps the fields of the n.list iterates only.
-        terms[f"the greedy's {n_max} iterate fields"] = n_max * nodes * 8
+        terms[f"the greedy's {kept} kept iterate fields"] = 8 * kept * nodes
+        # The fit keeps every iterate's mixture; step s adds at most one of
+        # the M = m^p elements, so it has at most min(s, M) components.
+        r = min(n_max, m ** dim)
+        components = r * (r + 1) // 2 + (n_max - r) * m ** dim
+        terms[f"the greedy's {n_max} iterate mixtures (up to {r} components each)"] = (
+            8 * (dim + 1) * components + 400 * n_max)
     elif study == "mle-risk":
         cells = _mle_cells(cfg)
         n, N = max(cells, key=lambda c: (c[0] * c[1], c[1]))

@@ -248,12 +248,6 @@ class SquaredDilation:
         self.dim = dilation.dim
         self.k = dilation.k
 
-    def radius(self, tol: float) -> float:
-        return self._d.radius(tol)
-
-    def lattice_pdf(self, axis_offsets):
-        return self._d.lattice_pdf(axis_offsets) ** 2
-
     def axis_pdf(self, offsets):
         return self._d.axis_pdf(offsets) ** 2
 

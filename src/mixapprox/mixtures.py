@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
 from .divergences import lq_norm
-from .grids import GridFunction, TensorGrid, _row_blocks, convolve, restrict, sample_on_grid
+from .grids import (GridFunction, TensorGrid, _row_blocks, convolve, restrict, sample_on_grid,
+                    smooth)
 from .kernels import Dilation, ProductKernel, SquaredDilation
 
 __all__ = [
@@ -146,10 +147,6 @@ class FiniteMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "k", int(self.k))
-
-    @property
-    def n(self) -> int:
-        return int(self.weights.shape[0])
 
     @property
     def dim(self) -> int:
@@ -613,8 +610,6 @@ class GreedyFit:
     mixtures: list              # FiniteMixture per iterate, 1..max(keep)
     fields: dict                # kept iterate count -> its grid values, shaped like the grid
     gaps: np.ndarray            # squared quadrature L2 gap to the target per iterate
-    selected: list              # dictionary index added per iterate
-    lambdas: list               # convex step size per iterate
     objective: str
 
 
@@ -674,7 +669,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
 
     weights: dict[int, float] = {}
     v = np.zeros_like(t)
-    mixtures, fields, gaps, selected, lambdas = [], {}, [], [], []
+    mixtures, fields, gaps = [], {}, []
 
     if objective == "kl":
         mask = t > 0
@@ -751,10 +746,8 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
         if step in keep:
             fields[step] = field
         gaps.append(lq_norm(GridFunction(target.grid, field - target.values), 2) ** 2)
-        selected.append(idx)
-        lambdas.append(float(lam))
 
-    return GreedyFit(mixtures, fields, np.asarray(gaps), selected, lambdas, objective)
+    return GreedyFit(mixtures, fields, np.asarray(gaps), objective)
 
 
 @dataclass(frozen=True, eq=False)
@@ -762,41 +755,35 @@ class MixingApproximant:
     """A target smoothed by one dilated kernel, realized on a grid.
 
     The mixing law over component means is the target density, sampled on the
-    grid; the realized grid function is the convolution of the two.
+    grid; the realized grid function is the convolution of the two, and the
+    second moment of the component density under that law is the target
+    smoothed by the squared kernel, the numerator shared by both
+    integral-ratio constants.  All three live on the one grid.
     """
 
     target: GridFunction        # the target density sampled on the grid
-    kernel: ProductKernel
-    k: int
     realized: GridFunction
-
-    @cached_property
-    def second_moment(self) -> GridFunction:
-        """Target convolved with the squared dilated kernel, on the realized grid.
-
-        The second moment of the component density under the mixing law, the
-        numerator shared by both integral-ratio constants; built on first use.
-        """
-        return convolve(self.target, SquaredDilation(Dilation(self.kernel, self.k)),
-                        out_grid=self.realized.grid)
+    second_moment: GridFunction
 
 
 def build_mixing_approximant(target, kernel: ProductKernel, k: int,
                              grid: TensorGrid) -> MixingApproximant:
-    """Sample a target on the grid and convolve it with the dilated kernel onto it."""
+    """Sample a target on the grid and smooth it by the dilated kernel and by
+    its square onto it."""
     f_gf = sample_on_grid(target, grid)
     dil = Dilation(kernel, int(k))
     if grid.dim > 1:
-        # Kept on the widened FFT sum, whose per-axis numpy.fft transforms
-        # keep the bits of scipy's on the whole padded lattice.  The
-        # exact per-axis sum differs from it only in the last bits, but
-        # greedy_fit's golden-section L2 step settles its weights only to
-        # rounding noise (inside the rounding radius its path follows the
-        # grid sums), so those bits move the KL of the 2-D greedy iterates by
-        # ~1e-6 relative.  A closed-form L2 step would let this take the
-        # per-axis sum too, and the memory budget's FFT term
-        # (harness.predicted_peak) go.
-        realized = restrict(convolve(f_gf, dil, method="fft"), grid.box)
+        # Pinned to the widened FFT sum of convolve, whose per-axis
+        # numpy.fft transforms keep the bits of scipy's on the whole padded
+        # lattice.  smooth's per-axis sum differs from it only in the last
+        # bits, but greedy_fit's golden-section L2 step settles its weights
+        # only to rounding noise (inside the rounding radius its path
+        # follows the grid sums), so those bits move the KL of the 2-D
+        # greedy iterates by ~2e-6 relative, beyond the benchmark's 1e-9
+        # references.  A closed-form L2 step would let this take smooth too,
+        # and _fft_lattice_sum, _default_out_grid, _widening, restrict and
+        # the memory budget's FFT term (harness.predicted_peak) go.
+        realized = restrict(convolve(f_gf, dil), grid.box)
     else:
-        realized = convolve(f_gf, dil, out_grid=grid)
-    return MixingApproximant(f_gf, kernel, int(k), realized)
+        realized = smooth(target, dil, grid)
+    return MixingApproximant(f_gf, realized, smooth(target, SquaredDilation(dil), grid))

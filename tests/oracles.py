@@ -2,8 +2,9 @@
 study runs.
 
 Point-wise densities on stacked points, the node mesh, box membership,
-quadrature mass, the difference of two grid functions, the full linear
-convolution by scipy.fft that the FFT path keeps the bits of, lattice
+quadrature mass, the difference of two grid functions, the n-D direct
+quadrature sum that both convolution paths are checked against, the full
+linear convolution by scipy.fft that the FFT paths keep the bits of, lattice
 convolution with the Young inequality checks, the kernel marginals' cdfs,
 the KL-versus-L2 check for lower-bounded densities, class membership and
 Lipschitz estimates of targets, a seedable mixture sampler, and grid-free
@@ -35,6 +36,8 @@ from mixapprox.grids import (
     GridFunction,
     SupportBox,
     _clip_tiny_negatives,
+    _kernel_axis_offsets,
+    _toeplitz,
     make_grid,
     sample_on_grid,
 )
@@ -83,6 +86,23 @@ def quadrature_integrate(h: GridFunction) -> float:
     if not np.all(np.isfinite(h.values)):
         raise ValueError("grid function contains non-finite values")
     return h.grid.integrate(h.values)
+
+
+def direct_lattice_sum(f: GridFunction, kernel, out_grid) -> GridFunction:
+    """The direct quadrature sum of a grid density convolved with a Dilation
+    or SquaredDilation, onto an output grid on the same lattice.
+
+    Per axis, the kernel's ``axis_pdf`` on the n_out + n_in - 1 lattice
+    offsets, viewed as the (n_out, n_in) Toeplitz matrix, contracts that
+    axis of the weighted values with one tensordot: the oracle of
+    ``grids.smooth`` and ``grids.convolve``.
+    """
+    vals = f.values * f.grid.weight_tensor()
+    n_in, n_out = f.grid.points_per_axis, out_grid.points_per_axis
+    for axis, offsets in enumerate(_kernel_axis_offsets(out_grid, f.grid)):
+        mat = _toeplitz(kernel.axis_pdf(offsets), n_out, n_in)
+        vals = np.moveaxis(np.tensordot(mat, vals, axes=([1], [axis])), 0, axis)
+    return GridFunction(out_grid, _clip_tiny_negatives(vals))
 
 
 def fft_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -358,7 +378,7 @@ def mixture_sample(mix, seed, n: int) -> np.ndarray:
     """Draw n points reproducibly from a seed or an existing Generator: a
     component per point by its weight, then its mean plus a kernel draw / k."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    comp = rng.choice(mix.n, size=n, p=mix.weights)
+    comp = rng.choice(mix.weights.size, size=n, p=mix.weights)
     return mix.means[comp] + mix.kernel.marginal.sample((n, mix.dim), rng) / mix.k
 
 

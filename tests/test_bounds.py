@@ -22,8 +22,8 @@ from mixapprox.bounds import (
 )
 from mixapprox.densities import make_target
 from mixapprox import bounds, mixtures
-from mixapprox.grids import GridFunction, SupportBox, convolve, cube, make_grid
-from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
+from mixapprox.grids import GridFunction, SupportBox, cube, make_grid
+from mixapprox.kernels import MARGINAL_NAMES, Dilation, SquaredDilation, make_product_kernel
 from mixapprox.mixtures import (
     FiniteMixture,
     MeanBox,
@@ -32,7 +32,7 @@ from mixapprox.mixtures import (
     build_dictionary,
     build_mixing_approximant,
 )
-from oracles import grid_mesh
+from oracles import direct_lattice_sum, grid_mesh
 
 GAUSS = make_product_kernel("gaussian", 1)
 UNIT_BOX = MeanBox(0.0, 1.0, 1)
@@ -224,8 +224,9 @@ def _point_mass_mixing():
     spike = np.zeros(grid.shape)
     spike[1024] = 1.0 / grid.weights[0][1024]
     target = GridFunction(grid, spike)
-    return MixingApproximant(target, GAUSS, 4,
-                             convolve(target, Dilation(GAUSS, 4), out_grid=grid))
+    dil = Dilation(GAUSS, 4)
+    return MixingApproximant(target, direct_lattice_sum(target, dil, grid),
+                             direct_lattice_sum(target, SquaredDilation(dil), grid))
 
 
 class TestIntegralRatioConstants:
@@ -264,20 +265,25 @@ class TestIntegralRatioConstants:
             assert hull_kl_constant(mixing) == pytest.approx(mc_ch, rel=0.01), (name, p, k)
             assert target_kl_constant(mixing) == pytest.approx(mc_ct, rel=0.01), (name, p, k)
 
-    def test_smoothed_fields_built_once_on_the_realized_grid(self, monkeypatch):
-        # Both constants share the mixing approximant's realized field and
-        # its squared-kernel numerator; only the numerator needs a convolution.
-        f = make_target("truncated-normal", 1)
-        grid = make_grid(f.support, 513, "simpson")
-        mixing = build_mixing_approximant(f, GAUSS, 4, grid)
+    @pytest.mark.parametrize("p, points, pinned", [(1, 513, 0), (2, 65, 1)])
+    def test_smoothed_fields_built_once_on_the_grid(self, monkeypatch, p, points, pinned):
+        # The approximant smooths the target by the kernel (in dim > 1 by the
+        # pinned widened FFT of convolve) and by its square, once each; both
+        # constants read those fields and smooth nothing.
+        f = make_target("truncated-normal", p)
+        grid = make_grid(f.support, points, "simpson")
         calls = []
-        real_convolve = mixtures.convolve
-        monkeypatch.setattr(mixtures, "convolve",
-                            lambda *a, **kw: calls.append(1) or real_convolve(*a, **kw))
+        for name in ("smooth", "convolve"):
+            real = getattr(mixtures, name)
+            monkeypatch.setattr(mixtures, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        mixing = build_mixing_approximant(f, make_product_kernel("gaussian", p), 4, grid)
+        assert sorted(calls) == ["convolve"] * pinned + ["smooth"] * (2 - pinned)
         hull_kl_constant(mixing)
         target_kl_constant(mixing)
-        assert len(calls) == 1
-        assert mixing.second_moment.grid.same_lattice(grid)
+        assert len(calls) == 2
+        for field in (mixing.target, mixing.realized, mixing.second_moment):
+            assert field.grid.same_lattice(grid)
 
     def test_symmetric_mixing_gives_symmetric_ratio(self):
         mix = FiniteMixture(np.array([0.5, 0.5]), np.array([[0.3], [0.7]]), 8, GAUSS)

@@ -1,4 +1,4 @@
-"""Tests for grids: quadrature, convolution, and the norm inequalities."""
+"""Tests for grids: quadrature, smoothing, convolution, and the norm inequalities."""
 
 import json
 import os
@@ -12,9 +12,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from mixapprox import grids
 from mixapprox.grids import (
     GridCompatibilityError,
     _clip_tiny_negatives,
+    _contract_rows,
     _default_out_grid,
     _fft_lattice_sum,
     _kernel_axis_offsets,
@@ -28,13 +30,15 @@ from mixapprox.grids import (
     make_grid,
     restrict,
     sample_on_grid,
+    smooth,
 )
-from mixapprox.kernels import Dilation, SquaredDilation, make_product_kernel
-from mixapprox.densities import ZOO_NAMES, make_target
+from mixapprox.kernels import Dilation, Marginal, SquaredDilation, make_product_kernel
+from mixapprox.densities import ZOO_NAMES, TargetDensity, make_target
 from oracles import (
     box_contains_box,
     box_contains_points,
     dilation_pdf,
+    direct_lattice_sum,
     fft_full,
     gaussian_smoothing,
     gaussian_smoothing_field,
@@ -172,56 +176,58 @@ def _tilted(gf):
     return GridFunction(gf.grid, gf.values * np.prod(1.0 + grid_mesh(gf.grid), axis=-1))
 
 
-def _one_shot_direct(fg, kernel, out_grid):
-    """The direct lattice sum with one tensordot per axis on the dense matrix."""
-    vals = fg.values * fg.grid.weight_tensor()
-    n_in, n_out = fg.grid.points_per_axis, out_grid.points_per_axis
-    for axis, offsets in enumerate(_kernel_axis_offsets(out_grid, fg.grid)):
-        mat = _toeplitz(kernel.axis_pdf(offsets), n_out, n_in)
-        vals = np.moveaxis(np.tensordot(mat, vals, axes=([1], [axis])), 0, axis)
-    return _clip_tiny_negatives(vals)
+class _Ramp(Marginal):
+    """The density 1/2 + x on [0, 1].  Every zoo marginal is mirror-symmetric,
+    which would hide a flipped lattice offset; this one is not."""
+
+    name = "ramp"
+    lo, hi = 0.0, 1.0
+    min_value, max_value = 0.5, 1.5
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 0.0) & (x <= 1.0), 0.5 + x, 0.0)
 
 
-def _block_case(case):
-    """(field, kernel, out_grid or None) for one entry of BLOCK_CASES."""
-    dim, points, name, squared, k, widened = case
-    f = make_target("clipped-cosine", dim)
-    grid = make_grid(f.support, points, "simpson")
+def _ramp(dim):
+    return TargetDensity(_Ramp(), dim)
+
+
+def _kernel(name, dim, k, squared):
     d = Dilation(make_product_kernel(name, dim), k)
-    return (_tilted(sample_on_grid(f, grid)), SquaredDilation(d) if squared else d,
-            None if widened else grid)
+    return SquaredDilation(d) if squared else d
 
 
-# (dim, points, kernel, squared, k, widened default output)
-WIDENED_CASE = (1, 1025, "gaussian", False, 4, True)
-BLOCK_CASES = [
-    *((1, 2049, name, squared, k, False) for name in ("gaussian", "laplace")
-      for squared in (False, True) for k in (2, 16)),
-    WIDENED_CASE,
-    (2, 257, "gaussian", False, 4, False),
-    (3, 33, "gaussian", False, 4, False),
-]
+# (points, kernel, squared, k) of 1-D sums on the direct side of the rule.
+BLOCK_CASES = [(2049, name, squared, k) for name in ("gaussian", "laplace")
+               for squared in (False, True) for k in (2, 16)]
 
 
 def _blocked_direct_mismatches():
-    """Cases where convolve's direct path differs in any bit from the oracle."""
+    """Cases where a blocked 1-D sum differs in any bit from the one-shot
+    product: smooth on the ramp against the oracle, and a Toeplitz view
+    whose 4155 rows end on a 315-row block."""
     bad = []
-    for case in BLOCK_CASES:
-        fg, kernel, out_grid = _block_case(case)
-        got = convolve(fg, kernel, out_grid=out_grid, method="direct")
-        if not np.array_equal(got.values, _one_shot_direct(fg, kernel, got.grid)):
-            bad.append(list(case))
+    for points, name, squared, k in BLOCK_CASES:
+        grid = make_grid(cube(0.0, 1.0, 1), points, "simpson")
+        kernel = _kernel(name, 1, k, squared)
+        want = direct_lattice_sum(sample_on_grid(_ramp(1), grid), kernel, grid).values
+        if not np.array_equal(smooth(_ramp(1), kernel, grid).values, want):
+            bad.append([points, name, squared, k])
+    vec = np.random.default_rng(5).random(1025)
+    mat = _toeplitz(np.random.default_rng(6).random(4155 + 1025 - 1), 4155, 1025)
+    if not np.array_equal(_contract_rows(mat, vec), np.dot(np.ascontiguousarray(mat), vec)):
+        bad.append("ragged")
     return bad
 
 
-class TestConvolve:
-    def test_blocked_direct_path_is_the_one_shot_product(self):
+class TestSmooth:
+    """The per-axis 1-D sums against the n-D direct quadrature sum."""
+
+    def test_blocked_direct_sum_is_the_one_shot_product(self):
         # The bits are compared under single-threaded BLAS: with more threads
         # a GEMV splits its rows by thread count, so even the one-shot
         # product's bits depend on it.  A child process pins the threads.
-        fg, kernel, _ = _block_case(WIDENED_CASE)
-        n_out = _default_out_grid(fg, float(kernel.radius(TRUNCATION_TOL))).points_per_axis
-        assert n_out == 4155   # the widened case ends on a 315-row block
         here = Path(__file__).resolve().parent
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1",
@@ -233,6 +239,58 @@ class TestConvolve:
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout.splitlines()[-1]) == []
 
+    @pytest.mark.parametrize("dim, points, path", [
+        (1, 513, "direct"),
+        (1, 2895, "direct"),    # 2895^2 pairs, the last odd count within 2^23
+        (1, 2897, "fft"),       # 2897^2 pairs, the first odd count beyond
+        (2, 65, "direct"), (3, 33, "direct"),
+    ], ids=["1d", "1d-rule-direct", "1d-rule-fft", "2d", "3d"])
+    @pytest.mark.parametrize("squared", [False, True], ids=["dilation", "squared"])
+    def test_matches_the_direct_oracle(self, monkeypatch, dim, points, path, squared):
+        f, kernel = _ramp(dim), _kernel("gaussian", dim, 4, squared)
+        grid = make_grid(f.support, points, "simpson")
+        taken = []
+        for name, tag in (("_contract_rows", "direct"), ("_fft_line", "fft")):
+            real = getattr(grids, name)
+            monkeypatch.setattr(grids, name,
+                                lambda *a, real=real, tag=tag: taken.append(tag) or real(*a))
+        got = smooth(f, kernel, grid)
+        assert taken == [path] * dim
+        want = direct_lattice_sum(sample_on_grid(f, grid), kernel, grid)
+        assert got.grid is grid
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(want.values)
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["dilation", "squared"])
+    def test_fft_line_has_the_scipy_bits(self, squared):
+        # Beyond 2^23 pairs a 1-D sum is scipy's fftconvolve of the weighted
+        # marginal and the kernel line, bit for bit.
+        f, kernel = _ramp(1), _kernel("gaussian", 1, 16, squared)
+        grid = make_grid(f.support, 4097, "simpson")
+        (offsets,) = _kernel_axis_offsets(grid, grid)
+        full = fft_full(sample_on_grid(f, grid).values * grid.weights[0], kernel.axis_pdf(offsets))
+        want = _clip_tiny_negatives(full[4096:8193])
+        assert np.array_equal(smooth(f, kernel, grid).values, want)
+
+    @pytest.mark.parametrize("dim,points", [(1, 513), (2, 65), (3, 33)])
+    def test_matches_the_restricted_convolution(self, dim, points):
+        # The studies' fields against the pinned widened FFT sum restricted
+        # to the grid.
+        f = _ramp(dim)
+        grid = make_grid(f.support, points, "simpson")
+        d = Dilation(make_product_kernel("gaussian", dim), 4)
+        a = smooth(f, d, grid)
+        b = restrict(convolve(sample_on_grid(f, grid), d), grid.box)
+        assert np.max(np.abs(a.values - b.values)) < 1e-12 * np.max(np.abs(b.values))
+
+    def test_rejects_a_dimension_mismatch_and_a_coarse_grid(self):
+        d = Dilation(make_product_kernel("gaussian", 2), 4)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            smooth(_ramp(1), d, make_grid(cube(0.0, 1.0, 2), 65, "simpson"))
+        with pytest.raises(ValueError, match="coarse"):
+            smooth(_ramp(2), d, make_grid(cube(0.0, 1.0, 2), 9, "simpson"))
+
+
+class TestConvolve:
     def test_gaussian_variance_addition(self):
         f = truncated_normal_density(-8.0, 8.0)
         grid = make_grid(f.support, 2049, "trapezoid")
@@ -246,8 +304,7 @@ class TestConvolve:
         f = make_target("uniform-box", 1)
         grid = make_grid(f.support, 2049, "trapezoid")
         fg = sample_on_grid(f, grid)
-        out = convolve(fg, Dilation(make_product_kernel("uniform-symmetric", 1), 1),
-                       method="direct")
+        out = convolve(fg, Dilation(make_product_kernel("uniform-symmetric", 1), 1))
         x = out.grid.nodes[0]
         tri = np.clip(np.minimum(x + 0.5, 1.5 - x), 0.0, 1.0)
         err = np.abs(out.values - tri)
@@ -269,8 +326,8 @@ class TestConvolve:
         grid = make_grid(f.support, 513, "trapezoid")
         fg = sample_on_grid(f, grid)
         d = Dilation(make_product_kernel("gaussian", 1), 4)
-        a = convolve(fg, d, method="direct")
-        b = convolve(fg, d, method="fft")
+        b = convolve(fg, d)
+        a = direct_lattice_sum(fg, d, b.grid)
         assert np.max(np.abs(a.values - b.values)) < 1e-9
 
     @pytest.mark.parametrize("dim,points", [(2, 65), (3, 33)])
@@ -279,15 +336,15 @@ class TestConvolve:
         grid = make_grid(f.support, points, "trapezoid")
         fg = sample_on_grid(f, grid)
         d = Dilation(make_product_kernel("gaussian", dim), 4)
-        a = convolve(fg, d, method="direct")
-        b = convolve(fg, d, method="fft")
+        b = convolve(fg, d)
+        a = direct_lattice_sum(fg, d, b.grid)
         assert np.max(np.abs(a.values - b.values)) < 1e-9
         assert grid_mass(a) == pytest.approx(1.0, abs=1e-6)
         # Every zoo target is mirror-symmetric, which would hide a flipped
         # lattice offset; a tilted field is not.
         tilted = _tilted(fg)
-        a = convolve(tilted, d, method="direct")
-        b = convolve(tilted, d, method="fft")
+        b = convolve(tilted, d)
+        a = direct_lattice_sum(tilted, d, b.grid)
         assert np.max(np.abs(a.values - b.values)) < 1e-9
         assert grid_mass(a) == pytest.approx(grid_mass(tilted), abs=1e-6)
 
@@ -302,37 +359,33 @@ class TestConvolve:
         a, b = rng.random(shape_a), rng.standard_normal(shape_b)
         assert np.array_equal(fft_full(a, b), fftconvolve(a, b, mode="full"))
 
-    @pytest.mark.parametrize("dim, points, k, widened", [
-        (1, 2049, 16, False), (1, 2049, 16, True),
-        (2, 257, 16, True), (2, 257, 8, True),      # the two benchmark kernels
-        (3, 33, 4, True),
-    ], ids=["1d", "1d-widened", "2d-k16", "2d-k8", "3d"])
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_fft_path_has_the_scipy_bits(self, dim, points, k, widened, squared):
+    @pytest.mark.parametrize("dim, points, k", [
+        (1, 2049, 16),
+        (2, 257, 16), (2, 257, 8),      # the two benchmark kernels
+        (3, 33, 4),
+    ], ids=["1d", "2d-k16", "2d-k8", "3d"])
+    def test_fft_path_has_the_scipy_bits(self, dim, points, k):
         # The per-axis numpy.fft path against scipy.fft's rfftn/irfftn on the
         # whole padded lattice, bit for bit.
         f = make_target("truncated-normal", dim)
         grid = make_grid(f.support, points, "simpson")
         fg = _tilted(sample_on_grid(f, grid))
-        d = Dilation(make_product_kernel("gaussian", dim), k)
-        kernel = SquaredDilation(d) if squared else d
-        out_grid = _default_out_grid(fg, d.radius(TRUNCATION_TOL)) if widened else grid
+        kernel = Dilation(make_product_kernel("gaussian", dim), k)
+        out_grid = _default_out_grid(fg, kernel.radius(TRUNCATION_TOL))
         offsets = _kernel_axis_offsets(out_grid, grid)
         full = fft_full(fg.values * grid.weight_tensor(), kernel.lattice_pdf(np.ix_(*offsets)))
         n_in, n_out = grid.points_per_axis, out_grid.points_per_axis
         want = full[(slice(n_in - 1, n_in - 1 + n_out),) * dim]
-        got = convolve(fg, kernel, out_grid=None if widened else grid, method="fft")
+        got = convolve(fg, kernel)
         assert got.values.shape == (n_out,) * dim
         assert np.array_equal(got.values, _clip_tiny_negatives(want))
 
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_fft_lattice_sum_on_a_non_cubic_lattice(self, squared):
+    def test_fft_lattice_sum_on_a_non_cubic_lattice(self):
         # Three axes of different lengths, so different padded lengths: each
         # axis's transform and its output rows follow its own shape.
         rng = np.random.default_rng(3)
         weighted = rng.random((17, 20, 23))
-        d = Dilation(make_product_kernel("gaussian", 3), 4)
-        kernel = SquaredDilation(d) if squared else d
+        kernel = Dilation(make_product_kernel("gaussian", 3), 4)
         offsets = [0.02 * np.arange(n) - 0.01 * n for n in (41, 30, 57)]
         full = fft_full(weighted, kernel.lattice_pdf(np.ix_(*offsets)))
         want = full[tuple(slice(n - 1, off.size) for n, off in zip(weighted.shape, offsets))]
@@ -345,21 +398,6 @@ class TestConvolve:
 
         assert [_next_fast_len(n) for n in range(1, 20001)] == \
             [next_fast_len(n, True) for n in range(1, 20001)]
-
-    @pytest.mark.parametrize("dim,points", [(1, 513), (2, 65), (3, 33)])
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_out_grid_matches_restricted_default(self, dim, points, squared):
-        # Convolving straight onto the input grid gives the restriction of the
-        # widened default output, for densities and for the squared kernel.
-        f = make_target("clipped-cosine", dim)
-        grid = make_grid(f.support, points, "simpson")
-        fg = _tilted(sample_on_grid(f, grid))
-        d = Dilation(make_product_kernel("gaussian", dim), 4)
-        kernel = SquaredDilation(d) if squared else d
-        a = convolve(fg, kernel, out_grid=grid)
-        b = restrict(convolve(fg, kernel), grid.box)
-        assert a.grid is grid
-        assert np.max(np.abs(a.values - b.values)) < 1e-12 * np.max(np.abs(b.values))
 
     def test_identity_scale_matches_kernel(self):
         # Convolving a near-point mass recovers the kernel shape; here just
@@ -382,7 +420,7 @@ class TestConvolve:
         f = make_target("tent", 1)
         grid = make_grid(f.support, 1025, "trapezoid")
         fg = sample_on_grid(f, grid)
-        out = convolve(fg, Dilation(make_product_kernel("gaussian", 1), 8), method="fft")
+        out = convolve(fg, Dilation(make_product_kernel("gaussian", 1), 8))
         assert np.min(out.values) >= 0.0
 
     def test_coarse_grid_guard(self):
@@ -399,7 +437,7 @@ class TestConvolve:
         grid_f = make_grid(f.support, 513, "trapezoid")
         fg = sample_on_grid(f, grid_f)
         tri = make_product_kernel("triangular", 1)
-        conv1 = convolve(fg, Dilation(tri, 1), method="direct")
+        conv1 = convolve(fg, Dilation(tri, 1))
 
         grid_t = make_grid(cube(-1.0, 1.0, 1), 1025, "trapezoid")
         tg = sample_on_grid(tri, grid_t)
@@ -495,8 +533,7 @@ class TestConvergenceRealization:
         kernel = make_product_kernel("gaussian", 1)
         out = {1: [], 2: [], "sup": []}
         for k in self.KS:
-            o = restrict(convolve(fg, Dilation(kernel, k)), f.support)
-            diff = GridFunction(grid, o.values - fg.values)
+            diff = GridFunction(grid, smooth(f, Dilation(kernel, k), grid).values - fg.values)
             out[1].append(lq_norm(diff, 1))
             out[2].append(lq_norm(diff, 2))
             out["sup"].append(float(np.max(np.abs(diff.values))))
@@ -574,6 +611,5 @@ def test_gaussian_smoothing_matches_its_closed_form(name, dim, k, tol):
     # against the closed form at its nodes, a product over axes of the 1-D one.
     f = make_target(name, dim)
     grid = make_grid(f.support, {1: 2049, 2: 257, 3: 65}[dim], "simpson")
-    out = convolve(sample_on_grid(f, grid), Dilation(make_product_kernel("gaussian", dim), k),
-                   out_grid=grid)
+    out = smooth(f, Dilation(make_product_kernel("gaussian", dim), k), grid)
     assert np.max(np.abs(out.values - gaussian_smoothing_field(name, k, grid))) <= tol

@@ -21,7 +21,7 @@ from mixapprox.cli import main as cli_main
 from mixapprox.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from mixapprox.densities import make_target
 from mixapprox.divergences import kl_divergence
-from mixapprox.grids import GridFunction, convolve, make_grid, sample_on_grid
+from mixapprox.grids import GridFunction, make_grid, sample_on_grid, smooth
 from mixapprox.harness import (
     CSV_HEADER,
     Row,
@@ -204,8 +204,8 @@ class TestConvRateStudy:
         assert inner[32] < 0.01
 
     def test_3d_default_grid_fits_in_memory(self):
-        # The 3-D default grid (65^3) convolves per axis onto the study grid;
-        # a widened p-dimensional kernel mesh there would take gigabytes.
+        # The 3-D default grid (65^3) is smoothed as an outer product of 1-D
+        # sums; a widened p-dimensional kernel mesh there would take gigabytes.
         cfg = ExperimentConfig(study="conv-rate", density_name="tent", density_dim=3,
                                k_list=(2, 4)).validate()
         tracemalloc.start()
@@ -219,15 +219,14 @@ class TestConvRateStudy:
         assert len(sups) == 2 and sups[1] < sups[0]
 
     def test_1d_direct_convolution_holds_no_dense_matrix(self):
-        # The direct path contracts 256-row blocks of the Toeplitz matrix; the
-        # dense (2049, 2049) matrix alone would take 32 MiB.
+        # The direct 1-D sum contracts 256-row blocks of the Toeplitz matrix;
+        # the dense (2049, 2049) matrix alone would take 32 MiB.
         f = make_target("two-truncated-normals", 1)
         grid = make_grid(f.support, 2049, "simpson")
-        fg = sample_on_grid(f, grid)
         kernel = Dilation(make_product_kernel("gaussian", 1), 8)
         tracemalloc.start()
         try:
-            out = convolve(fg, kernel, out_grid=grid)
+            out = smooth(f, kernel, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -868,10 +867,10 @@ class TestMemoryBudget:
         # EM's (n, N) log-joint alone would be 298 GiB.
         ("mle-risk", "n.list = 4000\nN.list = 10000000\n",
          "EM's log-joint at n = 4000, N = 10000000"),
-        # 16384 iterate fields of 257^2 doubles: 8.7 GB.
-        ("mix-rate", "density.dim = 2\nk.list = 16\nn.list = 1,16384\n"
+        # 10^7 iterate mixtures of up to 289 components: 68 GiB.
+        ("mix-rate", "density.dim = 2\nk.list = 16\nn.list = 1,10000000\n"
                      "dictionary.means_per_axis = 17\n",
-         "the greedy's 16384 iterate fields"),
+         "the greedy's 10000000 iterate mixtures (up to 289 components each)"),
         # 30000^2 means: the means lattice alone would be 14 GB.
         ("mix-rate", "density.dim = 2\nk.list = 16\ndictionary.means_per_axis = 30000\n",
          "the 900000000 means and the greedy's score vectors"),

@@ -1,7 +1,8 @@
 """Source hygiene: every top-level import of a module or test file is used,
 the package neither evaluates on a stacked mesh nor warns, every function,
-class, method and data attribute it defines is read by its own code, and
-every config field is read by a study or the CLI.
+class, method and data attribute it defines is read by its own code, every
+config field is read by a study or the CLI, and only the pinned mixing
+approximant calls ``convolve``.
 
 No linter ships with the package, so these scans stand in for one.  The
 package ``__init__`` is left out of the import scan: its imports are
@@ -227,6 +228,45 @@ def test_scan_flags_an_unread_data_attribute():
            "top(Pair([Flat(), Bump(1.0)]))\n")
     assert _unreferenced_definitions([ast.parse(src)]) == \
         ["Bump.slope", "Flat.slope", "Pair.slope"]
+
+
+def _convolve_calls(tree: ast.Module) -> list:
+    """(line, innermost enclosing function or None) of every call of
+    ``convolve`` or ``<x>.convolve``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "convolve":
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_only_the_pinned_approximant_calls_convolve():
+    # Every field a study smooths comes from grids.smooth.  The widened FFT
+    # of convolve is kept for the bits that the dim > 1 approximant's greedy
+    # fit is pinned to, and this check goes with the pin.
+    callers = {(p.name, function) for p in SRC
+               for _, function in _convolve_calls(ast.parse(p.read_text(), filename=str(p)))}
+    assert callers == {("mixtures.py", "build_mixing_approximant")}
+
+
+def test_scan_finds_each_convolve_call_and_its_function():
+    src = ("from .grids import convolve\n"
+           "def build_mixing_approximant(f):\n    return convolve(f, d)\n"
+           "def run(f):\n    def inner():\n        return grids.convolve(f, d)\n"
+           "    return inner, convolve, smooth(f, d)\n"
+           "convolve(f, d)\n")
+    assert _convolve_calls(ast.parse(src)) == [
+        (3, "build_mixing_approximant"), (6, "inner"), (8, None)]
 
 
 def _unread_fields(names, trees: list) -> list:

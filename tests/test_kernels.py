@@ -1,6 +1,7 @@
 """Tests for kernel marginals, product kernels, dilations, and certification."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -259,8 +260,11 @@ class TestLatticePdf:
         assert np.array_equal(got, ref)
 
     def test_squared_dilation(self, name, p, k):
+        # The squared kernel's per-axis factors, multiplied out, are the
+        # square of the point-wise density.
         d, lattice, ref = self._case(name, p, k)
-        assert np.array_equal(SquaredDilation(d).lattice_pdf(lattice), ref ** 2)
+        got = reduce(np.multiply, [SquaredDilation(d).axis_pdf(o) for o in lattice])
+        assert_allclose(got, ref ** 2, rtol=1e-14, atol=0.0)
 
 
 class TestL1Tail:

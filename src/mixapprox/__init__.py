@@ -1,6 +1,13 @@
 """Convolution smoothing, finite location-scale mixtures, and desk-scale
 verification of the associated approximation and estimation bounds."""
 
+# numpy 2 loads these submodules on first use.  The studies use all three
+# (numpy.ma through np.quantile), so they load with the package rather than
+# inside the first study's time.
+import numpy.fft
+import numpy.ma
+import numpy.random
+
 from .grids import (
     GridCompatibilityError,
     GridFunction,

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .grids import SupportBox, cube
-from .kernels import Gaussian, Marginal
+from .kernels import Gaussian, Marginal, _ndtr, _ndtri
 
 __all__ = [
     "TargetDensity",
@@ -100,8 +99,8 @@ class _TruncatedNormal(Marginal):
         self.sigma = float(sigma)
         self.a = (self.lo - self.mu) / self.sigma
         self.b = (self.hi - self.mu) / self.sigma
-        self.z = float(ndtr(self.b) - ndtr(self.a))
-        self.cdf_a = float(ndtr(self.a))
+        self.z = float(_ndtr(self.b) - _ndtr(self.a))
+        self.cdf_a = float(_ndtr(self.a))
         # Extremes of the density over the closed interval.
         ends = _GAUSS.pdf(np.array([self.a, self.b])) / (self.sigma * self.z)
         self.min_value = float(ends.min())
@@ -116,7 +115,7 @@ class _TruncatedNormal(Marginal):
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
-        return self.mu + self.sigma * ndtri(self.cdf_a + u * self.z)
+        return self.mu + self.sigma * _ndtri(self.cdf_a + u * self.z)
 
 
 class _TwoTruncatedNormals(Marginal):

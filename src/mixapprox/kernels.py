@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import ndtr, ndtri
 
 from .grids import _axis_weights
 
@@ -33,6 +31,118 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# The normal cdf and its inverse, ported from cephes ndtr.c and ndtri.c
+# (Moshier 1989) as scipy.special ships them: the same coefficients, Horner
+# order and branch points (two of ndtr's give the same bits and are merged),
+# so the same bits (tests/test_kernels.py checks them against scipy.special).  Python floats and numpy's + - * / and sqrt
+# round as C does; log and exp come from libm through math, because numpy's
+# SIMD log and exp differ from libm in the last bit on some inputs.
+_LIBM_LOG = np.frompyfunc(math.log, 1, 1)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189        # exp(-2)
+_MAXLOG = 7.09782712893383996732e2      # log(DBL_MAX)
+
+
+def _polevl(x, coefs):
+    """cephes polevl: c0 x^n + ... + cn by Horner."""
+    out = coefs[0]
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _p1evl(x, coefs):
+    """cephes p1evl: x^n + c0 x^(n-1) + ... by Horner, the leading 1 implied."""
+    out = x + coefs[0]
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtr_float(a):
+    """Standard normal cdf Φ(a) of one float: cephes ndtr, with its erf and
+    erfc.  cephes takes 0.5 + 0.5 erf(x) for |x| < 1/sqrt 2 and 0.5 (1 - erf|x|)
+    from there to |x| = 1; over that stretch both round once, after erf
+    (Sterbenz), so erf serves all of |x| < 1 with the same bits."""
+    x = a * 0.70710678118654752440
+    z = abs(x)
+    if z < 1.0:
+        return 0.5 + 0.5 * (x * _polevl(x * x, _ERF_T) / _p1evl(x * x, _ERF_U))
+    if -z * z < -_MAXLOG:
+        y = 0.0                         # exp(-z^2) underflows
+    elif z < 8.0:
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_P) / _p1evl(z, _ERFC_Q))
+    else:
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_R) / _p1evl(z, _ERFC_S))
+    return 1.0 - y if x > 0 else y
+
+
+_NDTR = np.frompyfunc(_ndtr_float, 1, 1)
+
+
+def _ndtr(a):
+    """Standard normal cdf Φ, elementwise.  The studies take it of scalars,
+    inside quadrature too, where a Python float beats numpy's per-call cost."""
+    return np.asarray(_NDTR(a), dtype=float)[()]
+
+
+def _ndtri(y0):
+    """Inverse standard normal cdf Φ⁻¹(y0): cephes ndtri; ±inf at 0 and 1,
+    nan off [0, 1].  The tails, and within them the deep fit (y < exp(-32)),
+    are evaluated only where some element needs them."""
+    y0 = np.asarray(y0, dtype=float)
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.where(y == 0.0, np.where(upper, np.inf, -np.inf), np.nan)
+    mid = y > _EXP_M2
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    out[mid] = (ym + ym * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) \
+        * 2.50662827463100050242e0
+    tail = (y > 0.0) & ~mid
+    if tail.any():
+        x = np.sqrt(-2.0 * _LIBM_LOG(y[tail]).astype(float))
+        x0 = x - _LIBM_LOG(x).astype(float) / x
+        z = 1.0 / x
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+        deep = x >= 8.0
+        if deep.any():
+            zd = z[deep]
+            x1[deep] = zd * _polevl(zd, _NDTRI_P2) / _p1evl(zd, _NDTRI_Q2)
+        x = x0 - x1
+        out[tail] = np.where(upper[tail], x, -x)
+    return out[()]
 
 
 class Marginal:
@@ -69,13 +179,13 @@ class Gaussian(Marginal):
         return -0.5 * x * x - _LOG_SQRT_2PI
 
     def tail_mass(self, delta):
-        return 2.0 * ndtr(-np.asarray(delta, dtype=float))
+        return 2.0 * _ndtr(-np.asarray(delta, dtype=float))
 
     def moment(self, a):
-        return float(2.0 ** (a / 2.0) * gamma_fn((a + 1.0) / 2.0) / math.sqrt(math.pi))
+        return 2.0 ** (a / 2.0) * math.gamma((a + 1.0) / 2.0) / math.sqrt(math.pi)
 
     def radius(self, tol):
-        return float(-ndtri(min(tol, 1.0) / 2.0))
+        return float(-_ndtri(min(tol, 1.0) / 2.0))
 
     def sample(self, n, rng):
         return rng.standard_normal(n)
@@ -96,7 +206,7 @@ class Laplace(Marginal):
         return np.exp(-np.asarray(delta, dtype=float))
 
     def moment(self, a):
-        return float(gamma_fn(a + 1.0))
+        return math.gamma(a + 1.0)
 
     def radius(self, tol):
         return float(-math.log(min(tol, 1.0)))
@@ -262,19 +372,19 @@ def make_product_kernel(marginal_name: str, dim: int) -> ProductKernel:
     return ProductKernel(int(dim), _MARGINALS[marginal_name]())
 
 
-def _l1_inside_mass(marginal: Marginal, p: int, s: float) -> float:
-    """P(|Z_1| + ... + |Z_p| <= s) for iid symmetric marginals."""
+def _l1_inside_mass(marginal: Marginal, p: int, s: float, reach: float) -> float:
+    """P(|Z_1| + ... + |Z_p| <= s) for iid symmetric marginals, each |Z|
+    integrated up to min(s, reach), with reach the marginal's radius(1e-14)."""
     if s <= 0:
         return 0.0
     if p == 1:
         return float(1.0 - marginal.tail_mass(s))
     from scipy import integrate     # imported here: no study needs it at p = 1
 
-    upper = min(s, marginal.radius(1e-14))
     val, _ = integrate.quad(
-        lambda z: marginal.pdf(z) * _l1_inside_mass(marginal, p - 1, s - z),
+        lambda z: marginal.pdf(z) * _l1_inside_mass(marginal, p - 1, s - z, reach),
         0.0,
-        upper,
+        min(s, reach),
         epsabs=1e-12,
         epsrel=1e-10,
         limit=200,
@@ -285,7 +395,9 @@ def _l1_inside_mass(marginal: Marginal, p: int, s: float) -> float:
 def l1_outside_mass(dilation: Dilation, delta: float) -> float:
     """Mass of a dilated kernel outside the l1 ball of radius delta."""
     s = float(delta) * dilation.k
-    inside = _l1_inside_mass(dilation.base.marginal, dilation.dim, s)
+    m = dilation.base.marginal
+    reach = m.radius(1e-14) if dilation.dim > 1 else math.inf   # unused in 1-D
+    inside = _l1_inside_mass(m, dilation.dim, s, reach)
     return float(min(max(1.0 - inside, 0.0), 1.0))
 
 

@@ -143,10 +143,14 @@ def test_criterion_4a_lipschitz_rate_tent():
 
 def test_criterion_4b_lipschitz_rate_truncated_normal():
     # Known red: the hard-truncated normal is smooth inside its box, so its
-    # interior sup error decays at second order (slope near -2), while the
-    # boundary discontinuity pins the full-box sup near a constant.  No sup
-    # variant lands in the stated first-order band; the gate is kept as
-    # stated instead of being loosened.
+    # interior sup error decays at second order, while the boundary
+    # discontinuity pins the full-box sup near a constant.  The measured
+    # interior slope is -2.298: the jumps' edge layer is the interior sup up
+    # to k = 8 and f''/(2k^2) from k = 16, and the grid-free closed form
+    # fits the same -2.298 (test_grids.py::TestConvergenceRealization::
+    # test_truncated_normal_interior_error_is_second_order).  No sup variant
+    # lands in the stated first-order band; the gate is kept as stated
+    # instead of being loosened.
     t0 = time.perf_counter()
     slope, monotone = _conv_rate_check("truncated-normal")
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from mixapprox import harness
 from mixapprox.densities import ZOO_NAMES, TargetDensity, make_target
@@ -233,6 +233,20 @@ class TestSamplers:
             p = quadrature_integrate(sample_on_grid(base, g))
             se = math.sqrt(max(p * (1 - p), 1e-12) / xs.shape[0])
             assert abs(counts[i] / xs.shape[0] - p) <= 4 * se, i
+
+    @pytest.mark.parametrize("name", ["truncated-normal", "two-truncated-normals"])
+    def test_truncated_normal_draws_have_the_scipy_bits(self, name):
+        # The inverse-cdf draw mu + sigma ndtri(Phi(a) + u Z) and its
+        # normaliser Z, bit for bit as scipy.special computes them; the
+        # two-bump components reach ndtri's tails.
+        marginal = make_target(name, 1).marginal
+        for m in getattr(marginal, "components", (marginal,)):
+            assert m.cdf_a == ndtr(m.a)
+            assert m.z == ndtr(m.b) - ndtr(m.a)
+            u = np.random.default_rng(8).random(200_000)
+            want = m.mu + m.sigma * ndtri(m.cdf_a + u * m.z)
+            got = m.sample(u.size, np.random.default_rng(8))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
     def test_deterministic_given_seed(self):
         f = make_target("clipped-cosine", 1)

@@ -1,6 +1,7 @@
 """Tests for grids: quadrature, smoothing, convolution, and the norm inequalities."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from mixapprox.grids import (
 )
 from mixapprox.kernels import Dilation, Marginal, SquaredDilation, make_product_kernel
 from mixapprox.densities import ZOO_NAMES, TargetDensity, make_target
+from mixapprox.harness import fit_loglog_slope
 from oracles import (
     box_contains_box,
     box_contains_points,
@@ -580,6 +582,32 @@ class TestConvergenceRealization:
                   lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
         assert np.sqrt(sq) == pytest.approx(exact, rel=1e-8)
         assert self._errors(name)[2][-1] == pytest.approx(exact, rel=0, abs=1e-8)
+
+    def test_truncated_normal_interior_error_is_second_order(self):
+        # Criterion 4b's known red, without a grid.  On conv-rate's interior
+        # sub-box [-0.8, 0.8] the Gaussian smoothing error of the truncated
+        # normal f = phi / Z is f''/(2k^2) + f''''/(8k^4) + ..., plus the
+        # edge layer of the jumps at +-1, which decays like exp(-(0.2k)^2 / 2).
+        # That layer is the sup up to k = 8 (at x = -0.8) and the second-order
+        # term from k = 16 (at x = 0), so the log-log fit over k = 2..32
+        # reads -2.298, 4b's measured slope (-2.2978 on 2049 nodes), while
+        # the leading term alone has slope -2.
+        f = make_target("truncated-normal", 1).marginal
+        xs = np.linspace(-0.8, 0.8, 16001)
+        second = (xs * xs - 1.0) * f.pdf(xs)          # f''
+        sups, at = [], []
+        for k in (2, 4, 8, 16, 32, 64):
+            err = gaussian_smoothing("truncated-normal", k, xs) - f.pdf(xs)
+            sups.append(float(np.max(np.abs(err))))
+            at.append(float(xs[np.argmax(np.abs(err))]))
+            if k >= 32:
+                # relative remainder ~3/(4k^2) from the fourth-order term
+                lead = second / (2.0 * k * k)
+                assert np.max(np.abs(err - lead)) <= np.max(np.abs(lead)) / k ** 2
+        assert at == [-0.8, -0.8, -0.8, 0.0, 0.0, 0.0]
+        slope = fit_loglog_slope(list(zip((2, 4, 8, 16, 32), sups))).slope
+        assert slope == pytest.approx(-2.298, abs=1e-3)
+        assert math.log2(sups[4] / sups[3]) == pytest.approx(-2.0, abs=0.01)
 
     @pytest.mark.parametrize("name", ["tent", "clipped-cosine"])
     def test_sup_convergence_for_continuous_targets(self, name):

@@ -532,30 +532,43 @@ class TestCli:
         assert cli_main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
         assert ",dudley_integral," in out.read_text()
 
-    def test_2d_studies_do_not_import_scipy_signal(self, tmp_path):
-        # The FFT path calls scipy.fft directly; scipy.signal costs ~0.85 s to
-        # import.  A fresh interpreter shows what the 2-D studies load.
-        mix = self._write(tmp_path, "study = mix-rate\ndensity.name = truncated-normal\n"
-                                    "density.dim = 2\ngrid.points_per_axis = 65\n"
-                                    "k.list = 4\nn.list = 1,2\n"
-                                    "dictionary.means_per_axis = 5\n")
+    def test_studies_load_no_scipy_and_no_new_numpy_module(self, tmp_path):
+        # Importing the package loads no scipy, and the numpy submodules that
+        # numpy 2 loads lazily (numpy.fft, numpy.random, numpy.ma through
+        # np.quantile) load with it, so no study pays an import in its own
+        # time.  A fresh interpreter shows what a 1-D mle-risk (EM, and the
+        # normal cdf's inverse in the two-bump sampler's tails) and the 2-D
+        # mix-rate and bounds (the FFT approximant) load.
+        mle = self._write(tmp_path, "study = mle-risk\ndensity.name = two-truncated-normals\n"
+                                    "n.list = 4\nN.list = 200\nreplications = 1\n"
+                                    "fit.k_grid = 4\nheldout.n = 4\nheldout.N = 200\n")
+        mix = tmp_path / "mix.cfg"
+        mix.write_text("study = mix-rate\ndensity.name = truncated-normal\n"
+                       "density.dim = 2\ngrid.points_per_axis = 65\n"
+                       "k.list = 4\nn.list = 1,2\ndictionary.means_per_axis = 5\n")
         bounds = tmp_path / "bounds.cfg"
         bounds.write_text("study = bounds\ndensity.name = truncated-normal\n"
                           "density.dim = 2\ngrid.points_per_axis = 65\nk.list = 4\n"
                           "N.list = 100\ndictionary.means_per_axis = 5\n")
+        runs = [[study, "--config", str(cfg), "--out", str(tmp_path / f"{study}.csv")]
+                for study, cfg in (("mle-risk", mle), ("mix-rate", mix), ("bounds", bounds))]
         script = (
             "import sys\n"
             "from mixapprox.cli import main\n"
-            f"assert main(['mix-rate', '--config', {str(mix)!r}, '--out', {str(tmp_path / 'm.csv')!r}]) == 0\n"
-            f"assert main(['bounds', '--config', {str(bounds)!r}, '--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
-            "print('scipy.signal' in sys.modules)\n"
+            "def loaded():\n"
+            "    return {m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')}\n"
+            "at_import = loaded()\n"
+            "scipy = sorted(m for m in at_import if m.startswith('scipy'))\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(scipy, sorted(loaded() - at_import))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "[] []"
 
     @pytest.mark.parametrize("setting, option", [("", ["--strict"]), ("strict = true\n", [])])
     def test_strict_domination_failure_exit_code(self, tmp_path, capsys, setting, option):
@@ -951,13 +964,14 @@ class TestNnls2Col:
         assert np.any(_nnls_2col(a, b) > 0.0)
 
 
-def test_cli_import_leaves_out_optimize_and_integrate():
-    # Only quadrature off the benchmark's paths needs scipy.integrate, and
-    # C1, C2 come from a closed form, so the start-up path loads neither.
+def test_cli_import_loads_no_scipy():
+    # The normal cdf and its inverse are ported into kernels.py, only
+    # quadrature that no import runs needs scipy.integrate, and C1, C2 come
+    # from a closed form, so the start-up path loads no scipy module.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = ("import sys, mixapprox.cli\n"
-              "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n")
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

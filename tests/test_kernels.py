@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from mixapprox import densities, kernels
 from mixapprox.kernels import (
@@ -135,6 +135,67 @@ class TestMarginals:
         assert uni.pdf(0.0) == 1.0
         assert uni.pdf(0.6) == 0.0
         assert uni.pdf(0.5) == 0.5   # jump midpoint at the support edge
+
+
+def _bit_mismatches(got, want) -> int:
+    """Entries whose bits differ; any nan matches any nan (the sign of a nan
+    is not a value)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return int(np.sum(np.isnan(got) != nan)
+               + np.sum(got[~nan].view(np.int64) != want[~nan].view(np.int64)))
+
+
+def _ulps_around(points, n):
+    """The n doubles below and the n above each positive point, and the point."""
+    k = np.arange(1, n + 1)
+    return np.concatenate([np.concatenate([p - np.spacing(np.nextafter(p, 0.0)) * k, [p],
+                                           p + np.spacing(p) * k]) for p in points])
+
+
+class TestNormalCdfPort:
+    """kernels._ndtr and _ndtri, the cephes port, keep scipy.special's bits."""
+
+    def test_ndtri_has_the_scipy_bits(self):
+        rng = np.random.default_rng(20240801)
+        e2 = math.exp(-2.0)
+        low_tail = np.exp(-rng.uniform(2.0, 32.0, 200_000))      # x < 8
+        deep_tail = np.exp(-rng.uniform(32.0, 744.0, 150_000))   # x >= 8
+        ys = np.concatenate([
+            rng.uniform(e2, 1.0 - e2, 400_000),                  # centre
+            low_tail, 1.0 - low_tail, deep_tail,
+            1.0 - 10.0 ** rng.uniform(-15.9, -13.9, 50_000),     # x >= 8, upper side
+            10.0 ** rng.uniform(-323.3, -308.0, 20_000),         # subnormal
+            _ulps_around([e2, 1.0 - e2, math.exp(-32.0)], 2_000),
+            [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, 2.0 ** -53, 0.5],
+            [-0.5, 1.5, -np.inf, np.inf, np.nan],
+        ])
+        assert ys.size > 1_000_000
+        assert _bit_mismatches(kernels._ndtri(ys), ndtri(ys)) == 0
+
+    def test_ndtr_has_the_scipy_bits(self):
+        # cephes ndtr switches from erf to erfc at |a| = 1, erfc from 1 - erf
+        # to its P/Q fit at |a| = sqrt 2 and to R/S at |a| = 8 sqrt 2, and
+        # erfc is 0 once exp(-a^2 / 2) would underflow, |a| > sqrt(2 MAXLOG).
+        rng = np.random.default_rng(20240802)
+        switches = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                    math.sqrt(2.0 * 7.09782712893383996732e2), 38.5]
+        xs = np.concatenate([
+            rng.normal(0.0, 3.0, 100_000), rng.uniform(-40.0, 40.0, 100_000),
+            _ulps_around(switches, 2_000),
+            [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan],
+        ])
+        xs = np.concatenate([xs, -xs])
+        assert xs.size > 300_000
+        with np.errstate(invalid="ignore"):     # the nan in gives a nan out
+            got = kernels._ndtr(xs)
+        assert _bit_mismatches(got, ndtr(xs)) == 0
+
+    def test_scalars_give_numpy_scalars(self):
+        assert type(kernels._ndtr(0.3)) is np.float64
+        assert type(kernels._ndtri(0.3)) is np.float64
+        assert kernels._ndtr(-1.0) == ndtr(-1.0)
+        assert kernels._ndtri(1e-20) == ndtri(1e-20)
 
 
 class TestMomentMaps:

@@ -58,7 +58,6 @@ from .mixtures import (
 )
 from .bounds import (
     BoundReport,
-    GAMMA_AT_ZERO,
     compute_A_logratio,
     compute_gamma,
     covering_number,

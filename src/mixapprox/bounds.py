@@ -31,10 +31,7 @@ __all__ = [
     "mle_risk_concentration",
     "covering_number",
     "dudley_entropy_integral",
-    "GAMMA_AT_ZERO",
 ]
-
-GAMMA_AT_ZERO = 4.0 * (math.log(3.0) + 0.5)
 
 # Relative slack of every domination check, measured <= rhs (1 + CHECK_SLACK).
 CHECK_SLACK = 1e-6

@@ -144,9 +144,14 @@ class _TwoTruncatedNormals(Marginal):
         return 0.5 * (self.components[0].pdf(x) + self.components[1].pdf(x))
 
     def sample(self, n, rng):
+        # Both components' uniforms are drawn, in order, so the stream
+        # does not depend on pick; each draw inverts only its own.
         pick = rng.random(n) < 0.5
-        draws = np.stack([c.ppf(rng.random(n)) for c in self.components])
-        return np.where(pick, draws[0], draws[1])
+        u0, u1 = rng.random(n), rng.random(n)
+        out = np.empty(n)
+        out[pick] = self.components[0].ppf(u0[pick])
+        out[~pick] = self.components[1].ppf(u1[~pick])
+        return out
 
 
 _ZOO = {

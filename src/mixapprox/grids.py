@@ -227,14 +227,18 @@ def _kernel_axis_offsets(out_grid: TensorGrid, in_grid: TensorGrid) -> list:
     return offs
 
 
-def _widening(spacing, radius: float) -> int:
-    """Nodes the default output grid adds on each side for a kernel radius."""
-    return max(max(int(math.ceil(radius / h - 1e-12)) for h in spacing), 0)
+def _fft_lattice(grid: TensorGrid, kernel) -> tuple:
+    """(ext, fs): the nodes :func:`convolve` widens the grid by on each side,
+    enough to hold a Dilation's truncation radius, and the per-axis lengths
+    its FFT pads to, n input nodes against the n_out + n - 1 offsets of
+    n_out = n + 2 ext output nodes."""
+    radius = float(kernel.radius(TRUNCATION_TOL))
+    ext = max(max(int(math.ceil(radius / h - 1e-12)) for h in grid.spacing), 0)
+    return ext, [_next_fast_len(3 * n + 2 * ext - 2) for n in grid.shape]
 
 
-def _default_out_grid(f: GridFunction, radius: float) -> TensorGrid:
-    grid = f.grid
-    ext = _widening(grid.spacing, radius)
+def _default_out_grid(grid: TensorGrid, ext: int) -> TensorGrid:
+    """The grid widened by ext nodes on each side, on the same lattice."""
     lo = tuple(a - ext * h for a, h in zip(grid.box.lower, grid.spacing))
     hi = tuple(b + ext * h for b, h in zip(grid.box.upper, grid.spacing))
     return make_grid(SupportBox(lo, hi), grid.points_per_axis + 2 * ext, grid.rule)
@@ -307,12 +311,12 @@ def _next_fast_len(n: int) -> int:
 _FFT_BLOCK_BYTES = 1 << 20
 
 
-def _fft_line(weighted: np.ndarray, kernel_axis: np.ndarray) -> np.ndarray:
+def _fft_line(weighted: np.ndarray, kernel_axis: np.ndarray, size: int) -> np.ndarray:
     """The 1-D lattice sum by FFT: the full linear convolution of `weighted`
     (n nodes) with `kernel_axis` (L offsets) at the L - n + 1 output nodes
-    that start at n - 1, with the bits of scipy.signal.fftconvolve
-    (see :func:`_fft_lattice_sum`)."""
-    n, size = weighted.size, _next_fast_len(weighted.size + kernel_axis.size - 1)
+    that start at n - 1.  Padded to size, _next_fast_len(n + L - 1), it has
+    the bits of scipy.signal.fftconvolve (see :func:`_fft_lattice_sum`)."""
+    n = weighted.size
     spec = np.fft.rfft(weighted, size)
     spec *= np.fft.rfft(kernel_axis, size)
     out = np.fft.irfft(spec, size, norm="forward")[n - 1:kernel_axis.size]
@@ -320,14 +324,16 @@ def _fft_line(weighted: np.ndarray, kernel_axis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fft_lattice_sum(weighted: np.ndarray, kernel, axis_offsets: list) -> np.ndarray:
+def _fft_lattice_sum(weighted: np.ndarray, kernel, axis_offsets: list,
+                     fs: list) -> np.ndarray:
     """The lattice sum of :func:`convolve` by FFT, on the output nodes.
 
     The full linear convolution of `weighted` (n_a nodes on axis a) with the
     Dilation's lattice_pdf on `axis_offsets` (L_a offsets), at the
-    L_a - n_a + 1 output nodes per axis that start at n_a - 1.  It has the
-    bits of scipy's irfftn(rfftn(a) * rfftn(b)) on the next 5-smooth padded
-    shape (scipy.signal.fftconvolve): numpy.fft makes the same per-axis
+    L_a - n_a + 1 output nodes per axis that start at n_a - 1, padded to the
+    lengths fs.  With fs_a = _next_fast_len(n_a + L_a - 1) it has the bits
+    of scipy's irfftn(rfftn(a) * rfftn(b)) on that padded shape
+    (scipy.signal.fftconvolve): numpy.fft makes the same per-axis
     transforms in the same order, an rfft on the last axis, then ffts on the
     leading axes in axis order, inverted by iffts on the leading axes in
     axis order and an irfft on the last axis, both unscaled, then times
@@ -342,8 +348,7 @@ def _fft_lattice_sum(weighted: np.ndarray, kernel, axis_offsets: list) -> np.nda
     """
     p = weighted.ndim
     if p == 1:
-        return _fft_line(weighted, kernel.axis_pdf(axis_offsets[0]))
-    fs = [_next_fast_len(n + off.size - 1) for n, off in zip(weighted.shape, axis_offsets)]
+        return _fft_line(weighted, kernel.axis_pdf(axis_offsets[0]), fs[0])
     keep = [slice(n - 1, off.size) for n, off in zip(weighted.shape, axis_offsets)]
     scale = float(1 / np.longdouble(math.prod(fs)))
 
@@ -412,7 +417,7 @@ def smooth(f, kernel, grid: TensorGrid) -> GridFunction:
         if n * n <= 1 << 23:
             sums.append(_contract_rows(_toeplitz(kernel_axis, n, n), weighted))
         else:
-            sums.append(_fft_line(weighted, kernel_axis))
+            sums.append(_fft_line(weighted, kernel_axis, _next_fast_len(3 * n - 2)))
     return GridFunction(grid, _clip_tiny_negatives(reduce(np.multiply.outer, sums)))
 
 
@@ -432,7 +437,8 @@ def convolve(f: GridFunction, kernel) -> GridFunction:
     if kernel.dim != grid.dim:
         raise ValueError("kernel dimension does not match the grid")
     check_resolution(grid, kernel.k)
-    out_grid = _default_out_grid(f, float(kernel.radius(TRUNCATION_TOL)))
+    ext, fs = _fft_lattice(grid, kernel)
+    out_grid = _default_out_grid(grid, ext)
     vals = _fft_lattice_sum(f.values * grid.weight_tensor(), kernel,
-                            _kernel_axis_offsets(out_grid, grid))
+                            _kernel_axis_offsets(out_grid, grid), fs)
     return GridFunction(out_grid, _clip_tiny_negatives(vals))

@@ -21,8 +21,8 @@ from . import bounds as bnd
 from .config import ConfigError, ExperimentConfig
 from .densities import make_target
 from .divergences import AbsoluteContinuityError, _kl_sum, kl_divergence, lq_norm
-from .grids import (TRUNCATION_TOL, GridFunction, _next_fast_len, _widening,
-                    check_resolution, make_grid, sample_on_grid, smooth)
+from .grids import (GridFunction, _fft_lattice, check_resolution, make_grid, sample_on_grid,
+                    smooth)
 from .kernels import Dilation, certify_approximate_identity, make_product_kernel
 from .mixtures import (
     FiniteMixture,
@@ -587,28 +587,26 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
     numpy 2.4): grid fields and quadrature temporaries, 57 B a node in 3-D and
     more in 1-D, where convolution takes the FFT past 2^23 node pairs; the
     widened FFT of the smoothed target, 5.4 to 8.6 B a padded point in 3-D
-    and 14.1 to 15.1 B in 2-D on 257^2 nodes or more; the
-    means lattice, its build copies and the greedy's score vectors, 70 to 106
-    B a mean where there are far more means than nodes; the greedy's table
-    row blocks and step vectors beside its iterate fields, 121 to 251 B a
-    node; its iterate mixtures, 8 (p + 1) B a component (of at most
-    min(s, M) at step s) and 364 to 382 B an iterate; EM's log-joint and the
-    arrays shaped like it, 3.1 to 5.1 x n N doubles at the largest cell."""
+    and 14.1 to 15.1 B in 2-D on 257^2 nodes or more; the greedy's score
+    vectors, about ten M-long doubles, at most 72 to 74 B a mean in 2-D and
+    3-D (the whole peak over M, for 1.7e6 to 2e6 means on 17^p nodes) and
+    52 to 54 B under KL; the greedy's table row blocks and step vectors
+    beside its iterate fields, 121 to 251 B a node; its iterate mixtures,
+    8 (p + 1) B a component (of at most min(s, M) at step s) and 364 to 382
+    B an iterate; EM's log-joint and the arrays shaped like it, 3.1 to 5.1 x
+    n N doubles at the largest cell."""
     study, dim, pts = cfg.study, cfg.density_dim, _grid_points(cfg)
     nodes = pts ** dim
     terms = {} if study == "check-identity" else {
         f"the grid fields on {pts}^{dim} nodes": (64 if dim > 1 else 192) * nodes}
     if study in ("mix-rate", "bounds") and dim > 1:
-        # n nodes per axis against n_out + n - 1 kernel offsets, n_out = n + 2 ext
-        box = make_target(cfg.density_name, dim).support      # a cube
+        grid = make_grid(make_target(cfg.density_name, dim).support, pts, cfg.grid_rule)
         dil = Dilation(make_product_kernel(cfg.kernel_name, dim), cfg.k_list[0])
-        ext = _widening([(box.upper[0] - box.lower[0]) / (pts - 1)], dil.radius(TRUNCATION_TOL))
-        side = _next_fast_len(3 * pts + 2 * ext - 2)
-        terms[f"the smoothed target's FFT lattice ({side}^{dim} points)"] = 16 * side ** dim
+        _, fs = _fft_lattice(grid, dil)
+        terms[f"the smoothed target's FFT lattice ({fs[0]}^{dim} points)"] = 16 * math.prod(fs)
     if study == "mix-rate":
         m, n_max, kept = cfg.means_per_axis, max(cfg.n_list), len(set(cfg.n_list))
-        terms[f"the {m ** dim} means and the greedy's score vectors"] = (
-            8 * (3 * dim + 10) * m ** dim)
+        terms[f"the greedy's score vectors over {m ** dim} means"] = 80 * m ** dim
         terms[f"the greedy's factor tables ({m} means x {pts} nodes x {dim} axes)"] = (
             8 * m * pts * dim)
         terms[f"the greedy's table row blocks and step vectors on {nodes} nodes"] = 256 * nodes

@@ -149,10 +149,12 @@ class Marginal:
     """Univariate density on the line: the one base of the kernel marginals
     and the target-zoo marginals.
 
-    A subclass defines `pdf`, and `ppf` when it keeps the default sampler.
-    A kernel marginal, symmetric about 0, also has `tail_mass(delta)` (the
-    mass outside [-delta, delta]), `moment(a)` (E|X|^a, math.inf when
-    divergent) and `radius(tol)` (an r with tail_mass(r) <= tol).
+    A subclass defines `pdf`.  A target marginal, which the studies sample,
+    also defines `ppf` when it keeps the default sampler.  A kernel
+    marginal, symmetric about 0, is never sampled; it also has
+    `tail_mass(delta)` (the mass outside [-delta, delta]), `moment(a)`
+    (E|X|^a, math.inf when divergent) and `radius(tol)` (an r with
+    tail_mass(r) <= tol).
     """
 
     name = "abstract"
@@ -187,9 +189,6 @@ class Gaussian(Marginal):
     def radius(self, tol):
         return float(-_ndtri(min(tol, 1.0) / 2.0))
 
-    def sample(self, n, rng):
-        return rng.standard_normal(n)
-
 
 class Laplace(Marginal):
     name = "laplace"
@@ -210,9 +209,6 @@ class Laplace(Marginal):
 
     def radius(self, tol):
         return float(-math.log(min(tol, 1.0)))
-
-    def sample(self, n, rng):
-        return rng.laplace(0.0, 1.0, size=n)
 
 
 class _CompactKernel(Marginal):
@@ -245,9 +241,6 @@ class UniformSymmetric(_CompactKernel):
     def moment(self, a):
         return float(0.5 ** a / (a + 1.0))
 
-    def ppf(self, u):
-        return np.asarray(u, dtype=float) - 0.5
-
 
 class Triangular(_CompactKernel):
     name = "triangular"
@@ -263,10 +256,6 @@ class Triangular(_CompactKernel):
 
     def moment(self, a):
         return float(2.0 * (1.0 / (a + 1.0) - 1.0 / (a + 2.0)))
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u < 0.5, np.sqrt(2.0 * u) - 1.0, 1.0 - np.sqrt(2.0 * (1.0 - u)))
 
 
 class Epanechnikov(_CompactKernel):
@@ -284,11 +273,6 @@ class Epanechnikov(_CompactKernel):
 
     def moment(self, a):
         return float(1.5 * (1.0 / (a + 1.0) - 1.0 / (a + 3.0)))
-
-    def ppf(self, u):
-        # Invert the cubic CDF through the trigonometric root.
-        u = np.asarray(u, dtype=float)
-        return 2.0 * np.sin(np.arcsin(2.0 * u - 1.0) / 3.0)
 
 
 _MARGINALS = {

@@ -417,22 +417,30 @@ def mle_fit(xs, n_components: int, k_grid, kernel: ProductKernel, box: MeanBox,
 
 @dataclass(frozen=True, eq=False)
 class MixtureDictionary:
-    """Finite dictionary of dilated kernels with means on a lattice.
+    """Finite dictionary of dilated kernels with means on the C-order
+    product lattice of its per-axis means.
 
-    Holds its elements only; rows of their values on the grid come from
-    :meth:`table`.  :func:`greedy_fit` scores them per axis from `axes` and
-    builds table rows only for its candidates.
+    Holds the axes only; :meth:`means` and :meth:`table` build the rows
+    they are asked for.  :func:`greedy_fit` scores the elements per axis
+    from `axes` and builds table rows only for its candidates.
     """
 
     kernel: ProductKernel
     k: int
-    means: np.ndarray           # (M, p)
+    axes: tuple                 # per-axis means, one 1-D array per axis
     grid: TensorGrid
-    axes: tuple                 # per-axis means whose C-order lattice is `means`
 
     @property
     def size(self) -> int:
-        return int(self.means.shape[0])
+        return math.prod(a.size for a in self.axes)
+
+    def means(self, rows=slice(None)) -> np.ndarray:
+        """The lattice rows (a slice, index list or index) as indexing the
+        (M, p) lattice would give them, from those rows' indices only."""
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(self.size))
+        index = np.unravel_index(rows, [a.size for a in self.axes])
+        return np.stack([a[i] for a, i in zip(self.axes, index)], axis=-1)
 
     def table(self, rows=slice(None)) -> np.ndarray:
         """Element values at the grid nodes of the given rows, (r, G).
@@ -442,7 +450,7 @@ class MixtureDictionary:
         evaluated with it.
         """
         p = self.kernel.dim
-        mu = self.means[rows].reshape((-1,) + (1,) * p + (p,))
+        mu = self.means(rows).reshape((-1,) + (1,) * p + (p,))
         offsets = [x[None] - mu[..., a] for a, x in enumerate(np.ix_(*self.grid.nodes))]
         return Dilation(self.kernel, self.k).lattice_pdf(offsets).reshape(mu.shape[0], -1)
 
@@ -457,19 +465,15 @@ class MixtureDictionary:
         Points are (N, p) or, for p = 1, (N,); evaluated by
         :func:`_component_log_pdf`, the one evaluator of the component density.
         """
-        return np.exp(_component_log_pdf(self.kernel, self.k, self.means, points))
-
-
-def _lattice(axes) -> np.ndarray:
-    """The product lattice of per-axis means, (prod of lengths, dim), C order."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        return np.exp(_component_log_pdf(self.kernel, self.k, self.means(), points))
 
 
 def build_dictionary(kernel: ProductKernel, k: int, box: MeanBox,
                      means_per_axis: int, grid: TensorGrid) -> MixtureDictionary:
-    """Dictionary over a means lattice on the grid, which keeps its axes."""
+    """Dictionary over a means lattice of `means_per_axis` points per axis
+    of the box, on the grid."""
     axes = (np.linspace(box.m_lower, box.m_upper, means_per_axis),) * kernel.dim
-    return MixtureDictionary(kernel, int(k), _lattice(axes), grid, axes)
+    return MixtureDictionary(kernel, int(k), axes, grid)
 
 
 def _weighted_factors(dictionary: MixtureDictionary, weights) -> list:
@@ -610,7 +614,6 @@ class GreedyFit:
     mixtures: list              # FiniteMixture per iterate, 1..max(keep)
     fields: dict                # kept iterate count -> its grid values, shaped like the grid
     gaps: np.ndarray            # squared quadrature L2 gap to the target per iterate
-    objective: str
 
 
 def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
@@ -629,13 +632,12 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
     the target is positive.
 
     In dim > 1 no (M, G) table is built; in 1-D the one factor table is the
-    weighted table.  The dictionary's means are the lattice of its `axes`
-    (:func:`build_dictionary`), so the weighted table D·W is k^p times the
-    Kronecker product of the per-axis tables F_a w_a
-    (:func:`_weighted_factors`), and every element is scored by one
-    contraction per axis.  Those scores only name the candidates within
-    1e-9 of the best, relative to it or, for L2, to the current objective
-    if that is larger.  :func:`_replay` scores the candidates again from
+    weighted table.  The dictionary's means are the lattice of its `axes`,
+    so the weighted table D·W is k^p times the Kronecker product of the
+    per-axis tables F_a w_a (:func:`_weighted_factors`), and every element
+    is scored by one contraction per axis.  Those scores only name the
+    candidates within 1e-9 of the best, relative to it or, for L2, to the
+    current objective if that is larger.  :func:`_replay` scores the candidates again from
     their table rows with the whole-table expressions and picks as np.argmin
     (np.argmax for KL) would on the whole table, so every iterate has its
     bits.  The first KL step logs 16 table rows at a time, and the chosen
@@ -739,7 +741,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
 
         idxs = sorted(weights)
         w = np.array([weights[i] for i in idxs])
-        mix = FiniteMixture(w / w.sum(), dictionary.means[idxs],
+        mix = FiniteMixture(w / w.sum(), dictionary.means(idxs),
                             dictionary.k, dictionary.kernel)
         mixtures.append(mix)
         field = v.reshape(target.grid.shape)
@@ -747,7 +749,7 @@ def greedy_fit(target: GridFunction, dictionary: MixtureDictionary,
             fields[step] = field
         gaps.append(lq_norm(GridFunction(target.grid, field - target.values), 2) ** 2)
 
-    return GreedyFit(mixtures, fields, np.asarray(gaps), objective)
+    return GreedyFit(mixtures, fields, np.asarray(gaps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -781,7 +783,7 @@ def build_mixing_approximant(target, kernel: ProductKernel, k: int,
         # follows the grid sums), so those bits move the KL of the 2-D
         # greedy iterates by ~2e-6 relative, beyond the benchmark's 1e-9
         # references.  A closed-form L2 step would let this take smooth too,
-        # and _fft_lattice_sum, _default_out_grid, _widening, restrict and
+        # and _fft_lattice_sum, _default_out_grid, _fft_lattice, restrict and
         # the memory budget's FFT term (harness.predicted_peak) go.
         realized = restrict(convolve(f_gf, dil), grid.box)
     else:

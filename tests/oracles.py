@@ -5,11 +5,12 @@ Point-wise densities on stacked points, the node mesh, box membership,
 quadrature mass, the difference of two grid functions, the n-D direct
 quadrature sum that both convolution paths are checked against, the full
 linear convolution by scipy.fft that the FFT paths keep the bits of, lattice
-convolution with the Young inequality checks, the kernel marginals' cdfs,
-the KL-versus-L2 check for lower-bounded densities, class membership and
-Lipschitz estimates of targets, a seedable mixture sampler, and grid-free
-closed forms for the Gaussian kernel.  A method of a package class appears here as a function
-of the instance.
+convolution with the Young inequality checks, the kernel marginals' cdfs and
+samplers, the KL-versus-L2 check for lower-bounded densities, class
+membership and Lipschitz estimates of targets, a seedable mixture sampler,
+the mean lattice of a mixture dictionary, and grid-free closed forms for the
+Gaussian kernel.  A method of a package class appears here as a function of
+the instance.
 """
 
 import math
@@ -227,6 +228,25 @@ def marginal_cdf(marginal, x):
     raise ValueError(f"no cdf for marginal {name!r}")
 
 
+def kernel_draw(marginal, shape, rng) -> np.ndarray:
+    """Draws from a kernel marginal: numpy's normal and Laplace samplers, and
+    the closed-form inverse cdf of uniforms on [0, 1) for the compact ones."""
+    name = marginal.name
+    if name == "gaussian":
+        return rng.standard_normal(shape)
+    if name == "laplace":
+        return rng.laplace(0.0, 1.0, size=shape)
+    u = rng.random(shape)
+    if name == "uniform-symmetric":
+        return u - 0.5
+    if name == "triangular":
+        return np.where(u < 0.5, np.sqrt(2.0 * u) - 1.0, 1.0 - np.sqrt(2.0 * (1.0 - u)))
+    if name == "epanechnikov":
+        # The cubic cdf inverted through its trigonometric root.
+        return 2.0 * np.sin(np.arcsin(2.0 * u - 1.0) / 3.0)
+    raise ValueError(f"no sampler for marginal {name!r}")
+
+
 # --- densities --------------------------------------------------------------
 
 def target_pdf(f: TargetDensity, x):
@@ -379,7 +399,13 @@ def mixture_sample(mix, seed, n: int) -> np.ndarray:
     component per point by its weight, then its mean plus a kernel draw / k."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     comp = rng.choice(mix.weights.size, size=n, p=mix.weights)
-    return mix.means[comp] + mix.kernel.marginal.sample((n, mix.dim), rng) / mix.k
+    return mix.means[comp] + kernel_draw(mix.kernel.marginal, (n, mix.dim), rng) / mix.k
+
+
+def mean_lattice(axes) -> np.ndarray:
+    """The product lattice of per-axis means, (prod of lengths, dim), C order,
+    stacked from the meshgrid: the oracle of ``MixtureDictionary.means``."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 # --- grid-free closed forms for the Gaussian kernel -------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mixapprox.bounds import (
-    GAMMA_AT_ZERO,
     BoundReport,
     compute_A_logratio,
     compute_gamma,
@@ -37,6 +36,7 @@ from oracles import direct_lattice_sum, grid_mesh
 GAUSS = make_product_kernel("gaussian", 1)
 UNIT_BOX = MeanBox(0.0, 1.0, 1)
 UNIT_DOMAIN = cube(0.0, 1.0, 1)
+GAMMA_AT_ZERO = 4.0 * (math.log(3.0) + 0.5)     # 4 log(3 sqrt(e))
 
 
 class TestLogRatioSup:
@@ -411,10 +411,12 @@ class TestCoveringMatchesPerCenterOracle:
     def test_counts_and_integral(self, dim, size):
         rng = np.random.default_rng(11 + dim)
         kernel = make_product_kernel("gaussian", dim)
-        means = rng.uniform(0.0, 1.0, size=(size, dim))
-        # Means off a lattice, so no axes: the covering numbers need no value
-        # table and read no axes.
-        d = MixtureDictionary(kernel, 8, means, make_grid(cube(0.0, 1.0, dim), 3), axes=None)
+        # Unevenly spaced axes, 9 x 10 means in 2-D, on a grid of 3 nodes:
+        # the covering numbers read the means and the points only.
+        lengths = (size,) if dim == 1 else (9, 10)
+        axes = tuple(np.sort(rng.uniform(0.0, 1.0, n)) for n in lengths)
+        d = MixtureDictionary(kernel, 8, axes, make_grid(cube(0.0, 1.0, dim), 3))
+        assert d.size == size
         xs = rng.uniform(0.0, 1.0, size=(120, dim))
         vals = d.evaluate_at(xs)
         beta_upper = float(np.max(vals))

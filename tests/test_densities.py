@@ -248,6 +248,23 @@ class TestSamplers:
             got = m.sample(u.size, np.random.default_rng(8))
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 250, 4000, 100_000])
+    def test_two_bump_draws_equal_the_two_stack_formula(self, n):
+        # The sampler inverts only the uniform each draw keeps; ndtri acts
+        # element by element, so it keeps the bits and the random stream of
+        # inverting both uniforms and picking with np.where.
+        m = make_target("two-truncated-normals", 1).marginal
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            pick = rng.random(n) < 0.5
+            draws = np.stack([c.ppf(rng.random(n)) for c in m.components])
+            want = np.where(pick, draws[0], draws[1])
+            got_rng = np.random.default_rng(seed)
+            got = m.sample(n, got_rng)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert got_rng.random() == rng.random()
+
     def test_deterministic_given_seed(self):
         f = make_target("clipped-cosine", 1)
         a = f.sample(500, np.random.default_rng(7))

@@ -19,6 +19,7 @@ from mixapprox.grids import (
     _clip_tiny_negatives,
     _contract_rows,
     _default_out_grid,
+    _fft_lattice,
     _fft_lattice_sum,
     _kernel_axis_offsets,
     _next_fast_len,
@@ -373,7 +374,7 @@ class TestConvolve:
         grid = make_grid(f.support, points, "simpson")
         fg = _tilted(sample_on_grid(f, grid))
         kernel = Dilation(make_product_kernel("gaussian", dim), k)
-        out_grid = _default_out_grid(fg, kernel.radius(TRUNCATION_TOL))
+        out_grid = _default_out_grid(grid, _fft_lattice(grid, kernel)[0])
         offsets = _kernel_axis_offsets(out_grid, grid)
         full = fft_full(fg.values * grid.weight_tensor(), kernel.lattice_pdf(np.ix_(*offsets)))
         n_in, n_out = grid.points_per_axis, out_grid.points_per_axis
@@ -391,7 +392,8 @@ class TestConvolve:
         offsets = [0.02 * np.arange(n) - 0.01 * n for n in (41, 30, 57)]
         full = fft_full(weighted, kernel.lattice_pdf(np.ix_(*offsets)))
         want = full[tuple(slice(n - 1, off.size) for n, off in zip(weighted.shape, offsets))]
-        got = _fft_lattice_sum(weighted, kernel, offsets)
+        fs = [_next_fast_len(n + off.size - 1) for n, off in zip(weighted.shape, offsets)]
+        got = _fft_lattice_sum(weighted, kernel, offsets, fs)
         assert got.shape == (25, 11, 35)
         assert np.array_equal(got, want)
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -823,7 +824,7 @@ _PEAK_CASES = {
     "mix-rate-2d-iterates": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 2\n"
                             "grid.points_per_axis = 129\nk.list = 8\nn.list = 1,200\n"
                             "dictionary.means_per_axis = 5\n",
-    # Far more means than nodes: the means lattice and the score vectors.
+    # Far more means than nodes: the greedy's score vectors.
     "mix-rate-2d-means": "mix-rate\ndensity.name = truncated-normal\ndensity.dim = 2\n"
                          "grid.points_per_axis = 33\nk.list = 4\nn.list = 1,8\n"
                          "dictionary.means_per_axis = 600\n",
@@ -858,6 +859,28 @@ _PEAK_CASES = {
 }
 
 
+def _shipped_and_benchmark_texts() -> dict:
+    """Every shipped config and benchmark study: its path or label -> text."""
+    root = Path(__file__).resolve().parents[1]
+    bench = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    texts = {f"configs/{path.name}": path.read_text()
+             for path in sorted((root / "configs").glob("*.cfg"))}
+    texts.update((f"perfbench/{label}", bench["config_text"](text, bench["DEFAULT_SEED"]))
+                 for studies in bench["WORKLOADS"].values() for label, text in studies)
+    return texts
+
+
+# The padded side of the smoothed target's FFT lattice in each case that has
+# one, as the budget predicted it before the widening had one owner in
+# grids; no other case and no shipped config has an FFT term.
+_FFT_SIDES = {
+    "mix-rate-2d-l2": 900, "mix-rate-2d-kl": 900, "mix-rate-2d-iterates": 486,
+    "mix-rate-2d-means": 150, "mix-rate-3d-means": 108, "mix-rate-3d": 150,
+    "bounds-2d": 972, "bounds-3d": 150,
+    "perfbench/mix-rate-2d": 900, "perfbench/bounds-2d": 972,
+}
+
+
 class TestMemoryBudget:
     @pytest.mark.parametrize("name", _PEAK_CASES)
     def test_prediction_bounds_the_measured_peak(self, name):
@@ -884,9 +907,9 @@ class TestMemoryBudget:
         ("mix-rate", "density.dim = 2\nk.list = 16\nn.list = 1,10000000\n"
                      "dictionary.means_per_axis = 17\n",
          "the greedy's 10000000 iterate mixtures (up to 289 components each)"),
-        # 30000^2 means: the means lattice alone would be 14 GB.
+        # 30000^2 means: the greedy's score vectors alone would be 72 GB.
         ("mix-rate", "density.dim = 2\nk.list = 16\ndictionary.means_per_axis = 30000\n",
-         "the 900000000 means and the greedy's score vectors"),
+         "the greedy's score vectors over 900000000 means"),
     ], ids=["mle-risk-em", "mix-rate-iterates", "mix-rate-means"])
     def test_unguarded_gaps_exit_2_at_once(self, tmp_path, capsys, study, text, term):
         cfg = tmp_path / "study.cfg"
@@ -908,17 +931,25 @@ class TestMemoryBudget:
         # Every shipped config and benchmark study is predicted at most a
         # quarter of the budget, so a change to a term's factor cannot
         # silently refuse one of them.
-        import runpy
-
-        root = Path(__file__).resolve().parents[1]
-        bench = runpy.run_path(str(root / "perfbench" / "workloads.py"))
-        texts = [path.read_text() for path in sorted((root / "configs").glob("*.cfg"))]
-        texts += [bench["config_text"](text, bench["DEFAULT_SEED"])
-                  for studies in bench["WORKLOADS"].values() for _, text in studies]
+        texts = _shipped_and_benchmark_texts()
         assert len(texts) >= 14
-        for text in texts:
+        for text in texts.values():
             cfg = parse_config_text(text).validate()
             assert sum(harness.predicted_peak(cfg).values()) <= harness.MEMORY_BUDGET / 4, text
+
+    def test_fft_terms_are_unchanged(self):
+        texts = {name: f"study = {text}" for name, text in _PEAK_CASES.items()}
+        texts.update(_shipped_and_benchmark_texts())
+        assert _FFT_SIDES.keys() <= texts.keys()
+        for name, text in texts.items():
+            cfg = parse_config_text(text).validate()
+            terms = {label: size for label, size in harness.predicted_peak(cfg).items()
+                     if "FFT" in label}
+            want, dim = {}, cfg.density_dim
+            if name in _FFT_SIDES:
+                side = _FFT_SIDES[name]
+                want[f"the smoothed target's FFT lattice ({side}^{dim} points)"] = 16 * side ** dim
+            assert terms == want, name
 
 
 class TestNnls2Col:

@@ -37,6 +37,7 @@ from oracles import (
     gaussian_gram,
     grid_mass,
     grid_mesh,
+    mean_lattice,
     mixture_sample,
 )
 
@@ -150,12 +151,18 @@ class TestComponentEvaluator:
         assert np.array_equal(got, ref)
 
     def test_dictionary_evaluate_at(self, name, p, k):
-        kernel, means, x, ref = self._case(name, p, k)
+        # Unevenly spaced axes of unequal length, 6 means in every p.
+        kernel, _, x, _ = self._case(name, p, k)
+        rng = np.random.default_rng([p, k, 1])
+        lengths = {1: (6,), 2: (3, 2), 3: (3, 2, 1)}[p]
+        axes = tuple(np.sort(rng.uniform(-1.0, 1.0, n)) for n in lengths)
         grid = make_grid(cube(-1.0, 1.0, p), 3, "simpson")
-        dictionary = MixtureDictionary(kernel, k, means, grid, axes=None)  # means off a lattice
+        dictionary = MixtureDictionary(kernel, k, axes, grid)
+        dil = Dilation(kernel, k)
+        ref = np.stack([dilation_log_pdf(dil, x - m) for m in mean_lattice(axes)])
         got = dictionary.evaluate_at(x)
         assert got.shape == (6, 200)
-        assert np.array_equal(got, np.exp(ref).T)
+        assert np.array_equal(got, np.exp(ref))
         if p == 1:
             assert np.array_equal(dictionary.evaluate_at(x[:, 0]), got)
 
@@ -651,7 +658,7 @@ class TestMleFit:
         assert np.array_equal(a.mixture.means, b.mixture.means)
 
 
-def _objectives(target, fit):
+def _objectives(target, fit, objective="l2"):
     """Each iterate's objective from its kept field, as the fit's steps
     evaluate it: sum W (v - t)^2 for L2; for KL, the sum of t W (log t -
     log v) over the nodes where t > 0, inf where v < 1e-300 there."""
@@ -662,7 +669,7 @@ def _objectives(target, fit):
     out = []
     for n in range(1, len(fit.mixtures) + 1):
         v = fit.fields[n].ravel()
-        if fit.objective == "l2":
+        if objective == "l2":
             out.append(float(np.sum(W * (v - t) * (v - t))))
         elif np.any(v[mask] < 1e-300):
             out.append(math.inf)
@@ -697,7 +704,7 @@ class TestGreedyFit:
         t = target.values.ravel()
         best = math.inf
         D = dictionary.values
-        (first,) = np.flatnonzero((dictionary.means == fit.mixtures[0].means).all(axis=1))
+        (first,) = np.flatnonzero((dictionary.means() == fit.mixtures[0].means).all(axis=1))
         d1 = D[first]
         for j in range(D.shape[0]):
             diff = D[j] - d1
@@ -725,7 +732,7 @@ class TestGreedyFit:
     def test_kl_objective_decreases(self):
         _, _, fbar, dictionary = self._setup(means=129, n_pts=1025)
         fit = greedy_fit(fbar, dictionary, range(1, 13), objective="kl")
-        objectives = _objectives(fbar, fit)
+        objectives = _objectives(fbar, fit, "kl")
         assert np.all(np.diff(objectives) <= 1e-12)
         assert objectives[-1] < objectives[0]
 
@@ -791,7 +798,7 @@ class TestGreedyFit:
         from mixapprox.mixtures import MixtureDictionary
 
         _, grid, fbar, dictionary = self._setup(means=65, n_pts=1025)
-        empty = MixtureDictionary(GAUSS, 16, np.empty((0, 1)), grid, (np.empty(0),))
+        empty = MixtureDictionary(GAUSS, 16, (np.empty(0),), grid)
         with pytest.raises(ValueError, match="empty"):
             greedy_fit(fbar, empty, [4])
 
@@ -843,9 +850,47 @@ def test_dictionary_table_equals_the_per_mean_loop(name, p, k):
     dictionary = build_dictionary(kernel, k, MeanBox(-0.8, 0.7, p), 7 - p, grid)
     mesh = grid_mesh(grid).reshape(-1, p)
     dil = Dilation(kernel, k)
-    ref = np.stack([dilation_pdf(dil, mesh - m) for m in dictionary.means])
+    ref = np.stack([dilation_pdf(dil, mesh - m) for m in mean_lattice(dictionary.axes)])
     assert dictionary.values.shape == ref.shape
     assert np.array_equal(dictionary.values, ref)
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(5, 17), [0, 4, 13, 23], 11],
+                         ids=["all", "block", "list", "index"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dictionary_rows_equal_the_stacked_lattice(p, rows):
+    # 24 means on unevenly spaced axes of unequal length: means(rows) and
+    # table(rows) against the meshgrid-stacked lattice indexed by rows and
+    # the per-mean loop on those means, bit for bit.
+    rng = np.random.default_rng(p)
+    lengths = {1: (24,), 2: (6, 4), 3: (4, 3, 2)}[p]
+    axes = tuple(np.sort(rng.uniform(-0.8, 0.8, n)) for n in lengths)
+    kernel = make_product_kernel("gaussian", p)
+    grid = make_grid(cube(-1.0, 1.0, p), {1: 33, 2: 17, 3: 9}[p], "simpson")
+    dictionary = MixtureDictionary(kernel, 4, axes, grid)
+    ref = mean_lattice(axes)[rows]
+    assert dictionary.size == 24
+    assert np.array_equal(dictionary.means(rows), ref)
+    mesh = grid_mesh(grid).reshape(-1, p)
+    dil = Dilation(kernel, 4)
+    table = np.stack([dilation_pdf(dil, mesh - m) for m in ref.reshape(-1, p)])
+    assert np.array_equal(dictionary.table(rows), table)
+
+
+def test_dictionary_rows_are_read_without_an_m_long_index():
+    # 1000^2 means: 16 rows of means take a few hundred bytes, not the
+    # 8 MB of an index over all the rows or the 16 MB of the lattice.
+    axis = np.linspace(-1.0, 1.0, 1000)
+    dictionary = MixtureDictionary(make_product_kernel("gaussian", 2), 4, (axis, axis),
+                                   make_grid(cube(-1.0, 1.0, 2), 17, "simpson"))
+    tracemalloc.start()
+    try:
+        means = dictionary.means(slice(500_000, 500_016))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(means, np.stack([np.full(16, axis[500]), axis[:16]], axis=-1))
+    assert peak < 4096
 
 
 @pytest.mark.parametrize("dim, points, k, tol", [
@@ -920,7 +965,7 @@ def test_greedy_objective_never_increases(inputs):
                                   MeanBox(-1.0, 1.0, dim), means_per_axis, grid)
     target = GridFunction(grid, values)
     fit = greedy_fit(target, dictionary, range(1, 7), objective=objective)
-    assert np.all(np.diff(_objectives(target, fit)) <= 1e-12)
+    assert np.all(np.diff(_objectives(target, fit, objective)) <= 1e-12)
 
 
 def _lattice_table(kernel, k, box, means_per_axis, grid):
@@ -998,11 +1043,11 @@ def _greedy_table_oracle(target, D, dictionary, n_max, objective):
         weights[idx] = weights.get(idx, 0.0) + lam
         idxs = sorted(weights)
         w = np.array([weights[i] for i in idxs])
-        mixes.append(FiniteMixture(w / w.sum(), dictionary.means[idxs],
+        mixes.append(FiniteMixture(w / w.sum(), mean_lattice(dictionary.axes)[idxs],
                                    dictionary.k, dictionary.kernel))
         fields[step] = v.reshape(target.grid.shape)
         gaps.append(lq_norm(GridFunction(target.grid, fields[step] - target.values), 2) ** 2)
-    fit = mixtures.GreedyFit(mixes, fields, np.asarray(gaps), objective)
+    fit = mixtures.GreedyFit(mixes, fields, np.asarray(gaps))
     return fit, ties, fallbacks
 
 
@@ -1010,7 +1055,6 @@ def _assert_same_fit(fit, ref):
     """Two greedy fits with the same bits: every iterate's weights and means
     (which carry each step's element and step size), the gaps, and each
     field the fit kept."""
-    assert fit.objective == ref.objective
     assert len(fit.mixtures) == len(ref.mixtures)
     for got, want in zip(fit.mixtures, ref.mixtures):
         assert np.array_equal(got.weights, want.weights)
@@ -1298,9 +1342,9 @@ class TestMixingApproximant:
         monkeypatch.setattr(grids, "_next_fast_len",
                             lambda n: lengths.append(fast_len(n)) or lengths[-1])
         build_mixing_approximant(f, make_product_kernel(kernel_name, dim), k, grid)
+        shape = list(lengths)
+        assert len(shape) == dim and shape == [shape[0]] * dim
         _, terms, name = self._fft_term("mix-rate", dim, kernel_name, k, points)
-        shape = lengths[-dim:]
-        assert len(lengths) == dim and shape == [shape[0]] * dim
         assert name == f"the smoothed target's FFT lattice ({shape[0]}^{dim} points)"
         assert terms[name] == 16 * math.prod(shape)
 

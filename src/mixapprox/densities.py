@@ -24,7 +24,15 @@ __all__ = [
 _GAUSS = Gaussian()
 
 
-class _Uniform01(Marginal):
+class _TargetMarginal(Marginal):
+    """A zoo marginal, on [lo, hi]; it defines `ppf` or its own `sample`."""
+
+    def sample(self, n, rng):
+        """Inverse-cdf draws, ppf(u) for u uniform on [0, 1)."""
+        return self.ppf(rng.random(n))
+
+
+class _Uniform01(_TargetMarginal):
     name = "uniform-box"
     lo, hi = 0.0, 1.0
     min_value = max_value = 1.0
@@ -37,7 +45,7 @@ class _Uniform01(Marginal):
         return np.asarray(u, dtype=float)
 
 
-class _ClippedCosine(Marginal):
+class _ClippedCosine(_TargetMarginal):
     """One period of a clipped cosine wave, 1 - cos(2 pi x) on [0, 1].
 
     Zero at both edges, so the zero extension is continuous on the whole line.
@@ -70,7 +78,7 @@ class _ClippedCosine(Marginal):
         return 0.5 * (lo + hi)
 
 
-class _Tent(Marginal):
+class _Tent(_TargetMarginal):
     """Piecewise-linear tent 2 - |4x - 2| on [0, 1]; slope 4, zero at the edges."""
 
     name = "tent"
@@ -88,7 +96,7 @@ class _Tent(Marginal):
         return np.where(u <= 0.5, np.sqrt(u / 2.0), 1.0 - np.sqrt((1.0 - u) / 2.0))
 
 
-class _TruncatedNormal(Marginal):
+class _TruncatedNormal(_TargetMarginal):
     """Normal(mu, sigma^2) restricted to [lo, hi] and renormalized."""
 
     def __init__(self, lo=-1.0, hi=1.0, mu=0.0, sigma=1.0, name="truncated-normal"):
@@ -118,7 +126,7 @@ class _TruncatedNormal(Marginal):
         return self.mu + self.sigma * _ndtri(self.cdf_a + u * self.z)
 
 
-class _TwoTruncatedNormals(Marginal):
+class _TwoTruncatedNormals(_TargetMarginal):
     """Equal mixture of two normals truncated to [0, 1]; bimodal, bounded below.
 
     Default means 0.3 and 0.7 with sigma 0.12.  Both components increase on

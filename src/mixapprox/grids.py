@@ -95,18 +95,17 @@ def cube(lo: float, hi: float, dim: int = 1) -> SupportBox:
 
 
 def _axis_weights(n: int, h: float, rule: str) -> np.ndarray:
+    """Trapezoid or Simpson weights of n nodes h apart (make_grid checks rule)."""
     if rule == "trapezoid":
         w = np.full(n, h)
         w[0] = w[-1] = h / 2.0
         return w
-    if rule == "simpson":
-        if n < 3 or n % 2 == 0:
-            raise ValueError("simpson rule requires an odd number of points >= 3")
-        w = np.full(n, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return w * (h / 3.0)
-    raise ValueError(f"unknown quadrature rule {rule!r}; expected one of {_RULES}")
+    if n < 3 or n % 2 == 0:
+        raise ValueError("simpson rule requires an odd number of points >= 3")
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (h / 3.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +402,9 @@ def smooth(f, kernel, grid: TensorGrid) -> GridFunction:
     between them.  Up to 2^23 (output, input) node pairs that sum contracts
     the Toeplitz view of the offsets (:func:`_contract_rows`), which takes
     n^2 multiply-adds; beyond, it is one FFT line (:func:`_fft_line`), which
-    is faster there.  No n-D array but the result is built.
+    is faster there.  No n-D array but the result is built.  The 1-D mixing
+    approximant's greedy fit is pinned to this rule's bits: an FFT line at
+    every size moves 1-D `mix-rate` rows, L2 and KL, by up to 2.1e-8 relative.
     """
     if not f.dim == kernel.dim == grid.dim:
         raise ValueError(f"target ({f.dim}), kernel ({kernel.dim}) and grid ({grid.dim}) "

@@ -4,7 +4,9 @@ A product kernel is a p-dimensional density built from one shared univariate
 marginal.  :class:`Marginal` is the base of every univariate marginal, the
 kernels' here and the target zoo's in :mod:`mixapprox.densities`.  Dilating
 a product kernel by an integer scale concentrates its mass at the origin,
-which is certified numerically by :func:`certify_approximate_identity`.
+which is certified numerically by :func:`certify_approximate_identity`.  Its
+masses and l1 tails, and :func:`check_moment_condition`, are taken by one
+composite Gauss-Legendre rule whose pieces end at the kernel's kinks.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-
-from .grids import _axis_weights
 
 __all__ = [
     "Marginal",
@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# The certification's composite Gauss-Legendre rule (Golub & Welsch 1969):
+# 12 nodes a piece, exact for polynomials of degree 23.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
 # The normal cdf and its inverse, ported from cephes ndtr.c and ndtri.c
 # (Moshier 1989) as scipy.special ships them: the same coefficients, Horner
@@ -149,12 +153,12 @@ class Marginal:
     """Univariate density on the line: the one base of the kernel marginals
     and the target-zoo marginals.
 
-    A subclass defines `pdf`.  A target marginal, which the studies sample,
-    also defines `ppf` when it keeps the default sampler.  A kernel
-    marginal, symmetric about 0, is never sampled; it also has
-    `tail_mass(delta)` (the mass outside [-delta, delta]), `moment(a)`
-    (E|X|^a, math.inf when divergent) and `radius(tol)` (an r with
-    tail_mass(r) <= tol).
+    A subclass defines `pdf`.  The target marginals are sampled, through
+    their base in :mod:`mixapprox.densities`.  A kernel marginal, symmetric
+    about 0, is never sampled; it has `tail_mass(delta)` (the mass outside
+    [-delta, delta]), `moment(a)` (E|X|^a, math.inf when divergent),
+    `radius(tol)` (an r with tail_mass(r) <= tol) and `piece`, the longest
+    piece of the certification's quadrature rule on it.
     """
 
     name = "abstract"
@@ -164,13 +168,10 @@ class Marginal:
         with np.errstate(divide="ignore"):
             return np.log(self.pdf(x))
 
-    def sample(self, n, rng):
-        """Inverse-cdf draws, ppf(u) for u uniform on [0, 1)."""
-        return self.ppf(rng.random(n))
-
 
 class Gaussian(Marginal):
     name = "gaussian"
+    piece = 1.0     # 12 nodes integrate a unit piece of the pdf to rounding
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -192,6 +193,7 @@ class Gaussian(Marginal):
 
 class Laplace(Marginal):
     name = "laplace"
+    piece = 4.0     # exp is smoother: radius(1e-14) = 32.2 takes 9 pieces
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -212,9 +214,10 @@ class Laplace(Marginal):
 
 
 class _CompactKernel(Marginal):
-    """Base for marginals supported on [-half_width, half_width]."""
+    """Base for marginals supported on [-half_width, half_width] and
+    polynomial on [0, half_width], which is one exact quadrature piece."""
 
-    half_width = 1.0
+    half_width = piece = 1.0
 
     def radius(self, tol):
         return self.half_width
@@ -228,7 +231,7 @@ class UniformSymmetric(_CompactKernel):
     """
 
     name = "uniform-symmetric"
-    half_width = 0.5
+    half_width = piece = 0.5
 
     def pdf(self, x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -244,7 +247,6 @@ class UniformSymmetric(_CompactKernel):
 
 class Triangular(_CompactKernel):
     name = "triangular"
-    half_width = 1.0
 
     def pdf(self, x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -260,7 +262,6 @@ class Triangular(_CompactKernel):
 
 class Epanechnikov(_CompactKernel):
     name = "epanechnikov"
-    half_width = 1.0
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -356,53 +357,49 @@ def make_product_kernel(marginal_name: str, dim: int) -> ProductKernel:
     return ProductKernel(int(dim), _MARGINALS[marginal_name]())
 
 
-def _l1_inside_mass(marginal: Marginal, p: int, s: float, reach: float) -> float:
-    """P(|Z_1| + ... + |Z_p| <= s) for iid symmetric marginals, each |Z|
-    integrated up to min(s, reach), with reach the marginal's radius(1e-14)."""
-    if s <= 0:
-        return 0.0
-    if p == 1:
-        return float(1.0 - marginal.tail_mass(s))
-    from scipy import integrate     # imported here: no study needs it at p = 1
+def _gauss_legendre(m: Marginal, top, kinks=()):
+    """Composite Gauss-Legendre nodes and weights on [0, top], for
+    integrands built from the kernel marginal m.
 
-    val, _ = integrate.quad(
-        lambda z: marginal.pdf(z) * _l1_inside_mass(marginal, p - 1, s - z, reach),
-        0.0,
-        min(s, reach),
-        epsabs=1e-12,
-        epsrel=1e-10,
-        limit=200,
-    )
-    return float(min(2.0 * val, 1.0))
+    The pieces end at 0, top, the `kinks` inside [0, top] and the multiples
+    of ``m.piece`` up to m's radius(1e-14), which top must not exceed.  For
+    an array top, `kinks` has one more axis, and each entry gets its own
+    rule with the same node count: the pieces past it have zero weight.
+    """
+    top = np.asarray(top, dtype=float)
+    grid = m.piece * np.arange(math.ceil(m.radius(1e-14) / m.piece) + 1)
+    ends = np.concatenate([np.broadcast_to(grid, top.shape + grid.shape),
+                           np.broadcast_to(kinks, top.shape + np.shape(kinks)[-1:]),
+                           top[..., None]], axis=-1)
+    ends = np.sort(np.clip(ends, 0.0, top[..., None]), axis=-1)
+    half = 0.5 * np.diff(ends, axis=-1)[..., None]
+    nodes = ends[..., :-1, None] + half * (1.0 + _GL_X)
+    weights = half * _GL_W
+    return nodes.reshape(top.shape + (-1,)), weights.reshape(top.shape + (-1,))
+
+
+def _l1_tail(m: Marginal, p: int, s):
+    """P(|Z_1| + ... + |Z_p| > s) for iid marginals m, elementwise over s:
+    tail_mass(s) + int_0^min(s, r) 2 g(z) tail_{p-1}(s - z) dz, with r the
+    radius(1e-14), so the part dropped is below 1e-14.  The pieces end at
+    the inner tail's kinks z = s - j * half_width (j < p) of a compact m.
+    Only nodes of nonzero weight are evaluated: the Gaussian's tail_mass
+    costs a Python call a value.
+    """
+    s = np.asarray(s, dtype=float)
+    if p == 1:
+        return m.tail_mass(s)
+    steps = np.arange(p) if isinstance(m, _CompactKernel) else np.zeros(1)
+    z, w = _gauss_legendre(m, np.minimum(s, m.radius(1e-14)), s[..., None] - m.piece * steps)
+    live = w > 0.0
+    inner = np.zeros(z.shape)
+    inner[live] = _l1_tail(m, p - 1, (s[..., None] - z)[live])
+    return m.tail_mass(s) + np.sum(2.0 * w * m.pdf(z) * inner, axis=-1)
 
 
 def l1_outside_mass(dilation: Dilation, delta: float) -> float:
     """Mass of a dilated kernel outside the l1 ball of radius delta."""
-    s = float(delta) * dilation.k
-    m = dilation.base.marginal
-    reach = m.radius(1e-14) if dilation.dim > 1 else math.inf   # unused in 1-D
-    inside = _l1_inside_mass(m, dilation.dim, s, reach)
-    return float(min(max(1.0 - inside, 0.0), 1.0))
-
-
-def _axis_mass(marginal: Marginal, k: int) -> float:
-    """Measured per-axis mass of the dilated marginal.
-
-    Compactly supported marginals are integrated by trapezoid on a padded
-    lattice that places the support edge on an interior node, where the
-    midpoint jump convention makes the sum exact.  Full-support marginals use
-    Simpson on the truncation interval.
-    """
-    r, n_points = marginal.radius(1e-12) / k, 4097
-    if isinstance(marginal, _CompactKernel):
-        h = r / (n_points // 2)
-        m = n_points // 2 + 8       # 8 padding nodes past each edge
-        xs, rule = h * np.arange(-m, m + 1), "trapezoid"
-    else:
-        xs, rule = np.linspace(-r, r, n_points), "simpson"
-        h = xs[1] - xs[0]
-    vals = k * marginal.pdf(k * xs)
-    return float(np.sum(_axis_weights(xs.size, h, rule) * vals))
+    return float(_l1_tail(dilation.base.marginal, dilation.dim, float(delta) * dilation.k))
 
 
 @dataclass(frozen=True)
@@ -428,20 +425,20 @@ def certify_approximate_identity(base: ProductKernel, deltas, ks) -> IdentityCer
     if list(ks) != sorted(ks) or len(set(ks)) != len(ks):
         raise ValueError("ks must be strictly increasing")
 
-    masses = tuple(_axis_mass(base.marginal, k) ** base.dim for k in ks)
+    # Each axis's mass: k g(k x) on [-r/k, r/k], r = radius(1e-12), by the
+    # composite rule on [0, r] scaled by 1/k.
+    z, w = _gauss_legendre(base.marginal, base.marginal.radius(1e-12))
+    masses = tuple(float(2.0 * np.sum(w / k * Dilation(base, k).axis_pdf(z / k))) ** base.dim
+                   for k in ks)
     mass_ok = all(abs(m - 1.0) <= 1e-6 for m in masses)
 
     probe = np.linspace(-base.marginal.radius(1e-9), base.marginal.radius(1e-9), 33)
     lattice = np.ix_(*([probe] * base.dim))
     nonneg = not any(np.min(Dilation(base, k).lattice_pdf(lattice)) < 0 for k in ks)
 
-    outside = {}
-    concentration_ok = True
-    for d in deltas:
-        seq = tuple(l1_outside_mass(Dilation(base, k), d) for k in ks)
-        outside[d] = seq
-        if any(b > a + 1e-12 for a, b in zip(seq, seq[1:])) or seq[-1] >= 0.01:
-            concentration_ok = False
+    outside = {d: tuple(l1_outside_mass(Dilation(base, k), d) for k in ks) for d in deltas}
+    concentration_ok = all(seq[-1] < 0.01 and all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
+                           for seq in outside.values())
 
     return IdentityCertification(
         ks=ks,
@@ -455,33 +452,23 @@ def certify_approximate_identity(base: ProductKernel, deltas, ks) -> IdentityCer
 
 
 def check_moment_condition(kernel: ProductKernel, a: float) -> float:
-    """Absolute l1-moment of order a of the unit-scale kernel, by quadrature.
-
-    Returns math.inf when the marginal moment diverges.  Independent of the
-    closed-form `marginal.moment` map, which serves as its oracle in tests.
+    """Absolute l1-moment E(|Z_1| + ... + |Z_p|)^a of the unit-scale kernel:
+    2^p times the tensor composite rule on [0, r]^p, r = radius(1e-13), with
+    pieces graded toward 0 (ends at piece / 4^j) where a < 1 makes the sum's
+    power kink.  The last axis is summed a node at a time.  Returns math.inf
+    when the marginal moment diverges; `marginal.moment` is its oracle in
+    tests.
     """
     if not 0.0 < a <= 1.0:
         raise ValueError("moment exponent must lie in (0, 1]")
     if not math.isfinite(kernel.marginal.moment(a)):
         return math.inf
-    from scipy import integrate     # imported here, off the start-up path
-
     m = kernel.marginal
-    r = m.radius(1e-13)
-    if kernel.dim == 1:
-        val, _ = integrate.quad(lambda x: abs(x) ** a * m.pdf(x), -r, r,
-                                points=[0.0], epsabs=1e-12, limit=200)
-        return float(val)
-    if kernel.dim == 2:
-        val, _ = integrate.dblquad(
-            lambda y, x: (x + y) ** a * m.pdf(x) * m.pdf(y),
-            0.0, r, 0.0, r, epsabs=1e-10,
-        )
-        return float(4.0 * val)
-    # dim 3: tensor Simpson on the positive octant, exploiting symmetry.
-    n = 129
-    xs = np.linspace(0.0, r, n)
-    px = m.pdf(xs) * _axis_weights(n, xs[1] - xs[0], "simpson")
-    s = xs[:, None, None] + xs[None, :, None] + xs[None, None, :]
-    vals = s ** a * (px[:, None, None] * px[None, :, None] * px[None, None, :])
-    return float(8.0 * vals.sum())
+    grading = m.piece * 0.25 ** np.arange(1, 13) if a < 1.0 else ()
+    z, w = _gauss_legendre(m, m.radius(1e-13), grading)
+    v = 2.0 * w * m.pdf(z)
+    sums, weights = np.zeros(1), np.ones(1)
+    for _ in range(kernel.dim - 1):
+        sums = np.add.outer(sums, z).ravel()
+        weights = np.multiply.outer(weights, v).ravel()
+    return float(sum(vj * np.sum(weights * (sums + zj) ** a) for zj, vj in zip(z, v)))

@@ -5,12 +5,12 @@ Point-wise densities on stacked points, the node mesh, box membership,
 quadrature mass, the difference of two grid functions, the n-D direct
 quadrature sum that both convolution paths are checked against, the full
 linear convolution by scipy.fft that the FFT paths keep the bits of, lattice
-convolution with the Young inequality checks, the kernel marginals' cdfs and
-samplers, the KL-versus-L2 check for lower-bounded densities, class
-membership and Lipschitz estimates of targets, a seedable mixture sampler,
-the mean lattice of a mixture dictionary, and grid-free closed forms for the
-Gaussian kernel.  A method of a package class appears here as a function of
-the instance.
+convolution with the Young inequality checks, the kernel marginals' cdfs,
+samplers and closed-form l1 tails, the KL-versus-L2 check for
+lower-bounded densities, class membership and Lipschitz estimates of
+targets, a seedable mixture sampler, the mean lattice of a mixture
+dictionary, and grid-free closed forms for the Gaussian kernel.  A method
+of a package class appears here as a function of the instance.
 """
 
 import math
@@ -245,6 +245,29 @@ def kernel_draw(marginal, shape, rng) -> np.ndarray:
         # The cubic cdf inverted through its trigonometric root.
         return 2.0 * np.sin(np.arcsin(2.0 * u - 1.0) / 3.0)
     raise ValueError(f"no sampler for marginal {name!r}")
+
+
+def l1_tail(name: str, p: int, s):
+    """P(|Z_1| + ... + |Z_p| > s) for iid kernel marginals, in closed form.
+
+    gaussian, p = 2: t (2 - t) with t = 2 Phi(-s / sqrt2), because
+    |Z_1| + |Z_2| = sqrt2 max(|U|, |V|) for the normals U, V of the 45 degree
+    rotation.  laplace: |Z| is Exp(1), so the sum is Gamma(p, 1), with tail
+    exp(-s) sum_{j<p} s^j / j!.  uniform-symmetric: |Z| is uniform on
+    [0, 1/2], so twice the sum is Irwin-Hall(p).
+    """
+    if name == "gaussian" and p == 2:
+        t = 2.0 * ndtr(-s / math.sqrt(2.0))
+        return t * (2.0 - t)
+    if name == "laplace":
+        return math.exp(-s) * sum(s ** j / math.factorial(j) for j in range(p))
+    if name == "uniform-symmetric":
+        x = 2.0 * s
+        if x >= p:
+            return 0.0
+        return 1.0 - sum((-1) ** j * math.comb(p, j) * (x - j) ** p
+                         for j in range(math.floor(x) + 1)) / math.factorial(p)
+    raise ValueError(f"no closed-form l1 tail for {name!r} in p = {p}")
 
 
 # --- densities --------------------------------------------------------------

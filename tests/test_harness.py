@@ -538,8 +538,9 @@ class TestCli:
         # numpy 2 loads lazily (numpy.fft, numpy.random, numpy.ma through
         # np.quantile) load with it, so no study pays an import in its own
         # time.  A fresh interpreter shows what a 1-D mle-risk (EM, and the
-        # normal cdf's inverse in the two-bump sampler's tails) and the 2-D
-        # mix-rate and bounds (the FFT approximant) load.
+        # normal cdf's inverse in the two-bump sampler's tails), the 2-D
+        # mix-rate and bounds (the FFT approximant) and a 2-D and a 3-D
+        # check-identity (the l1 tails and masses) load.
         mle = self._write(tmp_path, "study = mle-risk\ndensity.name = two-truncated-normals\n"
                                     "n.list = 4\nN.list = 200\nreplications = 1\n"
                                     "fit.k_grid = 4\nheldout.n = 4\nheldout.N = 200\n")
@@ -551,8 +552,15 @@ class TestCli:
         bounds.write_text("study = bounds\ndensity.name = truncated-normal\n"
                           "density.dim = 2\ngrid.points_per_axis = 65\nk.list = 4\n"
                           "N.list = 100\ndictionary.means_per_axis = 5\n")
-        runs = [[study, "--config", str(cfg), "--out", str(tmp_path / f"{study}.csv")]
-                for study, cfg in (("mle-risk", mle), ("mix-rate", mix), ("bounds", bounds))]
+        identity = []
+        for dim, kernel in ((2, "gaussian"), (3, "uniform-symmetric")):
+            identity.append(tmp_path / f"identity{dim}.cfg")
+            identity[-1].write_text(f"study = check-identity\nkernel.name = {kernel}\n"
+                                    f"density.dim = {dim}\nk.list = 1,2,4,8\n"
+                                    "deltas.list = 0.25,0.5,1.0\n")
+        runs = [[study, "--config", str(cfg), "--out", str(tmp_path / f"{cfg.stem}.csv")]
+                for study, cfg in (("mle-risk", mle), ("mix-rate", mix), ("bounds", bounds),
+                                   *(("check-identity", c) for c in identity))]
         script = (
             "import sys\n"
             "from mixapprox.cli import main\n"
@@ -996,9 +1004,9 @@ class TestNnls2Col:
 
 
 def test_cli_import_loads_no_scipy():
-    # The normal cdf and its inverse are ported into kernels.py, only
-    # quadrature that no import runs needs scipy.integrate, and C1, C2 come
-    # from a closed form, so the start-up path loads no scipy module.
+    # The normal cdf and its inverse are ported into kernels.py, the
+    # certification integrates by numpy's Gauss-Legendre nodes, and C1, C2
+    # come from a closed form, so the start-up path loads no scipy module.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = ("import sys, mixapprox.cli\n"

@@ -1,8 +1,8 @@
 """Source hygiene: every top-level import of a module or test file is used,
-the package neither evaluates on a stacked mesh nor warns, every function,
-class, method and data attribute it defines is read by its own code, every
-config field is read by a study or the CLI, and only the pinned mixing
-approximant calls ``convolve``.
+the package imports no scipy at any depth, neither evaluates on a stacked
+mesh nor warns, every function, class, method and data attribute it defines
+is read by its own code, every config field is read by a study or the CLI,
+and only the pinned mixing approximant calls ``convolve``.
 
 No linter ships with the package, so these scans stand in for one.  The
 package ``__init__`` is left out of the import scan: its imports are
@@ -82,6 +82,47 @@ def test_scan_flags_a_mesh_and_a_warning():
     tree = ast.parse("g.mesh()\nbox.contains_points(x)\nwarnings.warn('w')\n"
                      "g.mesh\nwarn('w')\ndef mesh(self): pass\n")
     assert _banned_calls(tree) == [(1, "mesh"), (2, "contains_points"), (3, "warnings.warn")]
+
+
+def _scipy_imports(tree: ast.Module) -> list:
+    """(line, module) of every import of scipy or a scipy submodule, at any
+    depth: ``import``, ``from ... import`` and ``importlib.import_module`` or
+    ``__import__`` of a literal name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in ("import_module", "__import__")):
+            names = [node.args[0].value]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if isinstance(name, str) and name.split(".")[0] == "scipy"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_the_package_imports_no_scipy(path):
+    # numpy is the one runtime dependency; scipy checks the package in tests.
+    found = _scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name}: " + ", ".join(f"{name} (line {line})"
+                                                   for line, name in found)
+
+
+def test_scan_flags_a_scipy_import_at_any_depth():
+    src = ("import numpy, scipy.special as sp\n"
+           "def quad(f):\n    from scipy import integrate\n    return integrate\n"
+           "class K:\n    def m(self):\n        import scipy\n"
+           "lib = importlib.import_module('scipy.fft')\n__import__('scipy')\n"
+           "from .scipy_like import x\nimport scipyx\nfrom numpy import scipy\n"
+           "# import scipy\ns = 'import scipy'\n")
+    assert _scipy_imports(ast.parse(src)) == [
+        (1, "scipy.special"), (3, "scipy"), (7, "scipy"), (8, "scipy.fft"), (9, "scipy")]
 
 
 class _References(ast.NodeVisitor):

@@ -1,6 +1,8 @@
 """Tests for kernel marginals, product kernels, dilations, and certification."""
 
 import math
+import time
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -20,7 +22,7 @@ from mixapprox.kernels import (
     l1_outside_mass,
     make_product_kernel,
 )
-from oracles import dilation_pdf, kernel_draw, kernel_log_pdf, kernel_pdf, marginal_cdf
+from oracles import dilation_pdf, kernel_draw, kernel_log_pdf, kernel_pdf, l1_tail, marginal_cdf
 
 ALL = list(MARGINAL_NAMES)
 
@@ -63,13 +65,20 @@ class TestMarginalBase:
     def test_default_sample_is_ppf_of_uniforms(self):
         # Only targets are sampled; the kernels' draws are tests' oracles.
         defaults = [(name, cls()) for name, cls in densities._ZOO.items()
-                    if cls.sample is Marginal.sample]
+                    if cls.sample is densities._TargetMarginal.sample]
         assert {"uniform-box", "clipped-cosine", "tent", "truncated-normal"} == \
             {l for l, _ in defaults}
         for label, m in defaults:
             got = m.sample(500, np.random.default_rng(19))
             want = m.ppf(np.random.default_rng(19).random(500))
             assert np.array_equal(got, want), label
+
+    def test_kernel_marginals_have_no_sampler(self):
+        # A kernel marginal has no ppf, so an inherited inverse-cdf sampler
+        # could only fail; tests draw kernels through oracles.kernel_draw.
+        assert not hasattr(Marginal, "sample")
+        for name in ALL:
+            assert not hasattr(make_product_kernel(name, 1).marginal, "sample"), name
 
 
 class TestMarginals:
@@ -218,14 +227,32 @@ class TestMomentMaps:
         assert check_moment_condition(kernel, a) == pytest.approx(
             kernel.marginal.moment(a), rel=1e-7)
 
-    def test_2d_gaussian_finite(self):
-        val = check_moment_condition(make_product_kernel("gaussian", 2), 1.0)
-        # l1 moment of the 2d standard normal is twice the univariate one.
-        assert val == pytest.approx(2 * math.sqrt(2 / math.pi), rel=1e-6)
+    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_first_l1_moment_is_p_marginal_moments(self, name, p):
+        # E(|Z_1| + ... + |Z_p|) = p E|Z|: the tensor rule in every dim.
+        val = check_moment_condition(make_product_kernel(name, p), 1.0)
+        assert val == pytest.approx(p * make_product_kernel(name, 1).marginal.moment(1.0),
+                                    rel=1e-10)
 
-    def test_3d_finite(self):
-        val = check_moment_condition(make_product_kernel("gaussian", 3), 1.0)
-        assert val == pytest.approx(3 * math.sqrt(2 / math.pi), rel=1e-4)
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("a", [0.3, 0.5, 1.0])
+    def test_laplace_l1_moment_is_gamma(self, p, a):
+        # |Z| is Exp(1), so the l1 norm is Gamma(p, 1), with E S^a = G(p + a) / G(p).
+        val = check_moment_condition(make_product_kernel("laplace", p), a)
+        assert val == pytest.approx(math.gamma(p + a) / math.gamma(p), rel=1e-10)
+
+    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("a", [0.3, 0.5])
+    def test_fractional_2d_moment_matches_dblquad(self, name, a):
+        # Adaptive quadrature on the positive quadrant, [0, r]^2 with r the
+        # radius(1e-13) the package truncates at, times 4.
+        m = make_product_kernel(name, 1).marginal
+        r = m.radius(1e-13)
+        ref, _ = integrate.dblquad(lambda y, x: (x + y) ** a * m.pdf(x) * m.pdf(y),
+                                   0.0, r, 0.0, r, epsabs=1e-14, epsrel=1e-12)
+        val = check_moment_condition(make_product_kernel(name, 2), a)
+        assert val == pytest.approx(4.0 * ref, rel=1e-9)
 
     def test_exponent_domain(self):
         kernel = make_product_kernel("gaussian", 1)
@@ -348,6 +375,29 @@ class TestL1Tail:
             se = math.sqrt(max(est * (1 - est), 1e-8) / z.shape[0])
             assert abs(val - est) < 5 * se + 1e-6
 
+    @pytest.mark.parametrize("name, p", [("gaussian", 2), ("laplace", 2), ("laplace", 3),
+                                         ("uniform-symmetric", 2), ("uniform-symmetric", 3)])
+    def test_closed_form_tails(self, name, p):
+        kernel = make_product_kernel(name, p)
+        for delta in (0.25, 0.5, 1.0):
+            for k in range(1, 33):
+                got = l1_outside_mass(Dilation(kernel, k), delta)
+                assert abs(got - l1_tail(name, p, delta * k)) <= 1e-13, (delta, k)
+
+    @pytest.mark.parametrize("name", ["uniform-symmetric", "triangular", "epanechnikov"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_compact_tail_is_zero_past_the_support(self, name, p):
+        # The dilation by k lives in the l1 ball of radius p * half_width / k.
+        kernel = make_product_kernel(name, p)
+        edge = p * kernel.marginal.half_width
+        for delta in (0.25, 0.5, 1.0):
+            for k in range(1, 33):
+                got = l1_outside_mass(Dilation(kernel, k), delta)
+                if delta * k >= edge:
+                    assert got == 0.0, (delta, k)
+                else:
+                    assert got > 0.0, (delta, k)
+
     def test_2d_laplace_gamma_tail(self):
         # Sum of two iid absolute-laplace variables is Gamma(2, 1).
         d = Dilation(make_product_kernel("laplace", 2), 4)
@@ -364,6 +414,33 @@ class TestCertification:
         assert seq[0] == pytest.approx(2 * ndtr(-0.5), abs=1e-12)
         assert all(b < a for a, b in zip(seq, seq[1:]))
         assert seq[-1] < 1e-6
+
+    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mass_is_one_minus_the_truncated_tail(self, name, dim):
+        # Each axis integrates the dilated marginal over [-r/k, r/k], with
+        # r = radius(1e-12); the compact kernels' pieces make that exact.
+        m = make_product_kernel(name, 1).marginal
+        axis = 1.0 - float(m.tail_mass(m.radius(1e-12)))
+        cert = certify_approximate_identity(make_product_kernel(name, dim), deltas=(0.5,),
+                                            ks=(1, 2, 3, 4, 8, 16, 32))
+        for mass in cert.masses:
+            assert abs(mass - axis ** dim) <= dim * 1e-14
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_3d_certification_is_quick_and_silent(self, name, capfd):
+        # At the shipped deltas and ks.  Every 3-D family concentrates but
+        # the Laplace, whose l1 norm is Gamma(3, 1): at delta = 0.25 and
+        # k = 32 it keeps exp(-8) (1 + 8 + 32) = 0.0138 >= 0.01 outside.
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify_approximate_identity(make_product_kernel(name, 3),
+                                                (0.25, 0.5, 1.0), (1, 2, 4, 8, 16, 32))
+        assert time.perf_counter() - start < 2.0
+        assert capfd.readouterr() == ("", "")
+        assert cert.mass_ok and cert.nonnegative_ok
+        assert cert.passed == (name != "laplace")
 
     def test_compact_kernel_exact_zero(self):
         cert = certify_approximate_identity(

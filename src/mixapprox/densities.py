@@ -183,8 +183,6 @@ class TargetDensity:
     marginal: Marginal
     dim: int
 
-    lipschitz_exponent = 1.0
-
     @property
     def name(self) -> str:
         return self.marginal.name

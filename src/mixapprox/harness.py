@@ -127,26 +127,45 @@ def _grid_points(cfg: ExperimentConfig) -> int:
     return cfg.grid_points_per_axis or _DEFAULT_POINTS[cfg.density_dim]
 
 
-def _mean_box(cfg: ExperimentConfig, support) -> MeanBox:
-    if cfg.fit_mean_box:
-        lo, hi = cfg.fit_mean_box
-        return MeanBox(lo, hi, cfg.density_dim)
-    return MeanBox(min(support.lower), max(support.upper), cfg.density_dim)
-
-
-def _config_guard(check, *args) -> None:
-    """Run a library input guard up front; its ValueError is a ConfigError."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _note_first_k(result: StudyResult, cfg: ExperimentConfig) -> None:
     """Note that a study smoothing at one scale uses only k.list's first entry."""
     if len(cfg.k_list) > 1:
         result.notes.append(f"{cfg.study} smooths at k = {cfg.k_list[0]}, the first "
                             f"of k.list's {len(cfg.k_list)} entries; the others are unused")
+
+
+def _study_inputs(cfg: ExperimentConfig) -> tuple:
+    """The target, kernel, grid and mean box of a study, built once, after the
+    checks that its config meets the hypotheses the study's bounds rest on.
+
+    Each failure is a ConfigError: `mix-rate` and `mle-risk` need a target
+    bounded below; the grid must resolve the kernel (``check_resolution``) at
+    the study's finest scale wherever it smooths on the grid, which
+    `check-identity` never does and `bounds` does only where its log-ratio sup
+    is finite; and an `mle-risk` fits its certificates on the cells besides
+    the held-out one.
+    """
+    f = make_target(cfg.density_name, cfg.density_dim)
+    kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
+    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
+    lo, hi = cfg.fit_mean_box or (min(f.support.lower), max(f.support.upper))
+    box = MeanBox(lo, hi, cfg.density_dim)
+    study = cfg.study
+    if study in ("mix-rate", "mle-risk") and f.beta_lower <= 0:
+        raise ConfigError(f"density {cfg.density_name!r} is not bounded below; the "
+                          f"{study} study needs a lower-bounded target")
+    k = {"conv-rate": max(cfg.k_list), "mle-risk": max(cfg.fit_k_grid)}.get(study, cfg.k_list[0])
+    smooths = study != "check-identity" and (
+        study != "bounds" or math.isfinite(bnd.compute_A_logratio(kernel, k, box, f.support)))
+    if smooths:
+        try:
+            check_resolution(grid, k)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if study == "mle-risk" and _mle_cells(cfg) == [(cfg.heldout_n, cfg.heldout_N)]:
+        raise ConfigError("mle-risk fits its certificates on the cells besides the held-out "
+                          "one, and n.list x N.list and the schedules give none")
+    return f, kernel, grid, box
 
 
 def _rate_report(study: str, axis: str, points) -> RateReport:
@@ -180,15 +199,7 @@ def run_conv_rate(cfg: ExperimentConfig) -> StudyResult:
     fitted on the interior sup, the only sup variant that decays for targets
     that jump at the support boundary.
     """
-    f = make_target(cfg.density_name, cfg.density_dim)
-    kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
-    if not math.isfinite(kernel.marginal.moment(f.lipschitz_exponent)):
-        raise ConfigError(
-            f"kernel {cfg.kernel_name!r} fails the moment hypothesis: the rate "
-            f"bound needs a finite l1 moment of order {f.lipschitz_exponent}"
-        )
-    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
-    _config_guard(check_resolution, grid, max(cfg.k_list))
+    f, kernel, grid, _ = _study_inputs(cfg)
     f_gf = sample_on_grid(f, grid)
     interior = f.support.shrink_fraction(cfg.interior_margin)
     inner = interior.grid_mask(grid)
@@ -226,23 +237,14 @@ def run_mix_rate(cfg: ExperimentConfig) -> StudyResult:
     the log-ratio sup is infinite (compact marginals) the bounds stage is
     skipped with a note and the rate stage still runs.
     """
-    f = make_target(cfg.density_name, cfg.density_dim)
-    if f.beta_lower <= 0:
-        raise ConfigError(
-            f"density {cfg.density_name!r} is not bounded below; the mixture "
-            "study needs a lower-bounded target"
-        )
-    kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
+    f, kernel, grid, box = _study_inputs(cfg)
     k = int(cfg.k_list[0])
-    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
-    _config_guard(check_resolution, grid, k)
     mixing = build_mixing_approximant(f, kernel, k, grid)
     f_gf, fbar = mixing.target, mixing.realized
     beta = min(f.beta_lower, float(fbar.values.min()))
     kl_smooth = kl_divergence(f_gf, fbar)
     eps_hat = beta * kl_smooth
 
-    box = _mean_box(cfg, f.support)
     dictionary = build_dictionary(kernel, k, box, cfg.means_per_axis, grid)
     greedy = greedy_fit(fbar, dictionary, cfg.n_list, objective=cfg.objective)
 
@@ -370,14 +372,8 @@ def run_mle_risk(cfg: ExperimentConfig) -> StudyResult:
     to the truth by quadrature.  Certificates for the risk bounds are fitted
     on all cells except the held-out one and then checked there.
     """
-    f = make_target(cfg.density_name, cfg.density_dim)
-    if f.beta_lower <= 0:
-        raise ConfigError("mle-risk needs a lower-bounded target density")
-    kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
-    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
-    _config_guard(check_resolution, grid, max(cfg.fit_k_grid))
+    f, kernel, grid, box = _study_inputs(cfg)
     f_gf = sample_on_grid(f, grid)
-    box = _mean_box(cfg, f.support)
 
     N_max = max(cfg.N_list)
     cell_list = _mle_cells(cfg)
@@ -505,11 +501,8 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     The covering-number dictionary is capped by `_bounds_lattice`; only its
     values at the samples are evaluated, never a table on the grid.
     """
-    f = make_target(cfg.density_name, cfg.density_dim)
-    kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
+    f, kernel, grid, box = _study_inputs(cfg)
     k = int(cfg.k_list[0])
-    grid = make_grid(f.support, _grid_points(cfg), cfg.grid_rule)
-    box = _mean_box(cfg, f.support)
     per_axis, n_samples = _bounds_lattice(cfg)
     result = StudyResult("bounds")
     _note_first_k(result, cfg)
@@ -517,7 +510,6 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
     consts = {"A_logratio": bnd.compute_A_logratio(kernel, k, box, f.support)}
     if math.isfinite(consts["A_logratio"]):
         consts["gamma"] = bnd.compute_gamma(consts["A_logratio"])
-        _config_guard(check_resolution, grid, k)
         mixing = build_mixing_approximant(f, kernel, k, grid)
         consts["C_hull"] = bnd.hull_kl_constant(mixing)
         consts["C_target"] = bnd.target_kl_constant(mixing)
@@ -550,7 +542,7 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
 
 def run_check_identity(cfg: ExperimentConfig) -> StudyResult:
     """Approximate-identity certification rows for the configured kernel."""
-    kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
+    kernel = _study_inputs(cfg)[1]
     cert = certify_approximate_identity(kernel, cfg.deltas, cfg.k_list)
     result = StudyResult("check-identity")
     for k, mass in zip(cert.ks, cert.masses):

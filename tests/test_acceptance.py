@@ -266,8 +266,9 @@ def test_criterion_6b_two_stage_domination_all_n():
     # Known red at small n: the squared-L2 run certificate cannot control the
     # divergence to a one- or few-spike iterate, whose density all but
     # vanishes over most of the box (the KL-to-L2 comparison needs densities
-    # bounded below, which those iterates are not).  From n around 7 onward
-    # every check passes.  The gate says "for all n" and is kept as stated.
+    # bounded below, which those iterates are not).  The checks fail at
+    # n = 1..5 and pass from n = 6 onward.  The gate says "for all n" and is
+    # kept as stated.
     run = _greedy_run()
     ns = np.arange(1, 33)
     C_hat = float(np.max(ns * run.gaps))

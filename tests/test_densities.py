@@ -123,7 +123,6 @@ class TestMakeTarget:
         assert f.beta_upper == pytest.approx(g_max ** dim, rel=1e-12)
         assert target_lipschitz_constant(f) == pytest.approx(
             dim * slope * g_max ** (dim - 1), rel=1e-12, abs=0.0)
-        assert f.lipschitz_exponent == 1.0
 
     def test_custom_truncated_normal(self):
         f = truncated_normal_density(-8.0, 8.0)
@@ -195,7 +194,7 @@ class TestEstimateLipschitz:
         f = make_target(name, dim)
         pts = 2049 if dim == 1 else 129
         grid = make_grid(f.support, pts, "simpson")
-        est = estimate_lipschitz(f, grid, f.lipschitz_exponent)
+        est = estimate_lipschitz(f, grid, 1.0)
         assert est <= target_lipschitz_constant(f) * (1 + 1e-6), (name, dim)
 
     def test_resolution_guard(self):

@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import fields
@@ -13,14 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mixapprox import harness
 from mixapprox.cli import main as cli_main
-from mixapprox.config import ConfigError, ExperimentConfig, load_config, parse_config_text
-from mixapprox.densities import make_target
+from mixapprox.config import (STUDIES, ConfigError, ExperimentConfig, load_config,
+                              parse_config_text)
+from mixapprox.densities import ZOO_NAMES, make_target
 from mixapprox.divergences import kl_divergence
 from mixapprox.grids import GridFunction, make_grid, sample_on_grid, smooth
 from mixapprox.harness import (
@@ -35,7 +37,7 @@ from mixapprox.harness import (
     run_mix_rate,
     run_study,
 )
-from mixapprox.kernels import Dilation, make_product_kernel
+from mixapprox.kernels import MARGINAL_NAMES, Dilation, make_product_kernel
 from mixapprox.mixtures import FiniteMixture
 
 
@@ -330,6 +332,42 @@ class TestCheckIdentityStudy:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+@st.composite
+def _tiny_configs(draw):
+    """(study, config text) of any study, small enough to run in a fraction
+    of a second: at most 17 nodes and 5 means per axis, N <= 20 and 20 EM
+    iterations.  Many are invalid or violate a hypothesis, and exit 2."""
+    def ints(lo, hi, **kw):
+        return ",".join(map(str, draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3,
+                                               **kw))))
+    rule = draw(st.sampled_from(["simpson", "trapezoid"]))
+    odd = rule == "simpson"
+    lines = {
+        "density.name": draw(st.sampled_from(ZOO_NAMES)),
+        "density.dim": draw(st.integers(1, 3)),
+        "kernel.name": draw(st.sampled_from(MARGINAL_NAMES)),
+        "grid.rule": rule,
+        "grid.points_per_axis": draw(st.just(17) | (st.integers(1, 8).map(lambda h: 2 * h + 1)
+                                                    if odd else st.integers(2, 17))),
+        "k.list": ints(1, 4, unique=True),
+        "n.list": ints(1, 6),
+        "N.list": ints(1, 20),
+        "replications": draw(st.integers(1, 2)),
+        "interior.margin": draw(st.sampled_from([0.0, 0.1, 0.3, 0.45])),
+        "objective": draw(st.sampled_from(["l2", "kl"])),
+        "dictionary.means_per_axis": draw(st.integers(1, 5)),
+        "fit.k_grid": ints(1, 3),
+        "fit.max_iters": draw(st.integers(1, 20)),
+        "heldout.n": draw(st.integers(1, 6)),
+        "heldout.N": draw(st.integers(1, 20)),
+    }
+    box = draw(st.none() | st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2).map(sorted))
+    if box:
+        lines["fit.mean_box"] = ",".join(map(repr, box))
+    return (draw(st.sampled_from(STUDIES)),
+            "".join(f"{key} = {value}\n" for key, value in lines.items()))
+
+
 class TestCli:
     def _write(self, tmp_path, text):
         p = tmp_path / "study.cfg"
@@ -390,9 +428,15 @@ class TestCli:
         ("conv-rate", "density.name = tent\ndensity.dim = 3\n"
                       "grid.points_per_axis = 1025\nk.list = 4\n",
          "1025^3 nodes"),
+        # Both schedules give n = 2 at N = 4, so every cell is the held-out
+        # one and no cell is left to fit the certificates on.
+        ("mle-risk", "density.name = uniform-box\nn.list = 2\nN.list = 4\n"
+                     "heldout.n = 2\nheldout.N = 4\n",
+         "besides the held-out"),
+        ("mle-risk", "density.name = tent\nn.list = 2\nN.list = 100\n", "bounded below"),
     ], ids=["dictionary-table", "conv-rate-resolution", "mle-risk-resolution",
             "mix-rate-approximant-fft", "bounds-approximant-fft", "conv-rate-empty-interior",
-            "conv-rate-grid-size"])
+            "conv-rate-grid-size", "mle-risk-heldout-only", "mle-risk-not-bounded-below"])
     def test_guard_is_a_config_error(self, tmp_path, capsys, study, text, message):
         # Configs that pass validate() but trip a library input guard exit 2
         # before any expensive stage, not with a traceback.
@@ -403,6 +447,21 @@ class TestCli:
         assert any(line.startswith("error: ") and message in line
                    for line in err.splitlines())
         assert not out.exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(_tiny_configs())
+    @example(("mle-risk", "density.name = uniform-box\nn.list = 2\nN.list = 4\n"
+                          "heldout.n = 2\nheldout.N = 4\n"))
+    def test_every_tiny_config_runs_or_exits_2(self, config):
+        # A config runs (exit 0, a report) or is refused as a ConfigError
+        # (exit 2, no report); no config raises.
+        study, text = config
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "study.cfg", Path(tmp) / "res.csv"
+            cfg.write_text(f"study = {study}\n{text}")
+            code = cli_main([study, "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2)
+            assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("study, text, message", [
         ("mle-risk", "density.name = truncated-normal\nfit.k_grid =\n", "fit_k_grid"),

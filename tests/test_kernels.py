@@ -220,6 +220,15 @@ class TestMomentMaps:
         m = make_product_kernel(name, 1).marginal
         assert m.moment(1.0) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("name", MARGINAL_NAMES)
+    def test_every_kernel_meets_the_moment_hypothesis(self, name):
+        # The convolution-rate bound for a Lipschitz target needs a finite
+        # first l1 moment of the kernel; no study checks it at run time.
+        moment = make_product_kernel(name, 1).marginal.moment(1.0)
+        assert math.isfinite(moment)
+        assert check_moment_condition(make_product_kernel(name, 1), 1.0) == pytest.approx(
+            moment, rel=1e-10)
+
     @pytest.mark.parametrize("name", ALL)
     @pytest.mark.parametrize("a", [0.3, 0.5, 1.0])
     def test_closed_form_agrees_with_quadrature(self, name, a):

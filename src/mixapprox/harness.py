@@ -140,10 +140,10 @@ def _study_inputs(cfg: ExperimentConfig) -> tuple:
 
     Each failure is a ConfigError: `mix-rate` and `mle-risk` need a target
     bounded below; the grid must resolve the kernel (``check_resolution``) at
-    the study's finest scale wherever it smooths on the grid, which
-    `check-identity` never does and `bounds` does only where its log-ratio sup
-    is finite; and an `mle-risk` fits its certificates on the cells besides
-    the held-out one.
+    the study's finest scale, in `bounds` only where its log-ratio sup is
+    finite (elsewhere it smooths nothing on the grid); and an `mle-risk` fits
+    its certificates on the cells besides the held-out one.  Each study reads
+    only the scale list that `validate` requires it to have.
     """
     f = make_target(cfg.density_name, cfg.density_dim)
     kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
@@ -154,10 +154,9 @@ def _study_inputs(cfg: ExperimentConfig) -> tuple:
     if study in ("mix-rate", "mle-risk") and f.beta_lower <= 0:
         raise ConfigError(f"density {cfg.density_name!r} is not bounded below; the "
                           f"{study} study needs a lower-bounded target")
-    k = {"conv-rate": max(cfg.k_list), "mle-risk": max(cfg.fit_k_grid)}.get(study, cfg.k_list[0])
-    smooths = study != "check-identity" and (
-        study != "bounds" or math.isfinite(bnd.compute_A_logratio(kernel, k, box, f.support)))
-    if smooths:
+    k = (max(cfg.fit_k_grid) if study == "mle-risk" else
+         max(cfg.k_list) if study == "conv-rate" else cfg.k_list[0])
+    if study != "bounds" or math.isfinite(bnd.compute_A_logratio(kernel, k, box, f.support)):
         try:
             check_resolution(grid, k)
         except ValueError as exc:
@@ -542,7 +541,7 @@ def run_bounds(cfg: ExperimentConfig) -> StudyResult:
 
 def run_check_identity(cfg: ExperimentConfig) -> StudyResult:
     """Approximate-identity certification rows for the configured kernel."""
-    kernel = _study_inputs(cfg)[1]
+    kernel = make_product_kernel(cfg.kernel_name, cfg.density_dim)
     cert = certify_approximate_identity(kernel, cfg.deltas, cfg.k_list)
     result = StudyResult("check-identity")
     for k, mass in zip(cert.ks, cert.masses):

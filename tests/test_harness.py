@@ -331,15 +331,30 @@ class TestCheckIdentityStudy:
         vals = [v for _, v in outside]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_builds_no_grid(self, monkeypatch):
+        # The memory guard predicts no grid term for check-identity, so
+        # grid.points_per_axis must not size anything it allocates.
+        def no_grid(*args):
+            raise AssertionError("check-identity built a grid")
+        monkeypatch.setattr(harness, "make_grid", no_grid)
+        cfg = ExperimentConfig(study="check-identity", kernel_name="gaussian", density_dim=3,
+                               grid_points_per_axis=10 ** 9 + 1, k_list=(1, 2))
+        assert harness.run_study(cfg).rows
+
 
 @st.composite
 def _tiny_configs(draw):
     """(study, config text) of any study, small enough to run in a fraction
     of a second: at most 17 nodes and 5 means per axis, N <= 20 and 20 EM
-    iterations.  Many are invalid or violate a hypothesis, and exit 2."""
-    def ints(lo, hi, **kw):
-        return ",".join(map(str, draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3,
-                                               **kw))))
+    iterations.  Many are invalid or violate a hypothesis, and exit 2.  A
+    list the study does not need may be empty, as `validate` allows."""
+    study = draw(st.sampled_from(STUDIES))
+    needs = {"conv-rate": "k", "check-identity": "k", "mix-rate": "kn",
+             "mle-risk": "nNf", "bounds": "knN"}[study]
+
+    def ints(key, lo, hi, **kw):
+        return ",".join(map(str, draw(st.lists(st.integers(lo, hi), min_size=key in needs,
+                                               max_size=3, **kw))))
     rule = draw(st.sampled_from(["simpson", "trapezoid"]))
     odd = rule == "simpson"
     lines = {
@@ -349,14 +364,14 @@ def _tiny_configs(draw):
         "grid.rule": rule,
         "grid.points_per_axis": draw(st.just(17) | (st.integers(1, 8).map(lambda h: 2 * h + 1)
                                                     if odd else st.integers(2, 17))),
-        "k.list": ints(1, 4, unique=True),
-        "n.list": ints(1, 6),
-        "N.list": ints(1, 20),
+        "k.list": ints("k", 1, 4, unique=True),
+        "n.list": ints("n", 1, 6),
+        "N.list": ints("N", 1, 20),
         "replications": draw(st.integers(1, 2)),
         "interior.margin": draw(st.sampled_from([0.0, 0.1, 0.3, 0.45])),
         "objective": draw(st.sampled_from(["l2", "kl"])),
         "dictionary.means_per_axis": draw(st.integers(1, 5)),
-        "fit.k_grid": ints(1, 3),
+        "fit.k_grid": ints("f", 1, 3),
         "fit.max_iters": draw(st.integers(1, 20)),
         "heldout.n": draw(st.integers(1, 6)),
         "heldout.N": draw(st.integers(1, 20)),
@@ -364,8 +379,7 @@ def _tiny_configs(draw):
     box = draw(st.none() | st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2).map(sorted))
     if box:
         lines["fit.mean_box"] = ",".join(map(repr, box))
-    return (draw(st.sampled_from(STUDIES)),
-            "".join(f"{key} = {value}\n" for key, value in lines.items()))
+    return (study, "".join(f"{key} = {value}\n" for key, value in lines.items()))
 
 
 class TestCli:
@@ -447,6 +461,27 @@ class TestCli:
         assert any(line.startswith("error: ") and message in line
                    for line in err.splitlines())
         assert not out.exists()
+
+    @pytest.mark.parametrize("study, text", [
+        ("mle-risk", "density.name = truncated-normal\nk.list =\nfit.k_grid = 2\n"
+                     "grid.points_per_axis = 65\nn.list = 2\nN.list = 20\n"
+                     "replications = 1\nheldout.n = 2\nheldout.N = 20\n"),
+        ("conv-rate", "density.name = tent\nfit.k_grid =\nk.list = 2\n"
+                      "grid.points_per_axis = 65\n"),
+        ("mix-rate", "density.name = truncated-normal\nfit.k_grid =\nk.list = 2\n"
+                     "grid.points_per_axis = 65\nn.list = 2\n"
+                     "dictionary.means_per_axis = 5\n"),
+        ("bounds", "density.name = truncated-normal\nfit.k_grid =\nk.list = 2\n"
+                   "grid.points_per_axis = 65\nn.list = 2\nN.list = 20\n"),
+        ("check-identity", "fit.k_grid =\n"),
+    ], ids=["mle-risk-no-k-list", "conv-rate-no-k-grid", "mix-rate-no-k-grid",
+            "bounds-no-k-grid", "check-identity-no-k-grid"])
+    def test_unneeded_scale_list_may_be_empty(self, tmp_path, study, text):
+        # validate() lets a study leave empty a scale list it does not use.
+        cfg = self._write(tmp_path, f"study = {study}\n{text}")
+        out = tmp_path / "res.csv"
+        assert cli_main([study, "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().startswith(CSV_HEADER)
 
     @settings(max_examples=50, deadline=None)
     @given(_tiny_configs())

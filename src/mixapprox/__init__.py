@@ -53,7 +53,6 @@ from .mixtures import (
     build_mixing_approximant,
     em_fit,
     greedy_fit,
-    log_likelihood,
     mle_fit,
 )
 from .bounds import (

@@ -584,8 +584,10 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
     52 to 54 B under KL; the greedy's table row blocks and step vectors
     beside its iterate fields, 121 to 251 B a node; its iterate mixtures,
     8 (p + 1) B a component (of at most min(s, M) at step s) and 364 to 382
-    B an iterate; EM's log-joint and the arrays shaped like it, 3.1 to 5.1 x
-    n N doubles at the largest cell."""
+    B an iterate; EM's (n, N) log-joint, the one such array of Gaussian EM and
+    five of Laplace EM (component-density temporaries, the medians' sorted
+    copies), beside (4 p + 9) N doubles: the samples, centred and not, and
+    EM's sample-side buffers and the exact step's temporaries."""
     study, dim, pts = cfg.study, cfg.density_dim, _grid_points(cfg)
     nodes = pts ** dim
     terms = {} if study == "check-identity" else {
@@ -610,8 +612,9 @@ def predicted_peak(cfg: ExperimentConfig) -> dict:
             8 * (dim + 1) * components + 400 * n_max)
     elif study == "mle-risk":
         cells = _mle_cells(cfg)
-        n, N = max(cells, key=lambda c: (c[0] * c[1], c[1]))
-        terms[f"EM's log-joint at n = {n}, N = {N}"] = 8 * N * (6 * n + 5 * dim + 5)
+        joints = 1 if cfg.kernel_name == "gaussian" else 5
+        n, N = max(cells, key=lambda c: c[1] * (joints * c[0] + 4 * dim + 9))
+        terms[f"EM's log-joint at n = {n}, N = {N}"] = 8 * N * (joints * n + 4 * dim + 9)
         n = max(cells)[0]
         terms[f"the factor tables of the {n}-component fits"] = 32 * n * pts * dim
     elif study == "bounds":   # values, two temporaries and the distances

@@ -28,7 +28,6 @@ __all__ = [
     "EMFit",
     "MLEFit",
     "GreedyFit",
-    "log_likelihood",
     "em_fit",
     "mle_fit",
     "build_dictionary",
@@ -66,25 +65,6 @@ class MeanBox:
         return rng.uniform(self.m_lower, self.m_upper, size=(n, self.dim))
 
 
-def _gaussian_log_joint(means: np.ndarray, logw: np.ndarray, c, k: int,
-                        rows: np.ndarray, params: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
-    """[m - c, log w - (k^2/2)|m - c|^2, -1] @ rows, shaped (n, N): EM's
-    Gaussian log w_j + log k^p g(k (x_i - m_j)) without its per-sample term
-    p (log k - log(2 pi)/2) - (k^2/2)|x_i - c|^2; centring keeps the expanded
-    square accurate, and translation-invariant, far from the origin.
-
-    The -1 column enters only when rows carries the shift row s; the result is
-    then that log-joint minus s_i.  params, (n, p + 2), and out, (n, N), are
-    the buffers of the parameter side and the product."""
-    p = means.shape[1]
-    mc = params[:, :p]
-    np.subtract(means, c, out=mc)
-    params[:, p] = logw - 0.5 * k * k * np.sum(mc * mc, axis=1)
-    params[:, p + 1:] = -1.0
-    return np.matmul(params[:, :rows.shape[0]], rows, out=out)
-
-
 def _component_log_pdf(kernel: ProductKernel, k: int, means: np.ndarray,
                        x: np.ndarray) -> np.ndarray:
     """Log of the dilated component k^p g(k (x - m)) at every mean and point.
@@ -109,11 +89,11 @@ def _logsumexp0(a: np.ndarray):
     """Log-sum-exp over axis 0 of an (n, N) array and the column sums of
     exp(a - max), which a is left holding.  A column with no finite entry
     gives -inf."""
-    mx = a.max(axis=0)
+    mx = np.maximum.reduce(a, axis=0)
     mx[~np.isfinite(mx)] = 0.0
-    a -= mx
+    np.subtract(a, mx, out=a)
     np.exp(a, out=a)
-    denom = a.sum(axis=0)
+    denom = np.add.reduce(a, axis=0)
     with np.errstate(divide="ignore"):
         return mx + np.log(denom), denom
 
@@ -184,11 +164,6 @@ class FiniteMixture:
         return GridFunction(grid, values)
 
 
-def log_likelihood(mix: FiniteMixture, xs) -> float:
-    """Sum of log mixture densities; -inf when a sample escapes the support."""
-    return float(np.sum(mix.log_pdf(xs)))
-
-
 @dataclass
 class EMFit:
     mixture: FiniteMixture
@@ -236,28 +211,32 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
         None places initial means at sample quantiles (deterministic);
         a generator draws them uniformly in the box.
 
-    Both steps weigh the samples by the (n, N) log-joint R, normalised over
-    the components (axis 0).  The Gaussian step, for every p, gets R from the
-    GEMM of `_gaussian_log_joint`, centred at the mean-box midpoint c; the
-    per-sample term it leaves out cancels in the responsibilities and is added
-    to the log-likelihood only.  Its sample side carries one more row, the
-    shift s: each sample's log-sum-exp of R from the previous iteration.  The
-    GEMM then returns R - s, which is exponentiated in place and summed over
-    the components to denom; the log-likelihood is sum(s + log denom), and
-    s + log denom is the next shift.  One M-step moves R little, so denom
-    stays near 1 and no max pass is needed.  The exact, max-shifted
-    `_logsumexp0` is taken instead when there is no shift (the first
-    iteration, and the one after a reseed or a drop) and whenever some denom
-    is not finite or lies outside [1e-100, 1e100], where exp(R - s) could
-    overflow or lose its largest terms to underflow.  Counts and weighted
-    sums come from one product exp(R - s) @ [1/denom, (x - c)/denom].  The
-    Laplace step evaluates `_component_log_pdf`, takes `_logsumexp0` and then
-    weighted medians.
+    One E-step gives every iteration's log-likelihood and the final one, the
+    last trace entry.  It weighs the samples by the (n, N) log-joint R,
+    normalised over the components (axis 0).  The Laplace step evaluates
+    `_component_log_pdf`, takes `_logsumexp0` and then weighted medians.  The
+    Gaussian step works in buffers bound once per fit (and after a drop): R is
+    one GEMM of [m - c, log w - (k^2/2)|m - c|^2, -1] by [k^2 (x - c)^T; 1; s],
+    centred at the mean-box midpoint c to keep the expanded square accurate
+    far from the origin.  The per-sample term
+    p (log k - log(2 pi)/2) - (k^2/2)|x - c|^2 that R leaves out cancels in
+    the responsibilities and is added to the log-likelihood only.  The shift
+    s is each sample's log-sum-exp of R from the last E-step, so the GEMM
+    gives R - s, exponentiated in place and summed over the components to
+    denom; s + log denom, the next shift, sums to the log-likelihood.  One
+    M-step moves R little, so denom stays near 1 and no max pass is needed.
+    The exact, max-shifted `_logsumexp0` (without the -1 column) is taken
+    instead with no shift (the first iteration, and the one after a reseed
+    or a drop) and whenever some denom is not finite or lies outside
+    [1e-100, 1e100], where exp(R - s) could overflow or lose its largest
+    terms to underflow.  Counts and weighted sums come from one product
+    exp(R - s) @ [1/denom, (x - c)/denom].
 
     The trace of log-likelihood values is nondecreasing within 1e-9 between
     ordinary iterations.  A starving component (weight below 1e-12) is
     re-seeded once, then dropped and counted in `EMFit.dropped`; either
-    event may reset the trace monotonicity at that single step.
+    event may reset the trace monotonicity at that single step.  So no
+    weight falls below 1e-12, or 1/(10N) after a reseed: log w needs no floor.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
@@ -278,61 +257,79 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
     reseeds = dropped = 0
     gaussian = kernel.marginal.name == "gaussian"
     p = xs.shape[1]
+    shifted = False                 # whether the shift row holds the last lse
     if gaussian:
         c = 0.5 * (box.m_lower + box.m_upper)
         xc = xs - c
         # The GEMM's sample side [k^2 (x - c)^T; 1; s], built once; the shift
-        # row s holds the last iteration's per-sample lse.
+        # row s holds the last E-step's per-sample lse.
         sample_rows = np.zeros((p + 2, N))
         sample_rows[:p] = (k * k) * xc.T
         sample_rows[p] = 1.0
-        shift = sample_rows[-1]
-        shifted = False             # whether shift holds it
-        params = np.empty((n_components, p + 2))    # buffers for the GEMM
-        work = np.empty((n_components, N))
-        ones = np.ones(n_components)
+        exact_rows, shift = sample_rows[:-1], sample_rows[-1]
         ll_dropped = (N * p * (math.log(k) - 0.5 * math.log(2.0 * math.pi))
                       - 0.5 * k * k * float(np.sum(xc * xc)))
+        # Buffers of the fit: the parameter side with its -1 column, the (n, N)
+        # product, the right-hand side [1/denom, (x - c)/denom], denom, log denom.
+        params = np.empty((n_components, p + 2))
+        params[:, p + 1] = -1.0
+        work, ones = np.empty((n_components, N)), np.ones(n_components)
         rhs = np.empty((N, 1 + p))
+        inv, inv_col, rhs_x = rhs[:, 0], rhs[:, :1], rhs[:, 1:]
+        denom, log_denom = np.empty(N), np.empty(N)
+
+        def bind(n):
+            """The buffers' views for n components, bound again after a drop."""
+            P = params[:n]
+            return P, P[:, :p + 1], P[:, :p], P[:, p], work[:n], ones[:n]
+
+        P, P_exact, mc, col, W, o = bind(n_components)
     else:
         # The Laplace M-step takes weighted medians; each axis is sorted once.
         orders = [np.argsort(xs[:, d]) for d in range(p)]
+
+    def e_step():
+        """The log-likelihood at (weights, means), the (n, N) numerators of
+        the responsibilities and their column sums."""
+        nonlocal shifted
+        if not gaussian:
+            joint = _component_log_pdf(kernel, k, means, xs)
+            joint += np.log(weights)[:, None]
+            lse, sums = _logsumexp0(joint)
+            return float(np.add.reduce(lse)), joint, sums
+        np.subtract(means, c, out=mc)
+        np.add.reduce(mc * mc, axis=1, out=col)
+        np.multiply(0.5 * k * k, col, out=col)
+        np.subtract(np.log(weights), col, out=col)
+        if shifted:
+            np.matmul(P, sample_rows, out=W)
+            np.exp(W, out=W)
+            np.matmul(o, W, out=denom)
+            shifted = 1e-100 <= np.minimum.reduce(denom) and np.maximum.reduce(denom) <= 1e100
+            if shifted:
+                np.add(shift, np.log(denom, out=log_denom), out=shift)
+        if not shifted:
+            np.matmul(P_exact, exact_rows, out=W)
+            shift[:], denom[:] = _logsumexp0(W)
+            shifted = True
+        return float(np.add.reduce(shift)) + ll_dropped, W, denom
 
     trace = []
     prev = -math.inf
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        logw = np.log(np.maximum(weights, 1e-300))
+        ll, joint, sums = e_step()
         if gaussian:
-            nc = weights.shape[0]
-            buf, out = params[:nc], work[:nc]
-            if shifted:
-                joint = _gaussian_log_joint(means, logw, c, k, sample_rows, buf, out)
-                np.exp(joint, out=joint)
-                denom = ones[:nc] @ joint
-                shifted = 1e-100 <= denom.min() and denom.max() <= 1e100
-                if shifted:
-                    shift += np.log(denom)
-            if not shifted:
-                joint = _gaussian_log_joint(means, logw, c, k, sample_rows[:-1], buf, out)
-                lse, denom = _logsumexp0(joint)
-                shift[:] = lse
-                shifted = True
-            ll = float(shift.sum()) + ll_dropped
-            np.divide(1.0, denom, out=rhs[:, 0])
-            np.multiply(xc, rhs[:, :1], out=rhs[:, 1:])
+            np.divide(1.0, sums, out=inv)
+            np.multiply(xc, inv_col, out=rhs_x)
             moments = joint @ rhs
             counts = moments[:, 0]
         else:
-            joint = _component_log_pdf(kernel, k, means, xs)
-            joint += logw[:, None]
-            lse, denom = _logsumexp0(joint)
-            ll = float(np.sum(lse))
-            resp = joint / denom
-            counts = resp.sum(axis=1)
+            resp = np.divide(joint, sums, out=joint)
+            counts = np.add.reduce(resp, axis=1)
 
-        if counts.min() / N < 1e-12:
+        if np.minimum.reduce(counts) / N < 1e-12:
             starving = np.where(counts / N < 1e-12)[0]
             keep = np.ones(weights.shape[0], dtype=bool)
             for idx in starving:
@@ -345,6 +342,8 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
                     means[idx] = box.sample(1, reseed_rng)[0]
             w = np.where(keep, np.maximum(weights, 1.0 / (10 * N)), 0.0)[keep]
             weights, means = w / w.sum(), means[keep]
+            if gaussian and not keep.all():
+                P, P_exact, mc, col, W, o = bind(weights.shape[0])
             trace.append(ll)
             prev = -math.inf  # restart monotonicity after the intervention
             shifted = False
@@ -357,7 +356,7 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
             new_means = np.column_stack([
                 _weighted_medians(xs[:, d], order, resp.T) for d, order in enumerate(orders)
             ])
-        weights, means = new_w / new_w.sum(), box.clamp(new_means)
+        weights, means = new_w / np.add.reduce(new_w), box.clamp(new_means)
 
         trace.append(ll)
         if ll - prev < tol and math.isfinite(prev):
@@ -365,10 +364,9 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
             break
         prev = ll
 
-    mix = FiniteMixture(weights, means, k, kernel)
-    final_ll = log_likelihood(mix, xs)
-    trace.append(final_ll)
-    return EMFit(mix, np.asarray(trace), it, converged, reseeds, dropped)
+    trace.append(e_step()[0])
+    return EMFit(FiniteMixture(weights, means, k, kernel), np.asarray(trace), it, converged,
+                 reseeds, dropped)
 
 
 @dataclass

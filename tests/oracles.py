@@ -8,9 +8,10 @@ linear convolution by scipy.fft that the FFT paths keep the bits of, lattice
 convolution with the Young inequality checks, the kernel marginals' cdfs,
 samplers and closed-form l1 tails, the KL-versus-L2 check for
 lower-bounded densities, class membership and Lipschitz estimates of
-targets, a seedable mixture sampler, the mean lattice of a mixture
-dictionary, and grid-free closed forms for the Gaussian kernel.  A method
-of a package class appears here as a function of the instance.
+targets, a seedable mixture sampler, the direct log-likelihood of a
+mixture, the mean lattice of a mixture dictionary, and grid-free closed
+forms for the Gaussian kernel.  A method of a package class appears here as
+a function of the instance.
 """
 
 import math
@@ -423,6 +424,12 @@ def mixture_sample(mix, seed, n: int) -> np.ndarray:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     comp = rng.choice(mix.weights.size, size=n, p=mix.weights)
     return mix.means[comp] + kernel_draw(mix.kernel.marginal, (n, mix.dim), rng) / mix.k
+
+
+def log_likelihood(mix, xs) -> float:
+    """Sum of log mixture densities; -inf when a sample escapes the support.
+    The direct sum that EM's last trace entry is checked against."""
+    return float(np.sum(mix.log_pdf(xs)))
 
 
 def mean_lattice(axes) -> np.ndarray:

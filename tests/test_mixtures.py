@@ -28,7 +28,6 @@ from mixapprox.mixtures import (
     build_mixing_approximant,
     em_fit,
     greedy_fit,
-    log_likelihood,
     mle_fit,
 )
 from oracles import (
@@ -37,6 +36,7 @@ from oracles import (
     gaussian_gram,
     grid_mass,
     grid_mesh,
+    log_likelihood,
     mean_lattice,
     mixture_sample,
 )
@@ -455,6 +455,12 @@ def _gaussian_em_oracle(xs, n, k, kernel, box, init_rng, max_iters=500, tol=1e-8
     return np.asarray(trace), mix, it, converged, reseeds, dropped
 
 
+def _check_final_likelihood(fit, xs):
+    """EM's last trace entry, from its own E-step at the final parameters,
+    against the direct log-likelihood of the fitted mixture."""
+    assert fit.trace[-1] == pytest.approx(log_likelihood(fit.mixture, xs), rel=1e-12, abs=0.0)
+
+
 class TestGaussianEmMatchesLoopOracle:
     """The centred (n, N) GEMM step of `em_fit` against the (N, n) step kept
     in `_gaussian_em_oracle`: the same iterations and events, and trace,
@@ -471,6 +477,7 @@ class TestGaussianEmMatchesLoopOracle:
         assert_allclose(fit.trace, trace, rtol=1e-10, atol=0.0)
         assert_allclose(fit.mixture.weights, mix.weights, rtol=1e-10, atol=0.0)
         assert_allclose(fit.mixture.means, mix.means, rtol=1e-10, atol=0.0)
+        _check_final_likelihood(fit, xs)
 
     @pytest.mark.parametrize("k", [1, 4, 16, 64])
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -516,8 +523,8 @@ class TestLaggedShiftMatchesMaxShift:
 
     @staticmethod
     def _fit(xs, n, k, kernel, box, seed, monkeypatch):
-        """The fit and its count of exact log-sum-exps: em_fit's fallbacks
-        plus the one of the final log_likelihood."""
+        """The fit and its count of exact log-sum-exps: em_fit's first step
+        and its fallbacks, the final likelihood's included."""
         lse0 = mixtures._logsumexp0
         exact = []
 
@@ -540,6 +547,7 @@ class TestLaggedShiftMatchesMaxShift:
         assert (fit.iterations, fit.converged, fit.reseeds, fit.dropped) == (
             iterations, converged, reseeds, dropped)
         assert_allclose(fit.trace, trace, rtol=1e-12, atol=0.0)
+        _check_final_likelihood(fit, xs)
 
     @staticmethod
     def _check_trace(fit):
@@ -555,10 +563,10 @@ class TestLaggedShiftMatchesMaxShift:
         xs = make_target("two-truncated-normals", p).sample(600, np.random.default_rng(5))
         fit, exact = self._fit(xs, 4, k, gauss, box, 17, monkeypatch)
         assert fit.iterations > 10 and fit.reseeds == 0
-        # The first iteration and the final likelihood are exact; at p = 3,
-        # k = 64 the first M-step moves the means far enough to trip the
-        # guard once.  Every other iteration takes the lagged shift.
-        assert exact <= 3
+        # The first iteration is exact; at p = 3, k = 64 the first M-step
+        # moves the means far enough to trip the guard once.  Every other
+        # iteration, and the final likelihood, takes the lagged shift.
+        assert exact <= 2
         self._check_against_oracle(fit, xs, 4, k, gauss, box, 17)
         self._check_trace(fit)
 
@@ -572,8 +580,8 @@ class TestLaggedShiftMatchesMaxShift:
         fit, exact = self._fit(xs, 3, 64, gauss, box, 3, monkeypatch)
         assert fit.reseeds >= 2
         # An exact step follows every reseed or drop; here that is at least
-        # one per reseed, besides the first iteration and the final likelihood.
-        assert exact >= fit.reseeds + 2
+        # one per reseed, besides the first iteration.
+        assert exact >= fit.reseeds + 1
         self._check_against_oracle(fit, xs, 3, 64, gauss, box, 3)
         self._check_trace(fit)
 
@@ -588,10 +596,38 @@ class TestLaggedShiftMatchesMaxShift:
         xs = make_target("two-truncated-normals", p).sample(600, np.random.default_rng(5))
         fit, exact = self._fit(xs, 1, 64, gauss, box, 0, monkeypatch)
         assert fit.reseeds == 0 and fit.converged
-        assert exact == 3           # first iteration, the guard, final likelihood
+        assert exact == 2           # first iteration, the guard
         assert_allclose(fit.mixture.means[0], xs.mean(axis=0), rtol=1e-12)
         self._check_against_oracle(fit, xs, 1, 64, gauss, box, 0)
         self._check_trace(fit)
+
+
+class TestEmHoldsOneJoint:
+    """Gaussian EM works in buffers bound once per fit.  Its tracemalloc peak
+    is one (n, N) array of doubles beside (3 p + 9) N-long ones: the centred
+    samples (p), the GEMM's sample side (p + 2), the moments' right-hand side
+    (p + 1), denom and its log (2) and the exact step's four temporaries;
+    and numpy's ufunc buffer of 8192 doubles.  Reseeds and drops (the wide
+    box) allocate nothing of size n N either."""
+
+    @pytest.mark.parametrize("p, n, N, lo, seed", [
+        (1, 64, 4000, 0.0, None), (3, 32, 1000, 0.0, None), (1, 64, 4000, -20.0, 3)])
+    def test_peak_is_one_log_joint(self, p, n, N, lo, seed):
+        gauss = make_product_kernel("gaussian", p)
+        box = MeanBox(lo, 1.0, p)
+        xs = make_target("two-truncated-normals", p).sample(N, np.random.default_rng(5))
+        em_fit(xs[:50], 2, 16, gauss, box, max_iters=3)     # numpy's first-call caches
+        init = None if seed is None else np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tracemalloc.start()
+            try:
+                fit = em_fit(xs, n, 16, gauss, box, init_rng=init, max_iters=50)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert fit.iterations > 10 and (seed is None or fit.dropped > 0)
+        assert peak <= 8 * n * N + 8 * N * (3 * p + 9) + 8 * 8192, peak
 
 
 @st.composite

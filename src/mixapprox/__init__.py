@@ -1,11 +1,11 @@
 """Convolution smoothing, finite location-scale mixtures, and desk-scale
 verification of the associated approximation and estimation bounds."""
 
-# numpy 2 loads these submodules on first use.  The studies use all three
-# (numpy.ma through np.quantile), so they load with the package rather than
-# inside the first study's time.
+# numpy 2 loads these submodules on first use.  The studies use both, so
+# they load with the package rather than inside the first study's time.
+# Nothing in the package loads numpy.ma or numpy.polynomial (np.quantile,
+# np.median, np.unique, leggauss and the like), so no run pays for either.
 import numpy.fft
-import numpy.ma
 import numpy.random
 
 from .grids import (

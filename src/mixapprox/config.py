@@ -50,6 +50,7 @@ def _key(key: str, parse, default):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one study run, one field per config key."""
     study: str = _key("study", str, "conv-rate")
     density_name: str = _key("density.name", str, "tent")
     density_dim: int = _key("density.dim", int, 1)

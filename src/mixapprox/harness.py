@@ -51,6 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Row:
+    """One line of a report: a metric's value at one point of a study's axis."""
     study: str
     axis: str
     axis_value: object          # int, float, or ""
@@ -74,6 +75,8 @@ CSV_HEADER = ",".join(f.name for f in fields(Row))
 
 @dataclass(frozen=True)
 class SlopeFit:
+    """A least-squares line through log-log points; the half-width is twice
+    the slope's standard error."""
     slope: float
     intercept: float
     ci_halfwidth: object        # float or None when dof is insufficient
@@ -81,6 +84,7 @@ class SlopeFit:
 
 @dataclass
 class RateReport:
+    """A study's mean errors along one axis, with the fitted log-log slope."""
     study: str
     axis: str
     points: list                # (axis_value, mean, stderr) sorted by axis
@@ -91,6 +95,7 @@ class RateReport:
 
 @dataclass
 class StudyResult:
+    """Everything one study reports: rows, rates, bound checks and notes."""
     study: str
     rows: list = field(default_factory=list)
     rate_reports: list = field(default_factory=list)

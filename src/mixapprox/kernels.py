@@ -33,8 +33,16 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # The certification's composite Gauss-Legendre rule (Golub & Welsch 1969):
-# 12 nodes a piece, exact for polynomials of degree 23.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+# 12 nodes a piece, exact for polynomials of degree 23.  These are the bits
+# of numpy's leggauss(12), written out so that no run loads numpy.polynomial.
+_GL_X = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_W = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
 
 # The normal cdf and its inverse, ported from cephes ndtr.c and ndtri.c
 # (Moshier 1989) as scipy.special ships them: the same coefficients, Horner
@@ -103,8 +111,8 @@ def _ndtr_float(a):
     z = abs(x)
     if z < 1.0:
         return 0.5 + 0.5 * (x * _polevl(x * x, _ERF_T) / _p1evl(x * x, _ERF_U))
-    if -z * z < -_MAXLOG:
-        y = 0.0                         # exp(-z^2) underflows
+    if z > 1e150 or -z * z < -_MAXLOG:
+        y = 0.0                         # exp(-z^2) underflows; z^2 would overflow
     elif z < 8.0:
         y = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_P) / _p1evl(z, _ERFC_Q))
     else:

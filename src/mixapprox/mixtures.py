@@ -166,6 +166,7 @@ class FiniteMixture:
 
 @dataclass
 class EMFit:
+    """One projected-EM fit: its mixture, likelihood trace and bookkeeping."""
     mixture: FiniteMixture
     trace: np.ndarray           # log-likelihood after every iteration
     iterations: int
@@ -179,9 +180,18 @@ class EMFit:
 
 
 def _init_means(xs: np.ndarray, n: int, box: MeanBox, rng) -> np.ndarray:
+    """n initial means in the box: uniform draws from rng, or with rng None
+    the sample quantiles of xs (N, p) at (i + 1/2)/n per axis.  The quantiles
+    are numpy's linear ones bit for bit: sorted values at floor((N - 1) q)
+    and the next index, capped at N - 1, and numpy's lerp, which takes the
+    upper end for t >= 1/2.  np.quantile itself would load numpy.ma."""
     if rng is None:
-        qs = (np.arange(n) + 0.5) / n
-        means = np.quantile(xs, qs, axis=0)
+        at = (len(xs) - 1) * ((np.arange(n) + 0.5) / n)
+        lo = np.floor(at).astype(np.intp)
+        t = (at - lo)[:, None]
+        ordered = np.sort(xs, axis=0)
+        a, b = ordered[lo], ordered[np.minimum(lo + 1, len(xs) - 1)]
+        means = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
     else:
         means = box.sample(n, rng)
     return box.clamp(means)
@@ -371,6 +381,7 @@ def em_fit(xs, n_components: int, k: int, kernel: ProductKernel, box: MeanBox,
 
 @dataclass
 class MLEFit:
+    """The best fit over the scale grid and restarts, and its scale k."""
     fit: EMFit
     k: int
 

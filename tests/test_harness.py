@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -629,9 +630,10 @@ class TestCli:
 
     def test_studies_load_no_scipy_and_no_new_numpy_module(self, tmp_path):
         # Importing the package loads no scipy, and the numpy submodules that
-        # numpy 2 loads lazily (numpy.fft, numpy.random, numpy.ma through
-        # np.quantile) load with it, so no study pays an import in its own
-        # time.  A fresh interpreter shows what a 1-D mle-risk (EM, and the
+        # numpy 2 loads lazily and the studies use (numpy.fft, numpy.random)
+        # load with it, so no study pays an import in its own time.  Neither
+        # numpy.ma nor numpy.polynomial loads at all, before or after the
+        # studies.  A fresh interpreter shows what a 1-D mle-risk (EM, and the
         # normal cdf's inverse in the two-bump sampler's tails), the 2-D
         # mix-rate and bounds (the FFT approximant) and a 2-D and a 3-D
         # check-identity (the l1 tails and masses) load.
@@ -660,18 +662,38 @@ class TestCli:
             "from mixapprox.cli import main\n"
             "def loaded():\n"
             "    return {m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')}\n"
+            "def unused():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial']))\n"
             "at_import = loaded()\n"
             "scipy = sorted(m for m in at_import if m.startswith('scipy'))\n"
+            "unused_at_import = unused()\n"
             f"for argv in {runs!r}:\n"
             "    assert main(argv) == 0, argv\n"
-            "print(scipy, sorted(loaded() - at_import))\n"
+            "print(unused_at_import, unused(), scipy, sorted(loaded() - at_import))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[] []"
+        assert proc.stdout.splitlines()[-1] == "[] [] [] []"
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_check_identity_at_a_huge_delta_is_quiet(self, tmp_path, capsys, dim):
+        # The Gaussian's l1 tail beyond delta = 1e300 is 0.  The normal
+        # cdf's argument is far past where its square overflows, and
+        # nothing may warn.
+        cfg = self._write(tmp_path, "study = check-identity\nkernel.name = gaussian\n"
+                                    f"density.dim = {dim}\nk.list = 1,2\ndeltas.list = 1e300\n")
+        out = tmp_path / "ident.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["check-identity", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        tails = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()
+                 if ",outside_mass" in line]
+        assert tails and all(v == 0.0 for v in tails)
 
     @pytest.mark.parametrize("setting, option", [("", ["--strict"]), ("strict = true\n", [])])
     def test_strict_domination_failure_exit_code(self, tmp_path, capsys, setting, option):
@@ -1099,7 +1121,7 @@ class TestNnls2Col:
 
 def test_cli_import_loads_no_scipy():
     # The normal cdf and its inverse are ported into kernels.py, the
-    # certification integrates by numpy's Gauss-Legendre nodes, and C1, C2
+    # certification integrates by its own Gauss-Legendre nodes, and C1, C2
     # come from a closed form, so the start-up path loads no scipy module.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

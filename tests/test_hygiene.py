@@ -1,6 +1,7 @@
 """Source hygiene: every top-level import of a module or test file is used,
-the package imports no scipy at any depth, neither evaluates on a stacked
-mesh nor warns, every function, class, method and data attribute it defines
+the package imports no scipy at any depth and calls nothing that loads
+numpy.ma or numpy.polynomial, neither evaluates on a stacked mesh nor
+warns, every function, class, method and data attribute it defines
 is read by its own code, every config field is read by a study or the CLI,
 and only the pinned mixing approximant calls ``convolve``.
 
@@ -123,6 +124,60 @@ def test_scan_flags_a_scipy_import_at_any_depth():
            "# import scipy\ns = 'import scipy'\n")
     assert _scipy_imports(ast.parse(src)) == [
         (1, "scipy.special"), (3, "scipy"), (7, "scipy"), (8, "scipy.fft"), (9, "scipy")]
+
+
+# numpy functions that load numpy.ma when first called (numpy 2.4: the
+# order statistics and unique; sort and partition do not).
+_MA_LOADERS = {"quantile", "percentile", "median", "unique",
+               "nanquantile", "nanpercentile", "nanmedian"}
+
+
+def _loads_ma_or_polynomial(name: str) -> bool:
+    """Whether a dotted name is numpy.ma, numpy.polynomial or inside either,
+    or a numpy function that loads numpy.ma."""
+    parts = name.split(".")
+    return parts[0] == "numpy" and len(parts) > 1 and (
+        parts[1] in ("ma", "polynomial") or len(parts) == 2 and parts[1] in _MA_LOADERS)
+
+
+def _ma_or_polynomial_uses(tree: ast.Module) -> list:
+    """(line, name) of every ``np.<x>`` or ``numpy.<x>`` read, and every
+    import, of numpy.ma, numpy.polynomial or a function that loads numpy.ma."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+                and _loads_ma_or_polynomial(f"numpy.{node.attr}")):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if _loads_ma_or_polynomial(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                      if _loads_ma_or_polynomial(f"{node.module}.{a.name}")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_the_package_calls_nothing_that_loads_numpy_ma_or_polynomial(path):
+    # Either submodule costs every run its import (numpy.ma about 15 ms);
+    # sample quantiles and quadrature nodes are computed without them.
+    found = _ma_or_polynomial_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name}: " + ", ".join(f"{name} (line {line})"
+                                                   for line, name in found)
+
+
+def test_scan_flags_what_loads_numpy_ma_or_polynomial():
+    src = ("q = np.quantile(x, 0.5)\nm = numpy.median(x)\nnp.nanpercentile(x, 5)\n"
+           "u = np.unique(x)\na = np.ma.masked_array(x)\n"
+           "def f():\n    return np.polynomial.legendre.leggauss(12)\n"
+           "import numpy.ma\nfrom numpy.polynomial import legendre\nfrom numpy import ma, median\n"
+           "np.sort(x)\nnp.partition(x, 3)\nnp.matrix\nx.median()\nimport numpy.fft\n"
+           "from numpy import sort\ns = 'np.quantile(x)'\n# np.median\n")
+    assert _ma_or_polynomial_uses(ast.parse(src)) == [
+        (1, "np.quantile"), (2, "np.median"), (3, "np.nanpercentile"), (4, "np.unique"),
+        (5, "np.ma"), (7, "np.polynomial"), (8, "numpy.ma"), (9, "numpy.polynomial.legendre"),
+        (10, "numpy.ma"), (10, "numpy.median")]
 
 
 class _References(ast.NodeVisitor):

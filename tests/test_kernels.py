@@ -163,6 +163,13 @@ def _ulps_around(points, n):
                                            p + np.spacing(p) * k]) for p in points])
 
 
+def test_gauss_legendre_rule_is_numpys_leggauss():
+    # The rule is written out so that no run loads numpy.polynomial.
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert _bit_mismatches(kernels._GL_X, x) == 0 and kernels._GL_X.shape == (12,)
+    assert _bit_mismatches(kernels._GL_W, w) == 0 and kernels._GL_W.shape == (12,)
+
+
 class TestNormalCdfPort:
     """kernels._ndtr and _ndtri, the cephes port, keep scipy.special's bits."""
 
@@ -200,6 +207,16 @@ class TestNormalCdfPort:
         with np.errstate(invalid="ignore"):     # the nan in gives a nan out
             got = kernels._ndtr(xs)
         assert _bit_mismatches(got, ndtr(xs)) == 0
+
+    @pytest.mark.parametrize("a", [1e154, 2e154, 1e200, 1e308, np.inf])
+    def test_ndtr_of_a_huge_argument_is_exact_and_quiet(self, a):
+        # Past |a| ~ 1.9e154, a^2 / 2 overflows; the port returns 0 and 1
+        # there without squaring, so numpy has no overflow to warn about.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels._ndtr(np.array([-a, a]))
+            assert (kernels._ndtr(-a), kernels._ndtr(a)) == (0.0, 1.0)
+        assert _bit_mismatches(got, ndtr(np.array([-a, a]))) == 0
 
     def test_scalars_give_numpy_scalars(self):
         assert type(kernels._ndtr(0.3)) is np.float64

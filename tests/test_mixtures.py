@@ -274,6 +274,35 @@ class TestLogLikelihood:
         assert log_likelihood(m, np.array([[0.9]])) == -math.inf
 
 
+class TestInitMeans:
+    """With no generator, _init_means takes numpy's linear sample quantiles
+    without np.quantile; these checks may load numpy.ma, runs may not."""
+
+    @pytest.mark.parametrize("N, n", [(1, 1), (2, 1), (2, 2), (3, 2), (7, 7), (10, 3),
+                                      (101, 4), (250, 8), (999, 33), (4000, 16)])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_equals_numpy_quantiles_bit_for_bit(self, N, n, p, ties):
+        # (N, n) = (2, 1) puts the one quantile at t = 1/2 exactly, where
+        # numpy's lerp switches to its upper form.
+        rng = np.random.default_rng(N * 100 + n * 10 + p)
+        xs = rng.integers(0, 3, (N, p)) * 0.375 if ties else rng.normal(0.5, 0.4, (N, p))
+        box = MeanBox(0.0, 1.0, p)
+        want = box.clamp(np.quantile(xs, (np.arange(n) + 0.5) / n, axis=0))
+        got = mixtures._init_means(xs, n, box, None)
+        assert got.shape == want.shape == (n, p)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_half_way_takes_the_upper_form(self):
+        # N = 2, n = 1: t = 1/2, so the mean is b - (b - a) / 2, which
+        # differs from a + (b - a) / 2 in the last bit for these two.
+        xs = np.array([[0.772115], [0.00238]])
+        a, b = np.sort(xs[:, 0])
+        assert b - (b - a) * 0.5 != a + (b - a) * 0.5
+        box = MeanBox(0.0, 1.0, 1)
+        assert mixtures._init_means(xs, 1, box, None)[0, 0] == b - (b - a) * 0.5
+
+
 class TestEmFit:
     BOX = MeanBox(0.0, 1.0, 1)
 
